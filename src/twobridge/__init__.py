@@ -4,85 +4,38 @@ The pipeline: a fraction p/q names the knot S(q,p); its division
 expansion is driven to a fixpoint by a three-rule rewrite system whose
 output length is the minimal expansion length; the crosscap number,
 genus, boundary classification and a crosscap-realizing Conway diagram
-are read off from there.  A Farey-diagram depth recursion provides an
-independent oracle for minimal lengths, and the bundled table of the
-362 two-bridge knots through 12 crossings is verified end to end.
+are read off from there.  The Farey-diagram depth provides an
+independent check of minimal lengths, and the bundled table of the 362
+two-bridge knots through 12 crossings is verified end to end.
+
+This namespace holds the serving API; the rest lives in the submodules,
+and the slow verification oracles in `twobridge.oracles`.
 """
 
-from .conway import (
-    ConwayDiagram,
-    conway_diagram,
-    diagram_from_expansion,
-    format_diagram,
-    odd_shortest_expansion,
-    verify_diagram,
-)
+from .conway import conway_diagram, verify_diagram
 from .core import (
-    INFINITY,
-    AdditiveExpansion,
     Expansion,
     ExtendedRational,
     KnotId,
-    alternating_sign_convert,
-    canonical_form,
-    division_expansion,
-    eval_additive,
     eval_expansion,
     format_expansion,
     format_fraction,
-    fraction_of,
     knot_from_fraction,
-    mirror,
     parse_expansion,
     parse_fraction,
-    reverse_expansion,
-    same_knot,
 )
-from .diagram import (
-    ShortestSet,
-    all_shortest_expansions,
-    brute_force_min_length,
-    depth,
-    farey_parents,
-    is_shortest,
-    rectangle_move,
-    rectangle_positions,
-)
-from .errors import (
-    DomainError,
-    ParseError,
-    PatternMatchError,
-    TableDataError,
-    TwoBridgeError,
-    UnknownNameError,
-)
+from .diagram import all_shortest_expansions, depth
+from .errors import DomainError, ParseError, TwoBridgeError, UnknownNameError
 from .invariants import (
     Boundary,
     InvariantReport,
-    PlumbingSurface,
     boundary_classification,
     crosscap,
     even_expansion,
-    family_k_mn,
-    gamma_equals_2g_plus_1,
     genus,
     invariant_report,
-    odd_type_among_shortest,
-    plumbing_surface,
-    reduced_expansion,
-    report_for_fraction,
 )
-from .reduction import (
-    ReductionStep,
-    ReductionTrace,
-    Rule,
-    applicable_steps,
-    apply_rule,
-    format_trace,
-    reduce_expansion,
-    reduce_with_strategy,
-    scan_for_step,
-)
-from .table import KnotRecord, TableReport, find_record, load_table, lookup, verify_table
+from .reduction import reduce_expansion
+from .table import find_record, load_table, lookup, verify_table
 
 __version__ = "0.1.0"

@@ -123,10 +123,6 @@ class Expansion:
     def __post_init__(self):
         object.__setattr__(self, "coefficients", tuple(self.coefficients))
 
-    @property
-    def length(self) -> int:
-        return len(self.coefficients)
-
     def __len__(self) -> int:
         return len(self.coefficients)
 

@@ -6,100 +6,59 @@ with the mediant (a+c)/(b+d).  Depth is 0 on Z and 1/0 and one more than
 the shallower Farey parent elsewhere; it equals the minimal length of a
 subtractive continued fraction expansion of the vertex, which makes it
 an oracle for the rewrite system that is computed along a completely
-independent route.
+independent route: a walk along the regular continued fraction.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from math import gcd
 
-from .core import Expansion, ExtendedRational, division_expansion, eval_expansion
+from .core import Expansion, ExtendedRational, division_expansion
 from .errors import DomainError, PatternMatchError
 from .reduction import reduce_expansion
 
 __all__ = [
-    "farey_parents",
     "depth",
-    "is_shortest",
     "rectangle_move",
     "rectangle_positions",
     "ShortestSet",
     "all_shortest_expansions",
-    "brute_force_min_length",
 ]
-
-
-def farey_parents(x: ExtendedRational) -> tuple[ExtendedRational, ExtendedRational]:
-    """The unique Farey neighbors a/b, c/d of p/q with a+c = p, b+d = q.
-
-    Requires p/q in (0, 1) with q >= 2; callers normalize first using
-    the translation and reflection symmetries of the diagram.
-    """
-    p, q = x.numerator, x.denominator
-    if q < 2 or not 0 < p < q:
-        raise DomainError(f"farey_parents needs a fraction in (0,1) with q >= 2, got {x}")
-    b = pow(p, -1, q)
-    a = (p * b - 1) // q
-    return ExtendedRational(a, b), ExtendedRational(p - a, q - b)
-
-
-# Memo for _depth_in_unit_interval.  Plain dict: reads are concurrent-safe
-# under the GIL and inserts are idempotent, so no locking is needed.
-_DEPTH_MEMO: dict[tuple[int, int], int] = {}
 
 
 def depth(x: ExtendedRational) -> int:
     """Depth of a vertex: 0 on Z and 1/0, min(parents) + 1 elsewhere.
 
-    Finite inputs are translated into [0, 1); the recursion on Farey
-    parents then stays inside the unit interval.
+    Finite inputs are translated into [0, 1) and found by a walk down the
+    diagram that keeps the Farey interval a/b < p/q < c/d and the depth
+    of each end.  A run of k mediant steps toward p/q, one partial
+    quotient of the regular continued fraction, moves one end k times
+    and leaves it at depth min(depth(other end) + 1, depth(it) + k), so
+    each loop pass takes a whole run: O(len CF) time and O(1) state.
     """
     if x.is_infinite:
         return 0
     y = x.mod_one()
-    if y.numerator == 0:
+    p, q = y.numerator, y.denominator
+    if p == 0:
         return 0
-    return _depth_in_unit_interval(y.numerator, y.denominator)
-
-
-def _depth_in_unit_interval(p: int, q: int) -> int:
-    # Iterative with an explicit stack: parent chains of 1/q have length
-    # about q, which would overflow Python's recursion limit.
-    def lookup(a: int, b: int) -> int | None:
-        return 0 if b == 1 else _DEPTH_MEMO.get((a, b))
-
-    stack = [(p, q)]
-    while stack:
-        pp, qq = stack[-1]
-        if (pp, qq) in _DEPTH_MEMO:
-            stack.pop()
-            continue
-        bb = pow(pp, -1, qq)
-        aa = (pp * bb - 1) // qq
-        d1 = lookup(aa, bb)
-        d2 = lookup(pp - aa, qq - bb)
-        if d1 is None or d2 is None:
-            if d1 is None:
-                stack.append((aa, bb))
-            if d2 is None:
-                stack.append((pp - aa, qq - bb))
-            continue
-        _DEPTH_MEMO[(pp, qq)] = min(d1, d2) + 1
-        stack.pop()
-    return _DEPTH_MEMO[(p, q)]
-
-
-def is_shortest(e: Expansion) -> bool:
-    """Shortest-path criterion: the i-th partial value must have depth i."""
-    v = eval_expansion(e)
-    if v.is_infinite or v.is_integer:
-        raise DomainError(f"shortestness is defined for non-integer finite values, got {v}")
-    for i in range(len(e) + 1):
-        if depth(eval_expansion(Expansion(e.integer_part, e.coefficients[:i]))) != i:
-            return False
-    return True
+    a, b, c, d = 0, 1, 1, 1
+    left = right = 0
+    while True:
+        # p/q = (u*a + v*c) / (u*b + v*d) with u, v > 0 coprime
+        v = p * b - q * a
+        u = q * c - p * d
+        if u == v:
+            return min(left, right) + 1
+        if v < u:
+            k = (u - 1) // v
+            c, d = c + k * a, d + k * b
+            right = min(left + 1, right + k)
+        else:
+            k = (v - 1) // u
+            a, b = a + k * c, b + k * d
+            left = min(right + 1, left + k)
 
 
 def rectangle_move(e: Expansion, position: int) -> Expansion:
@@ -166,61 +125,3 @@ def all_shortest_expansions(x: ExtendedRational) -> ShortestSet:
                 seen.add(neighbor)
                 frontier.append(neighbor)
     return ShortestSet(x, frozenset(seen))
-
-
-# Cache of exhaustive value tables, keyed by (max_len, coeff_bound).
-# Table: projective value (num, den) -> minimal coefficient count over all
-# [b_1..b_k], k <= max_len, 0 < |b_i| <= coeff_bound, with integer part 0.
-_BRUTE_TABLES: dict[tuple[int, int], dict[tuple[int, int], int]] = {}
-
-
-def _brute_table(max_len: int, coeff_bound: int) -> dict[tuple[int, int], int]:
-    key = (max_len, coeff_bound)
-    table = _BRUTE_TABLES.get(key)
-    if table is not None:
-        return table
-    table = {(0, 1): 0}
-    coeffs = [b for b in range(-coeff_bound, coeff_bound + 1) if b != 0]
-
-    # Depth-first over coefficient sequences via the matrix recurrence
-    # (u, w) -> (b*u - w, u); the value of the walked sequence (reversed,
-    # which is harmless since the whole set is enumerated) is w/u.
-    def extend(u: int, w: int, length: int):
-        for b in coeffs:
-            u2, w2 = b * u - w, u
-            if u2 == 0:
-                k = (1, 0)
-            else:
-                g = gcd(abs(w2), abs(u2))
-                k = (w2 // g, u2 // g) if u2 > 0 else (-w2 // g, -u2 // g)
-            if k not in table or table[k] > length:
-                table[k] = length
-            if length < max_len:
-                extend(u2, w2, length + 1)
-
-    if max_len >= 1:
-        extend(1, 0, 1)
-    _BRUTE_TABLES[key] = table
-    return table
-
-
-def brute_force_min_length(
-    x: ExtendedRational, max_len: int, coeff_bound: int, r_window: int = 0
-) -> int | None:
-    """Minimal expansion length of x by exhaustive enumeration, or None.
-
-    Enumerates integer parts r within r_window of floor(x) and all
-    nonzero coefficients |b_i| <= coeff_bound up to max_len coefficients.
-    Independent of the rewrite system; intended as a small-case oracle.
-    """
-    if x.is_infinite:
-        raise DomainError("1/0 is outside the brute-force domain")
-    table = _brute_table(max_len, coeff_bound)
-    base = x.floor()
-    best = None
-    for r in range(base - r_window, base + r_window + 1):
-        tail = x - r
-        n = table.get((tail.numerator, tail.denominator))
-        if n is not None and (best is None or n < best):
-            best = n
-    return best

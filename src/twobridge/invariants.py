@@ -16,7 +16,6 @@ from enum import Enum
 
 from .core import (
     Expansion,
-    ExtendedRational,
     KnotId,
     division_expansion,
     eval_expansion,
@@ -24,7 +23,6 @@ from .core import (
     format_expansion,
     knot_from_fraction,
 )
-from .diagram import all_shortest_expansions
 from .errors import DomainError
 from .reduction import reduce_expansion
 
@@ -40,9 +38,7 @@ __all__ = [
     "plumbing_surface",
     "family_k_mn",
     "reduced_expansion",
-    "odd_type_among_shortest",
     "invariant_report",
-    "report_for_fraction",
 ]
 
 
@@ -151,11 +147,7 @@ def crosscap(k: KnotId) -> int:
     n if the reduced expansion has an odd coefficient or a +-2 (then an
     odd-type shortest expansion exists), n+1 otherwise; 0 for the unknot.
     """
-    if k.q == 1:
-        return 0
-    reduced = reduced_expansion(k)
-    n = len(reduced)
-    return n if _has_odd_or_two(reduced) else n + 1
+    return invariant_report(k).crosscap
 
 
 def gamma_equals_2g_plus_1(k: KnotId) -> bool:
@@ -174,19 +166,7 @@ def boundary_classification(k: KnotId) -> Boundary:
     which the reduced expansion witnesses syntactically.
     """
     _require_knot(k)
-    if _has_odd_or_two(reduced_expansion(k)):
-        return Boundary.INCOMPRESSIBLE
-    return Boundary.COMPRESSIBLE
-
-
-def odd_type_among_shortest(k: KnotId) -> bool:
-    """Enumeration route to the same dichotomy: scan the rectangle-move closure.
-
-    Slower than the syntactic test on the reduced expansion; kept as an
-    independent cross-check.
-    """
-    _require_knot(k)
-    return all_shortest_expansions(fraction_of(k)).has_odd_type
+    return invariant_report(k).boundary
 
 
 def plumbing_surface(e: Expansion) -> PlumbingSurface:
@@ -205,7 +185,11 @@ def family_k_mn(m: int, n: int) -> KnotId:
 
 
 def invariant_report(k: KnotId) -> InvariantReport:
-    """Assemble every invariant of one knot."""
+    """Assemble every invariant of one knot.
+
+    The only place the crosscap and boundary rules are applied; crosscap
+    and boundary_classification read their answers from here.
+    """
     if k.q == 1:
         empty = Expansion(0, ())
         return InvariantReport(k, 0, 0, empty, empty, False, Boundary.TRIVIAL)
@@ -222,8 +206,3 @@ def invariant_report(k: KnotId) -> InvariantReport:
         odd_shortest_exists=odd_exists,
         boundary=Boundary.INCOMPRESSIBLE if odd_exists else Boundary.COMPRESSIBLE,
     )
-
-
-def report_for_fraction(x: ExtendedRational) -> InvariantReport:
-    """Invariant report for the knot named by a fraction; rejects links and 1/0."""
-    return invariant_report(knot_from_fraction(x))

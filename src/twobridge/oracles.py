@@ -1,0 +1,181 @@
+"""Verification oracles: slow, independent routes to what the pipeline computes.
+
+Tests and verification runs compare the serving code against these.  No
+serving module imports this one, so `import twobridge.cli` never loads it.
+"""
+
+from __future__ import annotations
+
+import random
+from math import gcd
+
+from .core import Expansion, ExtendedRational, KnotId, eval_expansion, fraction_of
+from .diagram import all_shortest_expansions, depth
+from .errors import DomainError
+from .invariants import _require_knot
+from .reduction import ReductionTrace, applicable_steps, apply_rule
+
+__all__ = [
+    "farey_parents",
+    "depth_by_parents",
+    "is_shortest",
+    "brute_force_min_length",
+    "odd_type_among_shortest",
+    "reduce_with_strategy",
+    "check_trace",
+]
+
+
+def farey_parents(x: ExtendedRational) -> tuple[ExtendedRational, ExtendedRational]:
+    """The unique Farey neighbors a/b, c/d of p/q with a+c = p, b+d = q.
+
+    Requires p/q in (0, 1) with q >= 2; callers normalize first using
+    the translation and reflection symmetries of the diagram.
+    """
+    p, q = x.numerator, x.denominator
+    if q < 2 or not 0 < p < q:
+        raise DomainError(f"farey_parents needs a fraction in (0,1) with q >= 2, got {x}")
+    b = pow(p, -1, q)
+    a = (p * b - 1) // q
+    return ExtendedRational(a, b), ExtendedRational(p - a, q - b)
+
+
+def depth_by_parents(x: ExtendedRational, memo: dict[tuple[int, int], int] | None = None) -> int:
+    """Depth by its definition: 0 on Z and 1/0, min(parents) + 1 elsewhere.
+
+    Visits every Farey ancestor of x, so time and memory grow with the
+    sum of its partial quotients; a reference for small denominators
+    only.  Ancestors are memoized in `memo`, which a caller may pass to
+    share them across calls.
+    """
+    if x.is_infinite:
+        return 0
+    y = x.mod_one()
+    if y.numerator == 0:
+        return 0
+    if memo is None:
+        memo = {}
+
+    # Iterative with an explicit stack: parent chains of 1/q have length
+    # about q, which would overflow Python's recursion limit.
+    def lookup(a: int, b: int) -> int | None:
+        return 0 if b == 1 else memo.get((a, b))
+
+    stack = [(y.numerator, y.denominator)]
+    while stack:
+        pp, qq = stack[-1]
+        if (pp, qq) in memo:
+            stack.pop()
+            continue
+        bb = pow(pp, -1, qq)
+        aa = (pp * bb - 1) // qq
+        d1 = lookup(aa, bb)
+        d2 = lookup(pp - aa, qq - bb)
+        if d1 is None or d2 is None:
+            if d1 is None:
+                stack.append((aa, bb))
+            if d2 is None:
+                stack.append((pp - aa, qq - bb))
+            continue
+        memo[(pp, qq)] = min(d1, d2) + 1
+        stack.pop()
+    return memo[(y.numerator, y.denominator)]
+
+
+def is_shortest(e: Expansion) -> bool:
+    """Shortest-path criterion: the i-th partial value must have depth i."""
+    v = eval_expansion(e)
+    if v.is_infinite or v.is_integer:
+        raise DomainError(f"shortestness is defined for non-integer finite values, got {v}")
+    for i in range(len(e) + 1):
+        if depth(eval_expansion(Expansion(e.integer_part, e.coefficients[:i]))) != i:
+            return False
+    return True
+
+
+# Cache of exhaustive value tables, keyed by (max_len, coeff_bound).
+# Table: projective value (num, den) -> minimal coefficient count over all
+# [b_1..b_k], k <= max_len, 0 < |b_i| <= coeff_bound, with integer part 0.
+_BRUTE_TABLES: dict[tuple[int, int], dict[tuple[int, int], int]] = {}
+
+
+def _brute_table(max_len: int, coeff_bound: int) -> dict[tuple[int, int], int]:
+    key = (max_len, coeff_bound)
+    table = _BRUTE_TABLES.get(key)
+    if table is not None:
+        return table
+    table = {(0, 1): 0}
+    coeffs = [b for b in range(-coeff_bound, coeff_bound + 1) if b != 0]
+
+    # Depth-first over coefficient sequences via the matrix recurrence
+    # (u, w) -> (b*u - w, u); the value of the walked sequence (reversed,
+    # which is harmless since the whole set is enumerated) is w/u.
+    def extend(u: int, w: int, length: int):
+        for b in coeffs:
+            u2, w2 = b * u - w, u
+            if u2 == 0:
+                k = (1, 0)
+            else:
+                g = gcd(abs(w2), abs(u2))
+                k = (w2 // g, u2 // g) if u2 > 0 else (-w2 // g, -u2 // g)
+            if k not in table or table[k] > length:
+                table[k] = length
+            if length < max_len:
+                extend(u2, w2, length + 1)
+
+    if max_len >= 1:
+        extend(1, 0, 1)
+    _BRUTE_TABLES[key] = table
+    return table
+
+
+def brute_force_min_length(
+    x: ExtendedRational, max_len: int, coeff_bound: int, r_window: int = 0
+) -> int | None:
+    """Minimal expansion length of x by exhaustive enumeration, or None.
+
+    Enumerates integer parts r within r_window of floor(x) and all
+    nonzero coefficients |b_i| <= coeff_bound up to max_len coefficients.
+    Independent of the rewrite system; intended as a small-case oracle.
+    """
+    if x.is_infinite:
+        raise DomainError("1/0 is outside the brute-force domain")
+    table = _brute_table(max_len, coeff_bound)
+    base = x.floor()
+    best = None
+    for r in range(base - r_window, base + r_window + 1):
+        tail = x - r
+        n = table.get((tail.numerator, tail.denominator))
+        if n is not None and (best is None or n < best):
+            best = n
+    return best
+
+
+def odd_type_among_shortest(k: KnotId) -> bool:
+    """Enumeration route to the same dichotomy: scan the rectangle-move closure.
+
+    Slower than the syntactic test on the reduced expansion; kept as an
+    independent cross-check.
+    """
+    _require_knot(k)
+    return all_shortest_expansions(fraction_of(k)).has_odd_type
+
+
+def reduce_with_strategy(e: Expansion, rng: random.Random) -> Expansion:
+    """Reduce by picking uniformly among all applicable steps each round."""
+    current = e
+    while steps := applicable_steps(current):
+        current = apply_rule(current, rng.choice(steps))
+    return current
+
+
+def check_trace(trace: ReductionTrace) -> bool:
+    """Replay and value-check a trace; used by tests and verification runs."""
+    value = eval_expansion(trace.initial)
+    prev = trace.initial
+    for step, recorded in trace.steps:
+        result = apply_rule(prev, step)
+        if result != recorded or eval_expansion(result) != value or len(result) >= len(prev):
+            return False
+        prev = result
+    return True

@@ -9,11 +9,10 @@ length is the minimal expansion length of the value.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from enum import Enum
 
-from .core import Expansion, eval_expansion, format_expansion
+from .core import Expansion, format_expansion
 from .errors import PatternMatchError
 
 __all__ = [
@@ -24,7 +23,6 @@ __all__ = [
     "scan_for_step",
     "applicable_steps",
     "reduce_expansion",
-    "reduce_with_strategy",
     "format_trace",
 ]
 
@@ -171,14 +169,6 @@ def reduce_expansion(e: Expansion) -> tuple[Expansion, ReductionTrace]:
     return current, ReductionTrace(e, tuple(steps))
 
 
-def reduce_with_strategy(e: Expansion, rng: random.Random) -> Expansion:
-    """Reduce by picking uniformly among all applicable steps each round."""
-    current = e
-    while steps := applicable_steps(current):
-        current = apply_rule(current, rng.choice(steps))
-    return current
-
-
 def format_trace(trace: ReductionTrace) -> str:
     """One line per step: `rule pos eps m | resulting-expansion`."""
     lines = []
@@ -188,15 +178,3 @@ def format_trace(trace: ReductionTrace) -> str:
             f" | {format_expansion(result)}"
         )
     return "\n".join(lines)
-
-
-def _check_trace(trace: ReductionTrace) -> bool:
-    """Replay and value-check a trace; used by tests and verification runs."""
-    value = eval_expansion(trace.initial)
-    prev = trace.initial
-    for step, recorded in trace.steps:
-        result = apply_rule(prev, step)
-        if result != recorded or eval_expansion(result) != value or len(result) >= len(prev):
-            return False
-        prev = result
-    return True

@@ -16,19 +16,14 @@ from math import gcd
 from .core import (
     Expansion,
     ExtendedRational,
+    KnotId,
     canonical_form,
     eval_expansion,
     knot_from_fraction,
     parse_fraction,
 )
 from .errors import TableDataError, UnknownNameError
-from .invariants import (
-    InvariantReport,
-    crosscap,
-    even_expansion,
-    genus,
-    report_for_fraction,
-)
+from .invariants import InvariantReport, invariant_report
 from .reduction import reduce_expansion
 
 __all__ = ["KnotRecord", "TableReport", "load_table", "verify_table", "lookup", "find_record"]
@@ -81,7 +76,14 @@ class TableReport:
         return out
 
 
-_TABLE_CACHE: list[KnotRecord] | None = None
+@dataclass(frozen=True)
+class _Table:
+    records: list[KnotRecord]
+    by_name: dict[str, KnotRecord]
+    by_canonical: dict[KnotId, KnotRecord]
+
+
+_TABLE_CACHE: _Table | None = None
 
 
 def _read_rows() -> list[tuple[int, list[str]]]:
@@ -94,13 +96,14 @@ def _read_rows() -> list[tuple[int, list[str]]]:
     return rows
 
 
-def load_table() -> list[KnotRecord]:
-    """All 362 records, validated structurally (names unique, q odd, gcd 1)."""
+def _table() -> _Table:
+    """The records with their indexes by name and by canonical form, loaded once."""
     global _TABLE_CACHE
     if _TABLE_CACHE is not None:
         return _TABLE_CACHE
     records = []
-    names = set()
+    by_name = {}
+    by_canonical = {}
     for row, fields in _read_rows():
         if len(fields) != 6:
             raise TableDataError(f"expected 6 fields, got {len(fields)}", row)
@@ -112,18 +115,24 @@ def load_table() -> list[KnotRecord]:
             raise TableDataError(f"bad integer field: {exc}", row) from None
         if star_text not in ("0", "1"):
             raise TableDataError(f"bad star flag {star_text!r}", row)
-        if name in names:
+        if name in by_name:
             raise TableDataError(f"duplicate name {name}", row)
         if q < 3 or q % 2 == 0 or not 0 < p < q or gcd(p, q) != 1:
             raise TableDataError(f"bad fraction {p}/{q}", row)
-        names.add(name)
-        records.append(
-            KnotRecord(name, ExtendedRational(p, q), gamma, Expansion(0, coefficients), star_text == "1")
-        )
+        rec = KnotRecord(name, ExtendedRational(p, q), gamma, Expansion(0, coefficients), star_text == "1")
+        records.append(rec)
+        by_name[name] = rec
+        # first row wins, as a scan in table order would; verify_table reports duplicates
+        by_canonical.setdefault(canonical_form(KnotId(q, p)), rec)
     if len(records) != 362:
         raise TableDataError(f"expected 362 records, found {len(records)}", 0)
-    _TABLE_CACHE = records
-    return records
+    _TABLE_CACHE = _Table(records, by_name, by_canonical)
+    return _TABLE_CACHE
+
+
+def load_table() -> list[KnotRecord]:
+    """All 362 records, validated structurally (names unique, q odd, gcd 1)."""
+    return _table().records
 
 
 def verify_table() -> TableReport:
@@ -140,11 +149,12 @@ def verify_table() -> TableReport:
         reduced, _ = reduce_expansion(rec.expansion)
         report.record("b_shortest", len(reduced) == len(rec.expansion), rec.name, f"{rec.expansion} reduces to {reduced}")
 
-        gamma = crosscap(k)
+        invariants = invariant_report(k)
+        gamma = invariants.crosscap
         report.record("c_gamma", gamma == rec.gamma, rec.name, f"computed crosscap {gamma}, table says {rec.gamma}")
 
-        even = even_expansion(k)
-        attains_bound = gamma == 2 * genus(k) + 1
+        even = invariants.even_expansion
+        attains_bound = gamma == 2 * invariants.genus + 1
         even_no_two = all(abs(c) != 2 for c in even.coefficients)
         unique_even_shortest = not rec.expansion.odd_type and not any(abs(c) == 2 for c in rec.expansion.coefficients)
         consistent = rec.starred == attains_bound == even_no_two == unique_even_shortest
@@ -160,10 +170,10 @@ def verify_table() -> TableReport:
 
 
 def find_record(name: str) -> KnotRecord:
-    for rec in load_table():
-        if rec.name == name:
-            return rec
-    raise UnknownNameError(f"no knot named {name!r} in the table")
+    rec = _table().by_name.get(name)
+    if rec is None:
+        raise UnknownNameError(f"no knot named {name!r} in the table")
+    return rec
 
 
 def lookup(text: str) -> tuple[InvariantReport, KnotRecord | None]:
@@ -176,10 +186,6 @@ def lookup(text: str) -> tuple[InvariantReport, KnotRecord | None]:
     s = text.strip()
     if "/" not in s:
         rec = find_record(s)
-        return report_for_fraction(rec.fraction), rec
-    report = report_for_fraction(parse_fraction(s))
-    key = canonical_form(report.knot)
-    for rec in load_table():
-        if canonical_form(knot_from_fraction(rec.fraction)) == key:
-            return report, rec
-    return report, None
+        return invariant_report(knot_from_fraction(rec.fraction)), rec
+    report = invariant_report(knot_from_fraction(parse_fraction(s)))
+    return report, _table().by_canonical.get(canonical_form(report.knot))

@@ -13,35 +13,32 @@ import pytest
 
 from twobridge import (
     Boundary,
-    ConwayDiagram,
     Expansion,
     ExtendedRational,
     KnotId,
     all_shortest_expansions,
     boundary_classification,
-    brute_force_min_length,
     conway_diagram,
     crosscap,
     depth,
-    division_expansion,
     eval_expansion,
-    family_k_mn,
     genus,
     knot_from_fraction,
     load_table,
-    mirror,
-    odd_shortest_expansion,
-    odd_type_among_shortest,
-    plumbing_surface,
-    rectangle_move,
-    rectangle_positions,
     reduce_expansion,
-    reduce_with_strategy,
     verify_diagram,
     verify_table,
 )
-from twobridge.invariants import even_expansion, gamma_equals_2g_plus_1
-from twobridge.reduction import _check_trace
+from twobridge.conway import ConwayDiagram, odd_shortest_expansion
+from twobridge.core import division_expansion, mirror
+from twobridge.diagram import rectangle_move, rectangle_positions
+from twobridge.invariants import even_expansion, family_k_mn, gamma_equals_2g_plus_1, plumbing_surface
+from twobridge.oracles import (
+    brute_force_min_length,
+    check_trace,
+    odd_type_among_shortest,
+    reduce_with_strategy,
+)
 
 STARRED = {"7_4", "8_3", "9_5", "10_3", "11a_343", "11a_363", "12a_1166", "12a_1287"}
 
@@ -125,7 +122,7 @@ def test_criterion_3_rewrite_soundness():
         value = eval_expansion(e)
 
         reduced, trace = reduce_expansion(e)
-        if not _check_trace(trace) or eval_expansion(reduced) != value:
+        if not check_trace(trace) or eval_expansion(reduced) != value:
             report(3, False, f"reduction broke the value of {e}")
 
         for pos in rectangle_positions(e):

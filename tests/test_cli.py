@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import twobridge
 from twobridge.cli import main
 
 
@@ -67,6 +71,34 @@ class TestCommands:
         code, out, _ = run(capsys, "table", "lookup", "12a_1287")
         assert code == 0
         assert out.strip() == "name=12a_1287 fraction=6/37 gamma=3 expansion=[6,-6] starred=true"
+
+
+class TestHugeIntegers:
+    # past the interpreter's default 4,300-digit int-string limit
+    DIGITS = "7" * 5000
+
+    def test_eval_huge_coefficient(self, capsys):
+        code, out, _ = run(capsys, "eval", f"[{self.DIGITS}]")
+        assert code == 0 and out == f"1/{self.DIGITS}\n"
+
+    def test_reduce_huge_coefficient(self, capsys):
+        code, out, _ = run(capsys, "reduce", f"[{self.DIGITS}]")
+        assert code == 0 and out == f"[{self.DIGITS}]\n"
+
+    def test_eval_huge_result(self, capsys):
+        code, out, _ = run(capsys, "eval", "[" + ",".join(["3"] * 12000) + "]")
+        lines = out.splitlines()
+        assert code == 0 and len(lines) == 1
+        numerator, denominator = lines[0].split("/")
+        assert numerator.isdigit() and denominator.isdigit() and len(denominator) > 4300
+
+
+def test_cli_import_leaves_oracles_unloaded():
+    src = os.path.dirname(os.path.dirname(twobridge.__file__))
+    code = "import sys, twobridge.cli; print('twobridge.oracles' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "False"
 
 
 class TestExitCodes:

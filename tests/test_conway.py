@@ -3,21 +3,23 @@ from math import gcd
 import pytest
 
 from twobridge import (
-    ConwayDiagram,
     DomainError,
     Expansion,
     KnotId,
     conway_diagram,
     crosscap,
-    diagram_from_expansion,
     eval_expansion,
-    format_diagram,
     knot_from_fraction,
-    odd_shortest_expansion,
     parse_expansion,
-    same_knot,
     verify_diagram,
 )
+from twobridge.conway import (
+    ConwayDiagram,
+    diagram_from_expansion,
+    format_diagram,
+    odd_shortest_expansion,
+)
+from twobridge.core import same_knot
 
 
 class TestOddShortest:

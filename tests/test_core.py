@@ -6,24 +6,26 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from twobridge import (
-    AdditiveExpansion,
     DomainError,
     Expansion,
     ExtendedRational,
-    INFINITY,
     KnotId,
     ParseError,
-    alternating_sign_convert,
-    canonical_form,
-    division_expansion,
-    eval_additive,
     eval_expansion,
     format_expansion,
     format_fraction,
     knot_from_fraction,
-    mirror,
     parse_expansion,
     parse_fraction,
+)
+from twobridge.core import (
+    AdditiveExpansion,
+    INFINITY,
+    alternating_sign_convert,
+    canonical_form,
+    division_expansion,
+    eval_additive,
+    mirror,
     reverse_expansion,
     same_knot,
 )

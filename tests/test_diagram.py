@@ -8,21 +8,16 @@ from twobridge import (
     DomainError,
     Expansion,
     ExtendedRational,
-    INFINITY,
-    PatternMatchError,
     all_shortest_expansions,
-    brute_force_min_length,
     depth,
-    division_expansion,
     eval_expansion,
-    farey_parents,
-    is_shortest,
     parse_expansion,
-    rectangle_move,
-    rectangle_positions,
     reduce_expansion,
 )
-from twobridge.diagram import _DEPTH_MEMO
+from twobridge.core import INFINITY, division_expansion
+from twobridge.diagram import rectangle_move, rectangle_positions
+from twobridge.errors import PatternMatchError
+from twobridge.oracles import brute_force_min_length, depth_by_parents, farey_parents, is_shortest
 
 
 def fractions_up_to(limit):
@@ -71,15 +66,25 @@ class TestDepth:
             assert depth(ExtendedRational(x.denominator - x.numerator, x.denominator)) == d
 
     def test_adjacent_vertices_differ_by_at_most_one(self):
-        # every memoized vertex sits in a triangle with its two parents
+        # every vertex sits in a triangle with its two parents
         for x in fractions_up_to(200):
-            depth(x)
-        for (p, q), d in list(_DEPTH_MEMO.items()):
-            if q > 200:
-                continue
-            a, b = farey_parents(ExtendedRational(p, q))
-            for parent in (a, b):
+            d = depth(x)
+            for parent in farey_parents(x):
                 assert abs(depth(parent) - d) <= 1
+
+    def test_agrees_with_parent_recursion(self):
+        memo = {}
+        for x in fractions_up_to(200):
+            assert depth(x) == depth_by_parents(x, memo)
+        for q in (1001, 1999):
+            for x in (ExtendedRational(1, q), ExtendedRational(q - 1, q)):
+                assert depth(x) == depth_by_parents(x) == 1
+
+    def test_cost_is_bounded_by_the_continued_fraction(self):
+        # the parent recursion would visit about 6*10**18 and 10**30 ancestors here
+        assert depth(ExtendedRational(2, 3**40)) == 2
+        q = 10**30 + 1
+        assert depth(ExtendedRational(q - 1, q)) == 1
 
 
 class TestDepthConcurrency:

@@ -10,21 +10,21 @@ from twobridge import (
     KnotId,
     boundary_classification,
     crosscap,
-    division_expansion,
-    even_expansion,
     eval_expansion,
-    family_k_mn,
-    fraction_of,
-    gamma_equals_2g_plus_1,
+    even_expansion,
     genus,
     invariant_report,
-    mirror,
-    odd_type_among_shortest,
     parse_expansion,
-    plumbing_surface,
     reduce_expansion,
+)
+from twobridge.core import division_expansion, fraction_of, mirror
+from twobridge.invariants import (
+    family_k_mn,
+    gamma_equals_2g_plus_1,
+    plumbing_surface,
     reduced_expansion,
 )
+from twobridge.oracles import odd_type_among_shortest
 
 
 def odd_knots_up_to(limit):

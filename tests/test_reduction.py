@@ -4,21 +4,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from twobridge import (
-    Expansion,
-    PatternMatchError,
+from twobridge import Expansion, eval_expansion, parse_expansion, reduce_expansion
+from twobridge.errors import PatternMatchError
+from twobridge.oracles import check_trace, reduce_with_strategy
+from twobridge.reduction import (
     ReductionStep,
     Rule,
     applicable_steps,
     apply_rule,
-    eval_expansion,
     format_trace,
-    parse_expansion,
-    reduce_expansion,
-    reduce_with_strategy,
     scan_for_step,
 )
-from twobridge.reduction import _check_trace
 
 expansions = st.builds(
     Expansion,
@@ -139,7 +135,7 @@ class TestReduce:
         reduced, trace = reduce_expansion(e)
         assert trace.final == reduced
         assert len(trace.steps) <= len(e)
-        assert _check_trace(trace)
+        assert check_trace(trace)
         assert eval_expansion(reduced) == eval_expansion(e)
 
     @given(expansions)

@@ -106,6 +106,10 @@ class TestLookup:
         for rec in load_table():
             report, _ = lookup(rec.name)
             assert report.crosscap == rec.gamma
+            p, q = rec.fraction.numerator, rec.fraction.denominator
+            for text in (f"{p}/{q}", f"{pow(p, -1, q)}/{q}"):
+                _, found = lookup(text)
+                assert found is rec
 
     def test_errors(self):
         with pytest.raises(UnknownNameError):
