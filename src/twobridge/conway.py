@@ -24,7 +24,7 @@ from .core import (
     same_knot,
 )
 from .diagram import rectangle_move, rectangle_positions
-from .errors import DomainError
+from .errors import DomainError, InternalError
 from .invariants import crosscap, reduced_expansion
 
 __all__ = [
@@ -66,7 +66,8 @@ def odd_shortest_expansion(k: KnotId) -> Expansion:
     positions = rectangle_positions(reduced)
     if positions:
         moved = rectangle_move(reduced, positions[-1])
-        assert moved.odd_type
+        if not moved.odd_type:
+            raise InternalError(f"rectangle move of {reduced} at a +-2 gave even-type {moved}")
         return moved
     c = reduced.coefficients
     return Expansion(reduced.integer_part, c[:-1] + (c[-1] + 1, 1))
@@ -87,6 +88,7 @@ def _interleave(c: tuple[int, ...]) -> list[int]:
 def diagram_from_expansion(source: Expansion) -> ConwayDiagram:
     """Build the checkerboard diagram of a shortest odd-type expansion.
 
+    The source must have nonzero coefficients, at most one of them +-1.
     A single twist region suffices for length 1.  If the interleaved form
     would contain a zero region (first entry a_1 - 1 or, for odd length,
     final entry a_k + 1), the construction is applied to the mirror image
@@ -96,6 +98,8 @@ def diagram_from_expansion(source: Expansion) -> ConwayDiagram:
     c = source.coefficients
     if not c:
         raise DomainError("cannot build a diagram from an empty expansion")
+    if 0 in c:
+        raise DomainError(f"{source} has a zero coefficient")
     if sum(1 for v in c if abs(v) == 1) > 1:
         raise DomainError(f"{source} has more than one unit coefficient")
     if len(c) == 1:
@@ -105,7 +109,8 @@ def diagram_from_expansion(source: Expansion) -> ConwayDiagram:
     if 0 in regions:
         regions = [-t for t in _interleave(tuple(-v for v in c))]
         mirrored = True
-    assert 0 not in regions
+    if 0 in regions:
+        raise InternalError(f"the diagram of {source} has a zero twist region")
     return ConwayDiagram(tuple(regions), source, mirrored)
 
 

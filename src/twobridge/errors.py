@@ -32,3 +32,11 @@ class TableDataError(TwoBridgeError):
 
 class UnknownNameError(TwoBridgeError):
     """Knot name not present in the embedded table."""
+
+
+class InternalError(Exception):
+    """A property the package guarantees did not hold: a program fault, not bad input.
+
+    Deliberately not a TwoBridgeError, so the CLI does not report it as a
+    usage or input error.
+    """

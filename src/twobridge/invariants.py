@@ -23,7 +23,7 @@ from .core import (
     format_expansion,
     knot_from_fraction,
 )
-from .errors import DomainError
+from .errors import DomainError, InternalError
 from .reduction import reduce_expansion
 
 __all__ = [
@@ -93,7 +93,8 @@ def _nearest_even_quotient(a: int, b: int) -> int:
     """The unique even b' with b'*b - a in (-|b|, |b|)."""
     t = a // b
     q = t if t % 2 == 0 else t + 1
-    assert q % 2 == 0 and abs(q * b - a) < abs(b) and q != 0
+    if q % 2 != 0 or abs(q * b - a) >= abs(b) or q == 0:
+        raise InternalError(f"no nonzero even quotient {q} for {a}/{b}")
     return q
 
 
@@ -122,7 +123,8 @@ def even_expansion(k: KnotId) -> Expansion:
         a, b = b, q * b - a
         if b == 0:
             break
-    assert len(coeffs) % 2 == 0
+    if len(coeffs) % 2 != 0:
+        raise InternalError(f"even expansion of {k} has odd length {len(coeffs)}")
     return Expansion(r, tuple(coeffs))
 
 

@@ -13,7 +13,7 @@ from .core import Expansion, ExtendedRational, KnotId, eval_expansion, fraction_
 from .diagram import all_shortest_expansions, depth
 from .errors import DomainError
 from .invariants import _require_knot
-from .reduction import ReductionTrace, applicable_steps, apply_rule
+from .reduction import ReductionStep, ReductionTrace, Rule, applicable_steps, apply_rule
 
 __all__ = [
     "farey_parents",
@@ -22,6 +22,7 @@ __all__ = [
     "brute_force_min_length",
     "odd_type_among_shortest",
     "reduce_with_strategy",
+    "reduce_by_scanning",
     "check_trace",
 ]
 
@@ -169,6 +170,42 @@ def reduce_with_strategy(e: Expansion, rng: random.Random) -> Expansion:
     return current
 
 
+def _scan_for_step(c: tuple[int, ...]) -> ReductionStep | None:
+    """Leftmost zero, else leftmost unit, else leftmost block, by full rescans."""
+    zeros = [ReductionStep(Rule.REMOVE_ZERO, i + 1) for i, v in enumerate(c) if v == 0]
+    if zeros and len(c) >= 2:
+        return zeros[0]
+    units = [ReductionStep(Rule.REMOVE_UNIT, i + 1, epsilon=v) for i, v in enumerate(c) if v in (1, -1)]
+    if units:
+        return units[0]
+    blocks = []
+    n = len(c)
+    for j, v in enumerate(c):
+        if abs(v) != 2:
+            continue
+        eps = v // 2
+        k = j + 1
+        while k < n and c[k] == 3 * eps:
+            k += 1
+        if k < n and c[k] == 2 * eps:
+            blocks.append(ReductionStep(Rule.REMOVE_BLOCK, j + 1, epsilon=eps, block_length=k - j + 1))
+    return blocks[0] if blocks else None
+
+
+def reduce_by_scanning(e: Expansion) -> tuple[Expansion, tuple[ReductionStep, ...]]:
+    """Reference reducer: rescan the whole expansion before every step.
+
+    Quadratic in the length; `reduction.reduce_expansion` must apply the
+    same steps in the same order and reach the same fixpoint.
+    """
+    steps = []
+    current = e
+    while (step := _scan_for_step(current.coefficients)) is not None:
+        current = apply_rule(current, step)
+        steps.append(step)
+    return current, tuple(steps)
+
+
 def check_trace(trace: ReductionTrace) -> bool:
     """Replay and value-check a trace; used by tests and verification runs."""
     value = eval_expansion(trace.initial)
@@ -178,4 +215,4 @@ def check_trace(trace: ReductionTrace) -> bool:
         if result != recorded or eval_expansion(result) != value or len(result) >= len(prev):
             return False
         prev = result
-    return True
+    return prev == trace.final

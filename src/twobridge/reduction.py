@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 from .core import Expansion, format_expansion
 from .errors import PatternMatchError
@@ -50,68 +51,181 @@ class ReductionStep:
 
 @dataclass(frozen=True)
 class ReductionTrace:
-    """Replayable record of a reduction run: each step with its result."""
+    """Replayable record of a reduction run: the start, each step, the fixpoint.
+
+    `steps` pairs each move with the expansion it produced.  It is rebuilt
+    from `moves` through `apply_rule` on first use, so a run whose trace
+    is never read keeps no intermediate expansions.
+    """
 
     initial: Expansion
-    steps: tuple[tuple[ReductionStep, Expansion], ...]
+    moves: tuple[ReductionStep, ...]
+    final: Expansion
 
-    @property
-    def final(self) -> Expansion:
-        return self.steps[-1][1] if self.steps else self.initial
+    @cached_property
+    def steps(self) -> tuple[tuple[ReductionStep, Expansion], ...]:
+        out = []
+        current = self.initial
+        for step in self.moves:
+            current = apply_rule(current, step)
+            out.append((step, current))
+        return tuple(out)
 
 
-def _require(condition: bool, step: ReductionStep, e: Expansion, why: str):
+def _require(condition: bool, step: ReductionStep, c, r: int, why: str):
     if not condition:
-        raise PatternMatchError(f"{step.rule.value} at position {step.position} does not match {e}: {why}")
+        raise PatternMatchError(
+            f"{step.rule.value} at position {step.position} does not match {Expansion(r, c)}: {why}"
+        )
+
+
+def _splice(c, r: int, s: ReductionStep) -> tuple[int, int, tuple[int, ...], int]:
+    """Validate step s on the expansion r+c and describe its edit.
+
+    Returns (lo, hi, new, r2): applying s replaces c[lo:hi] by new and the
+    integer part by r2.  c is a tuple or a list and is left unchanged.
+    """
+    n = len(c)
+    j = s.position - 1
+    _require(0 <= j < n, s, c, r, "position out of range")
+
+    if s.rule is Rule.REMOVE_ZERO:
+        _require(c[j] == 0, s, c, r, "coefficient is not 0")
+        _require(n >= 2, s, c, r, "a lone [0] is the value 1/0 and cannot be removed")
+        if 0 < j < n - 1:
+            return j - 1, j + 2, (c[j - 1] + c[j + 1],), r
+        if j == n - 1:
+            return n - 2, n, (), r
+        return 0, 2, (), r - c[1]
+
+    if s.rule is Rule.REMOVE_UNIT:
+        eps = s.epsilon
+        _require(eps in (1, -1), s, c, r, "epsilon must be +-1")
+        _require(c[j] == eps, s, c, r, f"coefficient is not {eps}")
+        if n == 1:
+            return 0, 1, (), r + eps
+        if 0 < j < n - 1:
+            return j - 1, j + 2, (c[j - 1] - eps, c[j + 1] - eps), r
+        if j == n - 1:
+            return j - 1, n, (c[j - 1] - eps,), r
+        return 0, 2, (c[1] - eps,), r + eps
+
+    if s.rule is Rule.REMOVE_BLOCK:
+        eps, m = s.epsilon, s.block_length
+        _require(eps in (1, -1), s, c, r, "epsilon must be +-1")
+        _require(m >= 2, s, c, r, "block length must be at least 2")
+        end = j + m  # one past the block
+        _require(end <= n, s, c, r, "block overruns the coefficients")
+        expected = (2 * eps,) + (3 * eps,) * (m - 2) + (2 * eps,)
+        _require(tuple(c[j:end]) == expected, s, c, r, f"coefficients are not {expected}")
+        body = (-3 * eps,) * (m - 1)
+        if j > 0 and end < n:
+            return j - 1, end + 1, (c[j - 1] - eps,) + body + (c[end] - eps,), r
+        if j > 0:
+            return j - 1, n, (c[j - 1] - eps,) + body, r
+        if end < n:
+            return 0, end + 1, body + (c[end] - eps,), r + eps
+        return 0, n, body, r + eps
+
+    raise PatternMatchError(f"unknown rule {s.rule!r}")
 
 
 def apply_rule(e: Expansion, s: ReductionStep) -> Expansion:
     """Apply one reduction step, validating that its pattern matches."""
     c = e.coefficients
+    lo, hi, new, r = _splice(c, e.integer_part, s)
+    return Expansion(r, c[:lo] + new + c[hi:])
+
+
+def _blocks_from(c, j: int):
+    """Yield (start, length) of every block starting at index j or later, leftmost first."""
     n = len(c)
-    r = e.integer_part
-    j = s.position - 1
-    _require(0 <= j < n, s, e, "position out of range")
+    while j < n:
+        v = c[j]
+        if v != 2 and v != -2:
+            j += 1
+            continue
+        three = 3 if v > 0 else -3
+        k = j + 1
+        while k < n and c[k] == three:
+            k += 1
+        if k < n and c[k] == v:
+            yield j, k - j + 1
+        # c[j+1:k] are all 3s of one sign, so the next possible start is k.
+        j = k
 
-    if s.rule is Rule.REMOVE_ZERO:
-        _require(c[j] == 0, s, e, "coefficient is not 0")
-        _require(n >= 2, s, e, "a lone [0] is the value 1/0 and cannot be removed")
-        if 0 < j < n - 1:
-            return Expansion(r, c[: j - 1] + (c[j - 1] + c[j + 1],) + c[j + 2 :])
-        if j == n - 1:
-            return Expansion(r, c[: n - 2])
-        return Expansion(r - c[1], c[2:])
 
-    if s.rule is Rule.REMOVE_UNIT:
-        eps = s.epsilon
-        _require(eps in (1, -1), s, e, "epsilon must be +-1")
-        _require(c[j] == eps, s, e, f"coefficient is not {eps}")
-        if n == 1:
-            return Expansion(r + eps, ())
-        if 0 < j < n - 1:
-            return Expansion(r, c[: j - 1] + (c[j - 1] - eps, c[j + 1] - eps) + c[j + 2 :])
-        if j == n - 1:
-            return Expansion(r, c[: j - 1] + (c[j - 1] - eps,))
-        return Expansion(r + eps, (c[1] - eps,) + c[2:])
+def _block_search_start(c, b: int) -> int:
+    """Leftmost index a block can start at, given that every block starting left of b covers b.
 
-    if s.rule is Rule.REMOVE_BLOCK:
-        eps, m = s.epsilon, s.block_length
-        _require(eps in (1, -1), s, e, "epsilon must be +-1")
-        _require(m >= 2, s, e, "block length must be at least 2")
-        end = j + m  # one past the block
-        _require(end <= n, s, e, "block overruns the coefficients")
-        expected = (2 * eps,) + (3 * eps,) * (m - 2) + (2 * eps,)
-        _require(c[j:end] == expected, s, e, f"coefficients are not {expected}")
-        body = (-3 * eps,) * (m - 1)
-        if j > 0 and end < n:
-            return Expansion(r, c[: j - 1] + (c[j - 1] - eps,) + body + (c[end] - eps,) + c[end + 1 :])
-        if j > 0:
-            return Expansion(r, c[: j - 1] + (c[j - 1] - eps,) + body)
-        if end < n:
-            return Expansion(r + eps, body + (c[end] - eps,) + c[end + 1 :])
-        return Expansion(r + eps, body)
+    Such a block is a +-2 followed by a run of 3s of its sign that reaches
+    b, so only the run just left of b needs a look.
+    """
+    if b >= len(c):
+        return b
+    v = c[b]
+    if v in (3, 2):
+        three, two = 3, 2
+    elif v in (-3, -2):
+        three, two = -3, -2
+    else:
+        return b
+    t = b
+    while t > 0 and c[t - 1] == three:
+        t -= 1
+    return t - 1 if t > 0 and c[t - 1] == two else b
 
-    raise PatternMatchError(f"unknown rule {s.rule!r}")
+
+class _Sites:
+    """Leftmost-first site search over a coefficient list edited in place.
+
+    Keeps the counts of -1, 0 and 1 in c, and one index per rule left of
+    which the rule has no site: no 0 left of zero_from, no +-1 left of
+    unit_from, and no block starting left of block_from that does not
+    cover it.  An edit at c[lo:...] lowers each index to at most lo, since
+    every site it creates reaches into the edited slice.
+    """
+
+    def __init__(self, c):
+        self.c = c
+        self.tally = [c.count(-1), c.count(0), c.count(1)]
+        self.zero_from = self.unit_from = self.block_from = 0
+
+    def next_step(self) -> ReductionStep | None:
+        """The leftmost zero, else the leftmost unit, else the leftmost block; None at a fixpoint."""
+        c, tally = self.c, self.tally
+        if tally[1] and len(c) >= 2:
+            i = self.zero_from = c.index(0, self.zero_from)
+            return ReductionStep(Rule.REMOVE_ZERO, i + 1)
+        if tally[0] or tally[2]:
+            i = c.index(-1, self.unit_from) if tally[0] else len(c)
+            if tally[2]:
+                try:
+                    i = c.index(1, self.unit_from, i)
+                except ValueError:
+                    pass
+            self.unit_from = i
+            return ReductionStep(Rule.REMOVE_UNIT, i + 1, epsilon=c[i])
+        block = next(_blocks_from(c, _block_search_start(c, self.block_from)), None)
+        if block is None:
+            return None
+        j, m = block
+        self.block_from = j
+        return ReductionStep(Rule.REMOVE_BLOCK, j + 1, epsilon=c[j] // 2, block_length=m)
+
+    def replace(self, lo: int, hi: int, new: tuple[int, ...]):
+        """Set c[lo:hi] = new, keeping the counts and search indices valid."""
+        c, tally = self.c, self.tally
+        for v in c[lo:hi]:
+            if -1 <= v <= 1:
+                tally[v + 1] -= 1
+        for v in new:
+            if -1 <= v <= 1:
+                tally[v + 1] += 1
+        c[lo:hi] = new
+        self.zero_from = min(self.zero_from, lo)
+        self.unit_from = min(self.unit_from, lo)
+        self.block_from = min(self.block_from, lo)
 
 
 def _zero_steps(c: tuple[int, ...]) -> list[ReductionStep]:
@@ -125,27 +239,15 @@ def _unit_steps(c: tuple[int, ...]) -> list[ReductionStep]:
 
 
 def _block_steps(c: tuple[int, ...]) -> list[ReductionStep]:
-    steps = []
-    n = len(c)
-    for j, v in enumerate(c):
-        if abs(v) != 2:
-            continue
-        eps = v // 2
-        k = j + 1
-        while k < n and c[k] == 3 * eps:
-            k += 1
-        if k < n and c[k] == 2 * eps:
-            steps.append(ReductionStep(Rule.REMOVE_BLOCK, j + 1, epsilon=eps, block_length=k - j + 1))
-    return steps
+    return [
+        ReductionStep(Rule.REMOVE_BLOCK, j + 1, epsilon=c[j] // 2, block_length=m)
+        for j, m in _blocks_from(c, 0)
+    ]
 
 
 def scan_for_step(e: Expansion) -> ReductionStep | None:
     """Leftmost applicable step, trying RemoveZero, then RemoveUnit, then RemoveBlock."""
-    for finder in (_zero_steps, _unit_steps, _block_steps):
-        steps = finder(e.coefficients)
-        if steps:
-            return steps[0]
-    return None
+    return _Sites(e.coefficients).next_step()
 
 
 def applicable_steps(e: Expansion) -> list[ReductionStep]:
@@ -160,13 +262,23 @@ def reduce_expansion(e: Expansion) -> tuple[Expansion, ReductionTrace]:
     The fixpoint length is the minimal length over all expansions of all
     fractions equivalent to the value; the empty list (integer values)
     and a lone [0] (the value 1/0) are legal degenerate outputs.
+
+    Applies the same steps as repeating `scan_for_step` and `apply_rule`,
+    but edits one list in place and searches incrementally: the counts of
+    0 and +-1 say whether a zero or unit step is due, `list.index` finds
+    the leftmost one, and each search resumes no further left than the
+    last edit could have created a site.
     """
-    steps = []
-    current = e
-    while (step := scan_for_step(current)) is not None:
-        current = apply_rule(current, step)
-        steps.append((step, current))
-    return current, ReductionTrace(e, tuple(steps))
+    c = list(e.coefficients)
+    r = e.integer_part
+    sites = _Sites(c)
+    moves = []
+    while (step := sites.next_step()) is not None:
+        lo, hi, new, r = _splice(c, r, step)
+        sites.replace(lo, hi, new)
+        moves.append(step)
+    final = Expansion(r, c) if moves else e
+    return final, ReductionTrace(e, tuple(moves), final)
 
 
 def format_trace(trace: ReductionTrace) -> str:

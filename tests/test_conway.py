@@ -86,6 +86,9 @@ class TestConstruction:
             diagram_from_expansion(Expansion(0, ()))
         with pytest.raises(DomainError):
             diagram_from_expansion(Expansion(0, (1, 3, 1)))
+        for zero in ((3, 0, 3), (4, 0), (0,)):
+            with pytest.raises(DomainError):
+                diagram_from_expansion(Expansion(0, zero))
         with pytest.raises(DomainError):
             conway_diagram(KnotId(1, 0))
 

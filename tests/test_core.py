@@ -1,5 +1,7 @@
+import ast
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given
@@ -255,3 +257,14 @@ class TestParsing:
             return
         x = ExtendedRational(num, den)
         assert parse_fraction(format_fraction(x)) == x
+
+
+def test_package_checks_invariants_without_assert():
+    """Internal checks raise InternalError, which `python -O` does not strip."""
+    import twobridge
+    from twobridge.errors import InternalError, TwoBridgeError
+
+    assert not issubclass(InternalError, TwoBridgeError)
+    for path in Path(twobridge.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        assert not any(isinstance(node, ast.Assert) for node in ast.walk(tree)), path.name

@@ -1,12 +1,14 @@
 import random
+from math import gcd
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twobridge import Expansion, eval_expansion, parse_expansion, reduce_expansion
+from twobridge import Expansion, ExtendedRational, eval_expansion, parse_expansion, reduce_expansion
+from twobridge.core import division_expansion, format_expansion
 from twobridge.errors import PatternMatchError
-from twobridge.oracles import check_trace, reduce_with_strategy
+from twobridge.oracles import check_trace, reduce_by_scanning, reduce_with_strategy
 from twobridge.reduction import (
     ReductionStep,
     Rule,
@@ -20,6 +22,12 @@ expansions = st.builds(
     Expansion,
     st.integers(-3, 3),
     st.lists(st.integers(-6, 6), min_size=0, max_size=8).map(tuple),
+)
+
+long_expansions = st.builds(
+    Expansion,
+    st.integers(-3, 3),
+    st.lists(st.integers(-3, 3), min_size=0, max_size=400).map(tuple),
 )
 
 
@@ -161,3 +169,54 @@ class TestReduce:
         assert format_trace(trace) == "RemoveBlock 2 1 2 | [4,-3,4]"
         _, trace = reduce_expansion(parse_expansion("[7,0,2]"))
         assert format_trace(trace) == "RemoveZero 2 0 0 | [9]"
+
+
+def assert_matches_scanning(e):
+    """reduce_expansion applies exactly the steps of the full-rescan reference."""
+    reduced, trace = reduce_expansion(e)
+    expected, moves = reduce_by_scanning(e)
+    assert reduced == expected
+    assert trace.final == expected
+    assert trace.moves == moves
+    replayed, current = [], e
+    for move in moves:
+        current = apply_rule(current, move)
+        replayed.append((move, current))
+    assert trace.steps == tuple(replayed)
+
+
+class TestAgainstScanning:
+    @given(expansions)
+    def test_short_expansions(self, e):
+        assert_matches_scanning(e)
+
+    @settings(max_examples=60, deadline=None)
+    @given(long_expansions)
+    def test_long_expansions(self, e):
+        assert_matches_scanning(e)
+
+    def test_division_seeds(self):
+        for q in range(3, 202, 2):
+            for p in range(1, q):
+                if gcd(p, q) == 1:
+                    assert_matches_scanning(division_expansion(ExtendedRational(p, q)))
+
+    @pytest.mark.parametrize(
+        "coefficients",
+        [
+            [2] * 300,
+            [2, 3] * 300,
+            [1, -1] * 300,
+            [3] * 300 + [2] * 300,
+            [2] + [3] * 300 + [4] + [2] * 300,
+        ],
+        ids=["2", "2,3", "1,-1", "3..2..", "2,3..,4,2.."],
+    )
+    def test_long_runs(self, coefficients):
+        assert_matches_scanning(Expansion(0, tuple(coefficients)))
+
+    def test_torus_step_count(self):
+        q = 20001
+        reduced, trace = reduce_expansion(division_expansion(ExtendedRational(q - 1, q)))
+        assert format_expansion(reduced) == f"1+[-{q}]"
+        assert len(trace.moves) == q - 2
