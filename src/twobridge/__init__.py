@@ -1,8 +1,8 @@
 """Crosscap numbers of 2-bridge knots from exact continued-fraction arithmetic.
 
-The pipeline: a fraction p/q names the knot S(q,p); its division
-expansion is driven to a fixpoint by a three-rule rewrite system whose
-output length is the minimal expansion length; the crosscap number,
+The pipeline: a fraction p/q names the knot S(q,p); a seed expansion
+read off its partial quotients is driven to a fixpoint by a three-rule
+rewrite system whose output length is the minimal expansion length; the crosscap number,
 genus, boundary classification and a crosscap-realizing Conway diagram
 are read off from there.  The Farey-diagram depth provides an
 independent check of minimal lengths, and the bundled table of the 362

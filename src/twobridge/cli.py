@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 
 from .conway import conway_diagram, format_diagram, verify_diagram
 from .core import (
@@ -96,7 +97,14 @@ def _cmd_table_lookup(args) -> int:
     return 0
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and then shared by every call.
+
+    Building it costs about as much as the rest of a typical command;
+    parsing leaves it unchanged, so calls cannot leak options into each
+    other.
+    """
     parser = argparse.ArgumentParser(
         prog="twobridge",
         description="Crosscap numbers and spanning-surface data of 2-bridge knots.",
@@ -145,8 +153,7 @@ def main(argv: list[str] | None = None) -> int:
     # Numbers may have any length; 3.10 releases lacking this have no limit to lift.
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except TwoBridgeError as exc:

@@ -6,7 +6,8 @@ with the mediant (a+c)/(b+d).  Depth is 0 on Z and 1/0 and one more than
 the shallower Farey parent elsewhere; it equals the minimal length of a
 subtractive continued fraction expansion of the vertex, which makes it
 an oracle for the rewrite system that is computed along a completely
-independent route: a walk along the regular continued fraction.
+independent route: the edge path read off the partial quotients of the
+regular continued fraction, with no rewriting at all.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .core import Expansion, ExtendedRational, division_expansion
+from .core import Expansion, ExtendedRational, partial_quotients, seed_expansion
 from .errors import DomainError, PatternMatchError
 from .reduction import reduce_expansion
 
@@ -30,35 +31,32 @@ __all__ = [
 def depth(x: ExtendedRational) -> int:
     """Depth of a vertex: 0 on Z and 1/0, min(parents) + 1 elsewhere.
 
-    Finite inputs are translated into [0, 1) and found by a walk down the
-    diagram that keeps the Farey interval a/b < p/q < c/d and the depth
-    of each end.  A run of k mediant steps toward p/q, one partial
-    quotient of the regular continued fraction, moves one end k times
-    and leaves it at depth min(depth(other end) + 1, depth(it) + k), so
-    each loop pass takes a whole run: O(len CF) time and O(1) state.
+    Read off the regular continued fraction a_0 + [0; a_1, ..., a_n] of
+    x.  The walk down the diagram from the interval 0/1 < x - a_0 < 1/1
+    makes runs of a_1-1, a_2, ..., a_(n-1), a_n-1 mediant steps (a_1-2
+    for n = 1); odd runs move the right end of the Farey interval, even
+    runs the left end.  A run of k >= 1 steps leaves its end at depth
+    min(depth(other end) + 1, depth(it) + k), and the two ends are
+    neighbours whose depths differ by at most 1, so for k >= 2 that is
+    the other end's depth plus 1.  The answer is one more than the
+    shallower end.  Only the Euclid pass touches big integers.
     """
     if x.is_infinite:
         return 0
-    y = x.mod_one()
-    p, q = y.numerator, y.denominator
-    if p == 0:
+    quotients = partial_quotients(x.numerator, x.denominator)
+    n = len(quotients) - 1
+    if n == 0:
         return 0
-    a, b, c, d = 0, 1, 1, 1
     left = right = 0
-    while True:
-        # p/q = (u*a + v*c) / (u*b + v*d) with u, v > 0 coprime
-        v = p * b - q * a
-        u = q * c - p * d
-        if u == v:
-            return min(left, right) + 1
-        if v < u:
-            k = (u - 1) // v
-            c, d = c + k * a, d + k * b
-            right = min(left + 1, right + k)
+    for i in range(1, n + 1):
+        k = quotients[i] - (i == 1) - (i == n)
+        if k == 0:
+            continue
+        if i % 2:
+            right = left + 1 if k > 1 else min(left, right) + 1
         else:
-            k = (v - 1) // u
-            a, b = a + k * c, b + k * d
-            left = min(right + 1, left + k)
+            left = right + 1 if k > 1 else min(left, right) + 1
+    return min(left, right) + 1
 
 
 def rectangle_move(e: Expansion, position: int) -> Expansion:
@@ -114,7 +112,7 @@ def all_shortest_expansions(x: ExtendedRational) -> ShortestSet:
     """
     if x.is_infinite or x.is_integer:
         raise DomainError(f"shortest expansions are defined for non-integer finite values, got {x}")
-    seed, _ = reduce_expansion(division_expansion(x))
+    seed, _ = reduce_expansion(seed_expansion(x))
     seen = {seed}
     frontier = deque([seed])
     while frontier:

@@ -17,11 +17,11 @@ from enum import Enum
 from .core import (
     Expansion,
     KnotId,
-    division_expansion,
     eval_expansion,
     fraction_of,
     format_expansion,
     knot_from_fraction,
+    seed_expansion,
 )
 from .errors import DomainError, InternalError
 from .reduction import reduce_expansion
@@ -134,8 +134,14 @@ def genus(k: KnotId) -> int:
 
 
 def reduced_expansion(k: KnotId) -> Expansion:
-    """Fixpoint of the rewrite system, seeded from the division expansion of p/q."""
-    reduced, _ = reduce_expansion(division_expansion(fraction_of(k)))
+    """Fixpoint of the rewrite system on the seed read off the partial quotients of p/q.
+
+    The seed (`seed_expansion`) is the division expansion with its runs
+    of twos folded, so it has at most len CF coefficients instead of
+    about q.  The tests hold the fixpoint to the one the division
+    expansion itself reduces to.
+    """
+    reduced, _ = reduce_expansion(seed_expansion(fraction_of(k)))
     return reduced
 
 

@@ -18,6 +18,8 @@ from .reduction import ReductionStep, ReductionTrace, Rule, applicable_steps, ap
 __all__ = [
     "farey_parents",
     "depth_by_parents",
+    "depth_by_mediant_walk",
+    "alexander_genus",
     "is_shortest",
     "brute_force_min_length",
     "odd_type_among_shortest",
@@ -81,6 +83,60 @@ def depth_by_parents(x: ExtendedRational, memo: dict[tuple[int, int], int] | Non
         memo[(pp, qq)] = min(d1, d2) + 1
         stack.pop()
     return memo[(y.numerator, y.denominator)]
+
+
+def depth_by_mediant_walk(x: ExtendedRational) -> int:
+    """Depth by a walk down the diagram in exact big-integer arithmetic.
+
+    Keeps the Farey interval a/b < p/q < c/d and the depth of each end.
+    A run of k mediant steps toward p/q, one partial quotient of the
+    regular continued fraction, moves one end k times and leaves it at
+    depth min(depth(other end) + 1, depth(it) + k), so each loop pass
+    takes a whole run; every pass multiplies big integers.
+    """
+    if x.is_infinite:
+        return 0
+    y = x.mod_one()
+    p, q = y.numerator, y.denominator
+    if p == 0:
+        return 0
+    a, b, c, d = 0, 1, 1, 1
+    left = right = 0
+    while True:
+        # p/q = (u*a + v*c) / (u*b + v*d) with u, v > 0 coprime
+        v = p * b - q * a
+        u = q * c - p * d
+        if u == v:
+            return min(left, right) + 1
+        if v < u:
+            k = (u - 1) // v
+            c, d = c + k * a, d + k * b
+            right = min(left + 1, right + k)
+        else:
+            k = (v - 1) // u
+            a, b = a + k * c, b + k * d
+            left = min(right + 1, left + k)
+
+
+def alexander_genus(k: KnotId) -> int:
+    """Genus of S(q,p) from the span of its Alexander polynomial.
+
+    Hartley-Minkus: with p odd (p or p+q), Delta(t) is
+    sum_{j<q} (-1)^j t^(s_j), where s_j = sum_{0<i<=j} (-1)^floor(i*p/q).
+    2-bridge knots are alternating, so the span of Delta is 2g.  O(q)
+    time and memory: a reference for small denominators only.
+    """
+    q, p = k.q, k.p
+    if p % 2 == 0:
+        p += q
+    coeffs = [0] * (2 * q + 1)  # coefficient of t^s at index s + q
+    s = 0
+    for j in range(q):
+        if j:
+            s += -1 if (j * p // q) % 2 else 1
+        coeffs[s + q] += -1 if j % 2 else 1
+    support = [i for i, c in enumerate(coeffs) if c]
+    return (support[-1] - support[0]) // 2
 
 
 def is_shortest(e: Expansion) -> bool:

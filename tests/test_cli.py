@@ -73,6 +73,18 @@ class TestCommands:
         assert out.strip() == "name=12a_1287 fraction=6/37 gamma=3 expansion=[6,-6] starred=true"
 
 
+class TestSharedParser:
+    def test_calls_do_not_leak_options(self, capsys):
+        code, out, _ = run(capsys, "reduce", "[5,2,2,5]", "--trace")
+        assert code == 0 and out.splitlines() == ["RemoveBlock 2 1 2 | [4,-3,4]", "[4,-3,4]"]
+        code, out, _ = run(capsys, "reduce", "[5,2,2,5]")
+        assert code == 0 and out.splitlines() == ["[4,-3,4]"]
+        code, out, _ = run(capsys, "shortest", "2/5", "--all")
+        assert code == 0 and len(out.splitlines()) == 3
+        code, out, _ = run(capsys, "shortest", "2/5")
+        assert code == 0 and out.splitlines() == ["1+[-2,-3]"]
+
+
 class TestHugeIntegers:
     # past the interpreter's default 4,300-digit int-string limit
     DIGITS = "7" * 5000

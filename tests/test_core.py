@@ -26,10 +26,13 @@ from twobridge.core import (
     alternating_sign_convert,
     canonical_form,
     division_expansion,
+    division_runs,
     eval_additive,
     mirror,
+    partial_quotients,
     reverse_expansion,
     same_knot,
+    seed_expansion,
 )
 
 coefficients = st.lists(
@@ -169,6 +172,65 @@ class TestDivisionExpansion:
             division_expansion(INFINITY)
 
 
+def fractions_around_unit_interval(max_q):
+    """Every p/q with 1 <= q <= max_q and -q <= p < 2q in lowest terms."""
+    for q in range(1, max_q + 1):
+        for p in range(-q, 2 * q):
+            if gcd(p, q) == 1:
+                yield ExtendedRational(p, q)
+
+
+class TestPartialQuotients:
+    @pytest.mark.parametrize(
+        "p,q,expected",
+        [(21, 55, (0, 2, 1, 1, 1, 1, 1, 2)), (7, 1, (7,)), (-3, 7, (-1, 1, 1, 3)), (4, 15, (0, 3, 1, 3))],
+    )
+    def test_examples(self, p, q, expected):
+        assert partial_quotients(p, q) == expected
+
+    @given(st.integers(-10**30, 10**30), st.integers(1, 10**30))
+    def test_value_and_shape(self, p, q):
+        a = partial_quotients(p, q)
+        assert eval_additive(AdditiveExpansion(a[0], a[1:])) == ExtendedRational(p, q)
+        assert all(c >= 1 for c in a[1:])
+        assert len(a) == 1 or a[-1] >= 2
+
+    def test_rejects_non_positive_denominator(self):
+        with pytest.raises(DomainError):
+            partial_quotients(1, 0)
+
+
+class TestSeedExpansion:
+    @pytest.mark.parametrize(
+        "fraction,seed",
+        [("2/9", "[5,2]"), ("4/15", "[4,4]"), ("21/55", "[3,3,3,3]"), ("4/5", "[1,-4]"), ("5/1", "5+[]"),
+         ("1/3", "[3]"), ("3/7", "[2,-3]"), ("7/16", "[2,-3,2]"), ("-3/7", "-1+[2,4]")],
+    )
+    def test_examples(self, fraction, seed):
+        assert format_expansion(seed_expansion(parse_fraction(fraction))) == seed
+
+    def test_runs_rebuild_the_division_expansion(self):
+        for x in fractions_around_unit_interval(150):
+            runs = division_runs(partial_quotients(x.numerator, x.denominator))
+            flat = tuple(c for c, k in runs for _ in range(k))
+            assert flat == division_expansion(x).coefficients
+
+    def test_value_and_length(self):
+        for x in fractions_around_unit_interval(150):
+            seed = seed_expansion(x)
+            assert eval_expansion(seed) == x
+            assert len(seed) <= len(partial_quotients(x.numerator, x.denominator)) - 1
+            assert seed.integer_part == division_expansion(x).integer_part
+
+    def test_length_is_bounded_by_the_quotients(self):
+        q = 10**30 + 1
+        assert seed_expansion(ExtendedRational(q - 1, q)) == Expansion(0, (1, -(q - 1)))
+
+    def test_rejects_infinity(self):
+        with pytest.raises(DomainError):
+            seed_expansion(INFINITY)
+
+
 class TestKnots:
     def test_same_knot_examples(self):
         assert same_knot(KnotId(9, 2), KnotId(9, 5))
@@ -268,3 +330,12 @@ def test_package_checks_invariants_without_assert():
     for path in Path(twobridge.__file__).parent.glob("*.py"):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         assert not any(isinstance(node, ast.Assert) for node in ast.walk(tree)), path.name
+
+
+def test_serving_modules_do_not_seed_from_the_division_expansion():
+    """The division expansion has about q coefficients; only tests and oracles use it."""
+    import twobridge
+
+    for path in Path(twobridge.__file__).parent.glob("*.py"):
+        if path.name not in ("core.py", "oracles.py"):
+            assert "division_expansion" not in path.read_text(encoding="utf-8"), path.name

@@ -1,3 +1,4 @@
+import random
 from math import gcd
 
 import pytest
@@ -14,10 +15,16 @@ from twobridge import (
     parse_expansion,
     reduce_expansion,
 )
-from twobridge.core import INFINITY, division_expansion
+from twobridge.core import INFINITY, AdditiveExpansion, division_expansion, eval_additive, seed_expansion
 from twobridge.diagram import rectangle_move, rectangle_positions
 from twobridge.errors import PatternMatchError
-from twobridge.oracles import brute_force_min_length, depth_by_parents, farey_parents, is_shortest
+from twobridge.oracles import (
+    brute_force_min_length,
+    depth_by_mediant_walk,
+    depth_by_parents,
+    farey_parents,
+    is_shortest,
+)
 
 
 def fractions_up_to(limit):
@@ -79,6 +86,21 @@ class TestDepth:
         for q in (1001, 1999):
             for x in (ExtendedRational(1, q), ExtendedRational(q - 1, q)):
                 assert depth(x) == depth_by_parents(x) == 1
+
+    def test_agrees_with_mediant_walk_on_fibonacci_ratios(self):
+        fib = [0, 1]
+        while fib[-1].bit_length() < 900:
+            fib.append(fib[-1] + fib[-2])
+        for n in list(range(2, 100)) + list(range(100, len(fib) - 1, 11)) + [len(fib) - 2]:
+            for x in (ExtendedRational(fib[n], fib[n + 1]), ExtendedRational(fib[n + 1], fib[n])):
+                assert depth(x) == depth_by_mediant_walk(x)
+
+    def test_agrees_with_mediant_walk_on_random_continued_fractions(self):
+        rng = random.Random(6)
+        for _ in range(1000):
+            quotients = [rng.randint(1, rng.choice((3, 50, 10**6))) for _ in range(rng.randint(1, 60))]
+            x = eval_additive(AdditiveExpansion(rng.randint(-5, 5), tuple(quotients)))
+            assert depth(x) == depth_by_mediant_walk(x)
 
     def test_cost_is_bounded_by_the_continued_fraction(self):
         # the parent recursion would visit about 6*10**18 and 10**30 ancestors here
@@ -175,6 +197,15 @@ class TestShortestSets:
                 assert is_shortest(e)
                 for pos in rectangle_positions(e):
                     assert rectangle_move(e, pos) in s.expansions
+
+    def test_seed_is_the_division_fixpoint(self):
+        for q in range(2, 102):
+            for p in range(-q, 2 * q):
+                if gcd(p, q) == 1:
+                    x = ExtendedRational(p, q)
+                    division_fixpoint, _ = reduce_expansion(division_expansion(x))
+                    assert reduce_expansion(seed_expansion(x))[0] == division_fixpoint
+                    assert division_fixpoint in all_shortest_expansions(x).expansions
 
     def test_even_denominator_works(self):
         s = all_shortest_expansions(ExtendedRational(1, 2))

@@ -24,7 +24,7 @@ from twobridge.invariants import (
     plumbing_surface,
     reduced_expansion,
 )
-from twobridge.oracles import odd_type_among_shortest
+from twobridge.oracles import alexander_genus, odd_type_among_shortest
 
 
 def odd_knots_up_to(limit):
@@ -107,6 +107,25 @@ class TestGenusAndCrosscap:
             assert 1 <= c <= 2 * g + 1
             assert crosscap(mirror(k)) == c
             assert genus(mirror(k)) == g
+
+
+class TestReducedExpansion:
+    def test_matches_the_division_route(self):
+        for k in odd_knots_up_to(301):
+            division_fixpoint, _ = reduce_expansion(division_expansion(fraction_of(k)))
+            assert reduced_expansion(k) == division_fixpoint
+
+    def test_cost_is_bounded_by_the_continued_fraction(self):
+        # the division expansion of (q-1)/q is [2]*(q-1)
+        q = 10**30 + 1
+        assert str(reduced_expansion(KnotId(q, q - 1))) == f"1+[-{q}]"
+
+
+class TestGenusOracle:
+    def test_alexander_genus_matches_genus(self):
+        assert alexander_genus(KnotId(1, 0)) == genus(KnotId(1, 0)) == 0
+        for k in odd_knots_up_to(201):
+            assert alexander_genus(k) == genus(k)
 
 
 class TestBoundCharacterization:

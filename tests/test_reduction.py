@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twobridge import Expansion, ExtendedRational, eval_expansion, parse_expansion, reduce_expansion
-from twobridge.core import division_expansion, format_expansion
+from twobridge.core import AdditiveExpansion, division_expansion, eval_additive, format_expansion, seed_expansion
 from twobridge.errors import PatternMatchError
 from twobridge.oracles import check_trace, reduce_by_scanning, reduce_with_strategy
 from twobridge.reduction import (
@@ -220,3 +220,14 @@ class TestAgainstScanning:
         reduced, trace = reduce_expansion(division_expansion(ExtendedRational(q - 1, q)))
         assert format_expansion(reduced) == f"1+[-{q}]"
         assert len(trace.moves) == q - 2
+
+
+class TestSeedAgainstDivision:
+    @settings(deadline=None)
+    @given(st.integers(-3, 3), st.lists(st.integers(1, 50), min_size=0, max_size=40))
+    def test_same_fixpoint_from_partial_quotients(self, a0, quotients):
+        x = eval_additive(AdditiveExpansion(a0, tuple(quotients)))
+        seed = seed_expansion(x)
+        assert eval_expansion(seed) == x
+        assert len(seed) <= len(quotients)
+        assert reduce_expansion(seed)[0] == reduce_expansion(division_expansion(x))[0]
