@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from functools import cache
 
@@ -97,6 +98,25 @@ def _cmd_table_lookup(args) -> int:
     return 0
 
 
+_NEGATIVE_OPERAND = re.compile(r"-\d")
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser that reads a token like '-2/3' or '-1+[2]' as an operand.
+
+    argparse only takes '-2' or '-.5' for a negative number and reads
+    every other token that starts with '-' as an option.  No option of
+    this CLI starts with '-' and a digit, so such a token is always an
+    operand.  `add_subparsers` builds the subcommand parsers from this
+    class too; '--' keeps working.
+    """
+
+    def _parse_optional(self, arg_string):
+        if _NEGATIVE_OPERAND.match(arg_string):
+            return None
+        return super()._parse_optional(arg_string)
+
+
 @cache
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use and then shared by every call.
@@ -105,7 +125,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parsing leaves it unchanged, so calls cannot leak options into each
     other.
     """
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="twobridge",
         description="Crosscap numbers and spanning-surface data of 2-bridge knots.",
     )

@@ -115,7 +115,11 @@ def diagram_from_expansion(source: Expansion) -> ConwayDiagram:
 
 
 def conway_diagram(k: KnotId) -> ConwayDiagram:
-    """Diagram of k carrying a minimal-genus non-orientable checkerboard surface."""
+    """Diagram of k carrying a minimal-genus non-orientable checkerboard surface.
+
+    Built from the memoized reduced expansion alone; the even expansion
+    is never needed.
+    """
     if k.q == 1:
         raise DomainError("the unknot has no crosscap-realizing diagram")
     return diagram_from_expansion(odd_shortest_expansion(k))
@@ -129,7 +133,9 @@ def verify_diagram(d: ConwayDiagram, k: KnotId) -> bool:
     integer part and p <-> p^-1 ambiguities are absorbed by knot
     equivalence).  Also checks that no region is zero and that the region
     count is 2*gamma - 1 for odd gamma and 2*gamma for even gamma, where
-    gamma is the crosscap number of k.
+    gamma is the crosscap number of k.  gamma comes from `crosscap`, which
+    reads the memoized reduced expansion and never the even expansion, so
+    verifying the diagram just built for k costs no second reduction.
     """
     regions = d.twist_regions
     if not regions or 0 in regions:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 from .core import (
     Expansion,
@@ -133,6 +134,7 @@ def genus(k: KnotId) -> int:
     return len(even_expansion(k)) // 2
 
 
+@lru_cache(maxsize=1)
 def reduced_expansion(k: KnotId) -> Expansion:
     """Fixpoint of the rewrite system on the seed read off the partial quotients of p/q.
 
@@ -140,13 +142,27 @@ def reduced_expansion(k: KnotId) -> Expansion:
     of twos folded, so it has at most len CF coefficients instead of
     about q.  The tests hold the fixpoint to the one the division
     expansion itself reduces to.
+
+    The last knot's result is kept in a one-slot memo, so the report,
+    `conway_diagram` and `verify_diagram` of one knot share a single
+    reduction.  `reduced_expansion.__wrapped__` is the unmemoized call.
     """
     reduced, _ = reduce_expansion(seed_expansion(fraction_of(k)))
     return reduced
 
 
-def _has_odd_or_two(e: Expansion) -> bool:
-    return any(c % 2 != 0 or abs(c) == 2 for c in e.coefficients)
+def _crosscap_and_boundary(reduced: Expansion) -> tuple[int, Boundary]:
+    """The rule the paper reads off the reduced expansion of length n.
+
+    With an odd coefficient or a +-2, an odd-type shortest expansion
+    exists: the crosscap number is n and the surface is
+    boundary-incompressible.  Otherwise it is n+1 and compressible.  The
+    only place this rule is applied.
+    """
+    n = len(reduced)
+    if any(c % 2 != 0 or abs(c) == 2 for c in reduced.coefficients):
+        return n, Boundary.INCOMPRESSIBLE
+    return n + 1, Boundary.COMPRESSIBLE
 
 
 def crosscap(k: KnotId) -> int:
@@ -154,8 +170,12 @@ def crosscap(k: KnotId) -> int:
 
     n if the reduced expansion has an odd coefficient or a +-2 (then an
     odd-type shortest expansion exists), n+1 otherwise; 0 for the unknot.
+    Reads only the reduced expansion, never the even one, so after the
+    Euclid pass it costs O(len CF).
     """
-    return invariant_report(k).crosscap
+    if k.q == 1:
+        return 0
+    return _crosscap_and_boundary(reduced_expansion(k))[0]
 
 
 def gamma_equals_2g_plus_1(k: KnotId) -> bool:
@@ -171,10 +191,11 @@ def boundary_classification(k: KnotId) -> Boundary:
     """Classify minimal-genus non-orientable spanning surfaces of k.
 
     Boundary-incompressible iff some shortest expansion is of odd type,
-    which the reduced expansion witnesses syntactically.
+    which the reduced expansion witnesses syntactically.  Like
+    `crosscap`, it never builds the even expansion.
     """
     _require_knot(k)
-    return invariant_report(k).boundary
+    return _crosscap_and_boundary(reduced_expansion(k))[1]
 
 
 def plumbing_surface(e: Expansion) -> PlumbingSurface:
@@ -195,22 +216,22 @@ def family_k_mn(m: int, n: int) -> KnotId:
 def invariant_report(k: KnotId) -> InvariantReport:
     """Assemble every invariant of one knot.
 
-    The only place the crosscap and boundary rules are applied; crosscap
-    and boundary_classification read their answers from here.
+    The crosscap and boundary fields come from the same rule helper as
+    `crosscap` and `boundary_classification`; the genus and the even
+    expansion from `even_expansion`, which is Theta(q) on torus knots.
     """
     if k.q == 1:
         empty = Expansion(0, ())
         return InvariantReport(k, 0, 0, empty, empty, False, Boundary.TRIVIAL)
     reduced = reduced_expansion(k)
-    n = len(reduced)
-    odd_exists = _has_odd_or_two(reduced)
+    gamma, boundary = _crosscap_and_boundary(reduced)
     even = even_expansion(k)
     return InvariantReport(
         knot=k,
-        crosscap=n if odd_exists else n + 1,
+        crosscap=gamma,
         genus=len(even) // 2,
         reduced=reduced,
         even_expansion=even,
-        odd_shortest_exists=odd_exists,
-        boundary=Boundary.INCOMPRESSIBLE if odd_exists else Boundary.COMPRESSIBLE,
+        odd_shortest_exists=boundary is Boundary.INCOMPRESSIBLE,
+        boundary=boundary,
     )

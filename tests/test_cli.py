@@ -85,6 +85,37 @@ class TestSharedParser:
         assert code == 0 and out.splitlines() == ["1+[-2,-3]"]
 
 
+class TestNegativeOperands:
+    @pytest.mark.parametrize(
+        "argv,dashed",
+        [
+            (("depth", "-2/3"), ("depth", "--", "-2/3")),
+            (("eval", "-1+[2]"), ("eval", "--", "-1+[2]")),
+            (("shortest", "-2/3", "--all"), ("shortest", "--all", "--", "-2/3")),
+            (("shortest", "-7/15"), ("shortest", "--", "-7/15")),
+            (("reduce", "-1+[2,2]", "--trace"), ("reduce", "--trace", "--", "-1+[2,2]")),
+            (("invariants", "-2/9", "--json"), ("invariants", "--json", "--", "-2/9")),
+            (("conway", "-4/15"), ("conway", "--", "-4/15")),
+        ],
+    )
+    def test_same_as_after_double_dash(self, capsys, argv, dashed):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == run(capsys, *dashed)
+        assert code == 0 and out and not err
+
+    def test_depth_of_negative_fraction(self, capsys):
+        code, out, _ = run(capsys, "depth", "-2/3")
+        assert code == 0 and out == "1\n"
+
+    def test_options_still_parsed(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["depth", "-h"])
+        assert exc.value.code == 0 and "usage:" in capsys.readouterr().out
+        with pytest.raises(SystemExit) as exc:
+            main(["depth", "-x", "2/3"])
+        assert exc.value.code == 2
+
+
 class TestHugeIntegers:
     # past the interpreter's default 4,300-digit int-string limit
     DIGITS = "7" * 5000

@@ -1,6 +1,10 @@
+import random
+from collections import Counter
 from math import gcd
 
 import pytest
+
+import twobridge.invariants
 
 from twobridge import (
     Boundary,
@@ -17,6 +21,7 @@ from twobridge import (
     parse_expansion,
     reduce_expansion,
 )
+from twobridge.conway import conway_diagram, verify_diagram
 from twobridge.core import division_expansion, fraction_of, mirror
 from twobridge.invariants import (
     family_k_mn,
@@ -203,3 +208,83 @@ class TestReport:
         assert "crosscap=2" in lines
         assert "boundary=BoundaryIncompressible" in lines
         assert "knot=S(9,2)" in lines
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    """Counts of reductions and even expansions made by `twobridge.invariants`, memo cleared."""
+    counts = Counter()
+
+    def counting(name):
+        fn = getattr(twobridge.invariants, name)
+
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(twobridge.invariants, name, wrapper)
+
+    counting("reduce_expansion")
+    counting("even_expansion")
+    reduced_expansion.cache_clear()
+    yield counts
+    reduced_expansion.cache_clear()
+
+
+class TestReductionMemo:
+    def test_report_diagram_verify_reduce_once(self, counted):
+        k = KnotId(55, 21)
+        report = invariant_report(k)
+        assert verify_diagram(conway_diagram(k), k)
+        assert report.crosscap == 4
+        assert counted == {"reduce_expansion": 1, "even_expansion": 1}
+
+    def test_crosscap_boundary_diagram_skip_the_even_expansion(self, counted):
+        k = KnotId(15, 4)
+        assert crosscap(k) == 3
+        assert boundary_classification(k) == Boundary.COMPRESSIBLE
+        assert verify_diagram(conway_diagram(k), k)
+        assert counted == {"reduce_expansion": 1}
+
+    def test_one_slot(self, counted):
+        a, b = KnotId(9, 2), KnotId(15, 4)
+        for k in (a, a, b, b, a):
+            reduced_expansion(k)
+        assert counted["reduce_expansion"] == 3
+        assert reduced_expansion.cache_info().currsize == 1
+
+    def test_memo_is_transparent(self):
+        knots = list(odd_knots_up_to(151))
+        random.Random(151).shuffle(knots)
+        reports = {}
+        for a, b in zip(knots[::2], knots[1::2]):
+            for k in (a, b, a):
+                report = invariant_report(k)
+                assert reduced_expansion(k) == reduced_expansion.__wrapped__(k)
+                assert crosscap(k) == report.crosscap
+                assert boundary_classification(k) == report.boundary
+                reports.setdefault(k, []).append(report)
+        assert len(reports) == len(knots)
+        for k, seen in reports.items():
+            reduced_expansion.cache_clear()
+            fresh = invariant_report(k)
+            assert all(r == fresh for r in seen)
+
+
+class TestBoundedCost:
+    # the even expansion of T(2,q) is [2]*(q-1); none of these may build it
+    @pytest.mark.parametrize("q", [10**30 + 1, 3**40])
+    @pytest.mark.parametrize("mirrored", [False, True])
+    def test_torus_knots(self, q, mirrored):
+        k = KnotId(q, q - 1 if mirrored else 1)
+        assert crosscap(k) == 1
+        assert boundary_classification(k) == Boundary.INCOMPRESSIBLE
+        assert verify_diagram(conway_diagram(k), k) is True
+
+    def test_unknot(self):
+        unknot = KnotId(1, 0)
+        assert crosscap(unknot) == 0
+        with pytest.raises(DomainError):
+            boundary_classification(unknot)
+        with pytest.raises(DomainError):
+            conway_diagram(unknot)
