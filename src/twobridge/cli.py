@@ -23,7 +23,7 @@ from .core import (
 from .diagram import all_shortest_expansions, depth
 from .errors import TwoBridgeError
 from .reduction import format_trace, reduce_expansion
-from .table import find_record, lookup, verify_table
+from .table import find_record, lookup, resolve, verify_table
 
 __all__ = ["main", "entry"]
 
@@ -74,9 +74,9 @@ def _cmd_invariants(args) -> int:
 
 
 def _cmd_conway(args) -> int:
-    report, _ = lookup(args.knot)
-    diagram = conway_diagram(report.knot)
-    ok = verify_diagram(diagram, report.knot)
+    knot, _ = resolve(args.knot)
+    diagram = conway_diagram(knot)
+    ok = verify_diagram(diagram, knot)
     print(format_diagram(diagram))
     print(f"verified={str(ok).lower()}")
     return 0 if ok else 1

@@ -29,7 +29,6 @@ __all__ = [
     "alternating_sign_convert",
     "division_expansion",
     "partial_quotients",
-    "division_runs",
     "seed_expansion",
     "same_knot",
     "mirror",
@@ -203,8 +202,9 @@ def division_expansion(x: ExtendedRational) -> Expansion:
 
     Splits off the floor as the integer part, then applies ceiling
     quotients, which yields coefficients that are all >= 2.  Its length
-    is about the sum of the partial quotients, so the pipeline seeds
-    from `seed_expansion` instead and this form serves as a reference.
+    is about the sum of the partial quotients, so no serving code runs
+    it: the pipeline seeds from `seed_expansion`, and the tests hold that
+    seed's fixpoint to the one this expansion reduces to.
     """
     if x.is_infinite:
         raise DomainError("cannot expand 1/0")
@@ -237,51 +237,35 @@ def partial_quotients(p: int, q: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def division_runs(quotients: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
-    """The coefficients of the division expansion as (coefficient, count) runs.
-
-    For x = a_0 + [0; a_1, ..., a_n] the division expansion is
-    a_0 + [a_1+1, 2^(a_2-1), a_3+2, 2^(a_4-1), ...], where 2^k is a run
-    of k twos and empty runs are left out.  It ends with a_n+1 for odd
-    n >= 3 and with the run 2^(a_n-1) for even n; for n = 1 it is [a_1].
-    """
-    n = len(quotients) - 1
-    runs = []
-    for i in range(1, n + 1):
-        a = quotients[i]
-        if i % 2 == 0:
-            if a > 1:
-                runs.append((2, a - 1))
-        elif n == 1:
-            runs.append((a, 1))
-        else:
-            runs.append((a + (1 if i in (1, n) else 2), 1))
-    return tuple(runs)
-
-
 def seed_expansion(x: ExtendedRational) -> Expansion:
-    """The division expansion of x with every run of k >= 2 twos folded into -(k+1).
+    """The alternating-sign expansion of x with its -1s removed and its -2s flipped.
 
-    [...,a,2^k,b,...] = [...,a-1,-(k+1),b-1,...] and, at the tail,
-    [...,a,2^k] = [...,a-1,-(k+1)], so the seed evaluates exactly to x.
-    A run always has a left neighbour, and each partial quotient after
-    a_0 gives at most one coefficient, so the seed has at most n of
-    them where the division expansion has about a_1 + ... + a_n.
+    For x = a_0 + [0; a_1, ..., a_n] that expansion is
+    a_0 + [a_1, -a_2, a_3, -a_4, ...].  An even-position quotient of 1
+    is dropped, [...,a,-1,b,...] = [...,a+1,b+1,...], and one of 2 is
+    flipped, [...,a,-2,b,...] = [...,a+1,2,b+1,...]; the last quotient is
+    never 1, and at the tail [...,a,-2] = [...,a+1,2].  Odd-position
+    terms stay positive, so no edit creates another.  The seed evaluates
+    exactly to x and has at most n coefficients, where the division
+    expansion has about a_1 + ... + a_n.
     """
     if x.is_infinite:
         raise DomainError("cannot expand 1/0")
-    quotients = partial_quotients(x.numerator, x.denominator)
+    a0, *quotients = partial_quotients(x.numerator, x.denominator)
     coeffs = []
-    lower = 0  # 1 right after a folded run: its right neighbour loses 1
-    for c, k in division_runs(quotients):
-        if k == 1:
-            coeffs.append(c - lower)
-            lower = 0
+    bump = 0  # 1 right after a dropped or flipped quotient: the next term gains 1
+    for i, a in enumerate(quotients):
+        if i % 2 == 0:
+            coeffs.append(a + bump)
+            bump = 0
+        elif a >= 3:
+            coeffs.append(-a)
         else:
-            coeffs[-1] -= 1
-            coeffs.append(-(k + 1))
-            lower = 1
-    return Expansion(quotients[0], tuple(coeffs))
+            coeffs[-1] += 1
+            if a == 2:
+                coeffs.append(2)
+            bump = 1
+    return Expansion(a0, tuple(coeffs))
 
 
 # ---------------------------------------------------------------------------

@@ -138,10 +138,10 @@ def genus(k: KnotId) -> int:
 def reduced_expansion(k: KnotId) -> Expansion:
     """Fixpoint of the rewrite system on the seed read off the partial quotients of p/q.
 
-    The seed (`seed_expansion`) is the division expansion with its runs
-    of twos folded, so it has at most len CF coefficients instead of
-    about q.  The tests hold the fixpoint to the one the division
-    expansion itself reduces to.
+    The seed (`seed_expansion`) is the alternating-sign expansion
+    a_0 + [a_1, -a_2, a_3, ...] with its -1s removed and its -2s flipped,
+    so it has at most len CF coefficients instead of about q.  The tests
+    hold the fixpoint to the one the division expansion reduces to.
 
     The last knot's result is kept in a one-slot memo, so the report,
     `conway_diagram` and `verify_diagram` of one knot share a single

@@ -7,13 +7,14 @@ serving module imports this one, so `import twobridge.cli` never loads it.
 from __future__ import annotations
 
 import random
+from collections.abc import Iterator
 from math import gcd
 
 from .core import Expansion, ExtendedRational, KnotId, eval_expansion, fraction_of
 from .diagram import all_shortest_expansions, depth
 from .errors import DomainError
 from .invariants import _require_knot
-from .reduction import ReductionStep, ReductionTrace, Rule, applicable_steps, apply_rule
+from .reduction import ReductionStep, ReductionTrace, Rule, apply_rule
 
 __all__ = [
     "farey_parents",
@@ -23,6 +24,7 @@ __all__ = [
     "is_shortest",
     "brute_force_min_length",
     "odd_type_among_shortest",
+    "applicable_steps",
     "reduce_with_strategy",
     "reduce_by_scanning",
     "check_trace",
@@ -218,24 +220,20 @@ def odd_type_among_shortest(k: KnotId) -> bool:
     return all_shortest_expansions(fraction_of(k)).has_odd_type
 
 
-def reduce_with_strategy(e: Expansion, rng: random.Random) -> Expansion:
-    """Reduce by picking uniformly among all applicable steps each round."""
-    current = e
-    while steps := applicable_steps(current):
-        current = apply_rule(current, rng.choice(steps))
-    return current
+def _steps(c: tuple[int, ...]) -> Iterator[ReductionStep]:
+    """Every zero, then every unit, then every block site of c, left to right.
 
-
-def _scan_for_step(c: tuple[int, ...]) -> ReductionStep | None:
-    """Leftmost zero, else leftmost unit, else leftmost block, by full rescans."""
-    zeros = [ReductionStep(Rule.REMOVE_ZERO, i + 1) for i, v in enumerate(c) if v == 0]
-    if zeros and len(c) >= 2:
-        return zeros[0]
-    units = [ReductionStep(Rule.REMOVE_UNIT, i + 1, epsilon=v) for i, v in enumerate(c) if v in (1, -1)]
-    if units:
-        return units[0]
-    blocks = []
+    Lazy, so taking only the first site scans no further than it.  The
+    block search is written out here, apart from the reducer's.
+    """
     n = len(c)
+    if n >= 2:
+        for i, v in enumerate(c):
+            if v == 0:
+                yield ReductionStep(Rule.REMOVE_ZERO, i + 1)
+    for i, v in enumerate(c):
+        if v in (1, -1):
+            yield ReductionStep(Rule.REMOVE_UNIT, i + 1, epsilon=v)
     for j, v in enumerate(c):
         if abs(v) != 2:
             continue
@@ -244,8 +242,20 @@ def _scan_for_step(c: tuple[int, ...]) -> ReductionStep | None:
         while k < n and c[k] == 3 * eps:
             k += 1
         if k < n and c[k] == 2 * eps:
-            blocks.append(ReductionStep(Rule.REMOVE_BLOCK, j + 1, epsilon=eps, block_length=k - j + 1))
-    return blocks[0] if blocks else None
+            yield ReductionStep(Rule.REMOVE_BLOCK, j + 1, epsilon=eps, block_length=k - j + 1)
+
+
+def applicable_steps(e: Expansion) -> list[ReductionStep]:
+    """Every rule application that matches e, in scan order."""
+    return list(_steps(e.coefficients))
+
+
+def reduce_with_strategy(e: Expansion, rng: random.Random) -> Expansion:
+    """Reduce by picking uniformly among all applicable steps each round."""
+    current = e
+    while steps := applicable_steps(current):
+        current = apply_rule(current, rng.choice(steps))
+    return current
 
 
 def reduce_by_scanning(e: Expansion) -> tuple[Expansion, tuple[ReductionStep, ...]]:
@@ -256,7 +266,7 @@ def reduce_by_scanning(e: Expansion) -> tuple[Expansion, tuple[ReductionStep, ..
     """
     steps = []
     current = e
-    while (step := _scan_for_step(current.coefficients)) is not None:
+    while (step := next(_steps(current.coefficients), None)) is not None:
         current = apply_rule(current, step)
         steps.append(step)
     return current, tuple(steps)

@@ -22,7 +22,6 @@ __all__ = [
     "ReductionTrace",
     "apply_rule",
     "scan_for_step",
-    "applicable_steps",
     "reduce_expansion",
     "format_trace",
 ]
@@ -228,32 +227,9 @@ class _Sites:
         self.block_from = min(self.block_from, lo)
 
 
-def _zero_steps(c: tuple[int, ...]) -> list[ReductionStep]:
-    if len(c) < 2:
-        return []
-    return [ReductionStep(Rule.REMOVE_ZERO, i + 1) for i, v in enumerate(c) if v == 0]
-
-
-def _unit_steps(c: tuple[int, ...]) -> list[ReductionStep]:
-    return [ReductionStep(Rule.REMOVE_UNIT, i + 1, epsilon=v) for i, v in enumerate(c) if v in (1, -1)]
-
-
-def _block_steps(c: tuple[int, ...]) -> list[ReductionStep]:
-    return [
-        ReductionStep(Rule.REMOVE_BLOCK, j + 1, epsilon=c[j] // 2, block_length=m)
-        for j, m in _blocks_from(c, 0)
-    ]
-
-
 def scan_for_step(e: Expansion) -> ReductionStep | None:
     """Leftmost applicable step, trying RemoveZero, then RemoveUnit, then RemoveBlock."""
     return _Sites(e.coefficients).next_step()
-
-
-def applicable_steps(e: Expansion) -> list[ReductionStep]:
-    """Every rule application that matches e, in scan order."""
-    c = e.coefficients
-    return _zero_steps(c) + _unit_steps(c) + _block_steps(c)
 
 
 def reduce_expansion(e: Expansion) -> tuple[Expansion, ReductionTrace]:

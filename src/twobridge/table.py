@@ -10,6 +10,7 @@ end-to-end regression suite.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from importlib import resources
 from math import gcd
 
@@ -26,7 +27,7 @@ from .errors import TableDataError, UnknownNameError
 from .invariants import InvariantReport, invariant_report
 from .reduction import reduce_expansion
 
-__all__ = ["KnotRecord", "TableReport", "load_table", "verify_table", "lookup", "find_record"]
+__all__ = ["KnotRecord", "TableReport", "load_table", "verify_table", "resolve", "lookup", "find_record"]
 
 _DATA = "data/table.tsv"
 
@@ -83,9 +84,6 @@ class _Table:
     by_canonical: dict[KnotId, KnotRecord]
 
 
-_TABLE_CACHE: _Table | None = None
-
-
 def _read_rows() -> list[tuple[int, list[str]]]:
     text = resources.files(__package__).joinpath(_DATA).read_text(encoding="ascii")
     rows = []
@@ -96,11 +94,9 @@ def _read_rows() -> list[tuple[int, list[str]]]:
     return rows
 
 
+@cache
 def _table() -> _Table:
     """The records with their indexes by name and by canonical form, loaded once."""
-    global _TABLE_CACHE
-    if _TABLE_CACHE is not None:
-        return _TABLE_CACHE
     records = []
     by_name = {}
     by_canonical = {}
@@ -126,8 +122,7 @@ def _table() -> _Table:
         by_canonical.setdefault(canonical_form(KnotId(q, p)), rec)
     if len(records) != 362:
         raise TableDataError(f"expected 362 records, found {len(records)}", 0)
-    _TABLE_CACHE = _Table(records, by_name, by_canonical)
-    return _TABLE_CACHE
+    return _Table(records, by_name, by_canonical)
 
 
 def load_table() -> list[KnotRecord]:
@@ -176,16 +171,22 @@ def find_record(name: str) -> KnotRecord:
     return rec
 
 
-def lookup(text: str) -> tuple[InvariantReport, KnotRecord | None]:
-    """Resolve a knot by table name or by fraction text.
+def resolve(text: str) -> tuple[KnotId, KnotRecord | None]:
+    """The knot named by a table name or by fraction text, and its table record.
 
-    The invariant report is computed from scratch either way; the record
-    is attached when the knot appears in the table (matching up to knot
-    equivalence, not just the printed fraction).
+    The record is attached when the knot appears in the table (matching
+    up to knot equivalence, not just the printed fraction).  Computes no
+    invariant.
     """
     s = text.strip()
     if "/" not in s:
         rec = find_record(s)
-        return invariant_report(knot_from_fraction(rec.fraction)), rec
-    report = invariant_report(knot_from_fraction(parse_fraction(s)))
-    return report, _table().by_canonical.get(canonical_form(report.knot))
+        return knot_from_fraction(rec.fraction), rec
+    k = knot_from_fraction(parse_fraction(s))
+    return k, _table().by_canonical.get(canonical_form(k))
+
+
+def lookup(text: str) -> tuple[InvariantReport, KnotRecord | None]:
+    """The invariant report and table record of the knot that `resolve` finds."""
+    k, rec = resolve(text)
+    return invariant_report(k), rec

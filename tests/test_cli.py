@@ -135,6 +135,12 @@ class TestHugeIntegers:
         numerator, denominator = lines[0].split("/")
         assert numerator.isdigit() and denominator.isdigit() and len(denominator) > 4300
 
+    def test_conway_huge_torus_knot(self, capsys):
+        # the even expansion of T(2,q) has q-1 coefficients; conway must not build it
+        q = 10**30 + 1
+        code, out, _ = run(capsys, "conway", f"1/{q}")
+        assert code == 0 and out.splitlines() == [f"C({q})", "verified=true"]
+
 
 def test_cli_import_leaves_oracles_unloaded():
     src = os.path.dirname(os.path.dirname(twobridge.__file__))

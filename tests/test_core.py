@@ -26,7 +26,6 @@ from twobridge.core import (
     alternating_sign_convert,
     canonical_form,
     division_expansion,
-    division_runs,
     eval_additive,
     mirror,
     partial_quotients,
@@ -34,6 +33,8 @@ from twobridge.core import (
     same_knot,
     seed_expansion,
 )
+from twobridge.diagram import rectangle_move
+from twobridge.reduction import ReductionStep, Rule, apply_rule
 
 coefficients = st.lists(
     st.integers(-9, 9).filter(lambda b: b != 0), min_size=0, max_size=10
@@ -180,6 +181,19 @@ def fractions_around_unit_interval(max_q):
                 yield ExtendedRational(p, q)
 
 
+def seed_reference(x):
+    """The seed by rewrite rules: the alternating-sign expansion, then, right to left,
+    RemoveUnit at each even-position -1 and a rectangle move at each even-position -2."""
+    a = partial_quotients(x.numerator, x.denominator)
+    e = alternating_sign_convert(AdditiveExpansion(a[0], a[1:]))
+    for j in reversed(range(1, len(e), 2)):
+        if e.coefficients[j] == -1:
+            e = apply_rule(e, ReductionStep(Rule.REMOVE_UNIT, j + 1, epsilon=-1))
+        elif e.coefficients[j] == -2:
+            e = rectangle_move(e, j + 1)
+    return e
+
+
 class TestPartialQuotients:
     @pytest.mark.parametrize(
         "p,q,expected",
@@ -209,11 +223,15 @@ class TestSeedExpansion:
     def test_examples(self, fraction, seed):
         assert format_expansion(seed_expansion(parse_fraction(fraction))) == seed
 
-    def test_runs_rebuild_the_division_expansion(self):
+    def test_matches_the_alternating_sign_reference(self):
         for x in fractions_around_unit_interval(150):
-            runs = division_runs(partial_quotients(x.numerator, x.denominator))
-            flat = tuple(c for c, k in runs for _ in range(k))
-            assert flat == division_expansion(x).coefficients
+            assert seed_expansion(x) == seed_reference(x)
+
+    @given(st.integers(-5, 5), st.lists(st.integers(1, 6) | st.integers(7, 10**12), max_size=30))
+    def test_matches_the_reference_on_quotient_lists(self, a0, quotients):
+        assume(not quotients or quotients[-1] >= 2)
+        x = eval_additive(AdditiveExpansion(a0, tuple(quotients)))
+        assert seed_expansion(x) == seed_reference(x)
 
     def test_value_and_length(self):
         for x in fractions_around_unit_interval(150):

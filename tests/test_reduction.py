@@ -8,11 +8,10 @@ from hypothesis import strategies as st
 from twobridge import Expansion, ExtendedRational, eval_expansion, parse_expansion, reduce_expansion
 from twobridge.core import AdditiveExpansion, division_expansion, eval_additive, format_expansion, seed_expansion
 from twobridge.errors import PatternMatchError
-from twobridge.oracles import check_trace, reduce_by_scanning, reduce_with_strategy
+from twobridge.oracles import applicable_steps, check_trace, reduce_by_scanning, reduce_with_strategy
 from twobridge.reduction import (
     ReductionStep,
     Rule,
-    applicable_steps,
     apply_rule,
     format_trace,
     scan_for_step,
