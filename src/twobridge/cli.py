@@ -170,15 +170,22 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    # Numbers may have any length; 3.10 releases lacking this have no limit to lift.
-    if hasattr(sys, "set_int_max_str_digits"):
+    # Numbers may have any length, so the int-string limit is lifted for the
+    # call and restored afterwards, also when argparse exits on a usage error.
+    # 3.10 releases lacking it have no limit to lift.
+    lift = hasattr(sys, "set_int_max_str_digits")
+    if lift:
+        limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(0)
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
     except TwoBridgeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if lift:
+            sys.set_int_max_str_digits(limit)
 
 
 def entry() -> None:

@@ -348,6 +348,20 @@ def fraction_of(k: KnotId) -> ExtendedRational:
 _FRACTION_RE = re.compile(r"^(-?\d+)/(\d+)$")
 
 
+def _parse_int(text: str) -> int:
+    """int(text) for a decimal of any length, whatever the int-string limit.
+
+    The interpreter never limits conversions of 640 digits or fewer, so
+    longer decimals are split and the halves joined arithmetically.
+    """
+    if len(text) <= 640:
+        return int(text)
+    if text[0] == "-":
+        return -_parse_int(text[1:])
+    half = len(text) // 2
+    return _parse_int(text[:-half]) * 10**half + _parse_int(text[-half:])
+
+
 def parse_fraction(text: str) -> ExtendedRational:
     """Parse `int "/" posint`; the only legal zero denominator is the literal 1/0."""
     s = text.strip()
@@ -357,7 +371,7 @@ def parse_fraction(text: str) -> ExtendedRational:
             if not (ch.isdigit() or (ch == "-" and i == 0) or ch == "/"):
                 raise ParseError("unexpected character in fraction", text, i)
         raise ParseError("expected <int>/<posint>", text, 0)
-    num, den = int(m.group(1)), int(m.group(2))
+    num, den = _parse_int(m.group(1)), _parse_int(m.group(2))
     if den == 0 and (num, den) != (1, 0):
         raise ParseError("zero denominator (only the literal 1/0 is allowed)", text, s.index("/") + 1)
     return ExtendedRational(num, den)
@@ -383,7 +397,7 @@ def parse_expansion(text: str) -> Expansion:
         m = _INT_RE.match(s)
         if not m:
             fail("expected integer part or '['", 0)
-        integer_part = int(m.group(0))
+        integer_part = _parse_int(m.group(0))
         i = m.end()
         if i >= len(s) or s[i] != "+":
             fail("expected '+' after integer part", i)
@@ -399,7 +413,7 @@ def parse_expansion(text: str) -> Expansion:
             m = _INT_RE.match(s, i)
             if not m:
                 fail("expected integer coefficient", i)
-            coeffs.append(int(m.group(0)))
+            coeffs.append(_parse_int(m.group(0)))
             i = m.end()
             if i < len(s) and s[i] == ",":
                 i += 1

@@ -22,6 +22,7 @@ from .core import (
     fraction_of,
     format_expansion,
     knot_from_fraction,
+    partial_quotients,
     seed_expansion,
 )
 from .errors import DomainError, InternalError
@@ -90,48 +91,54 @@ def _require_knot(k: KnotId):
         raise DomainError("operation is undefined for the unknot")
 
 
-def _nearest_even_quotient(a: int, b: int) -> int:
-    """The unique even b' with b'*b - a in (-|b|, |b|)."""
-    t = a // b
-    q = t if t % 2 == 0 else t + 1
-    if q % 2 != 0 or abs(q * b - a) >= abs(b) or q == 0:
-        raise InternalError(f"no nonzero even quotient {q} for {a}/{b}")
-    return q
+def _even_runs(k: KnotId) -> tuple[int, list[tuple[int, int]]]:
+    """The all-even expansion of k as its integer part and (coef, count) runs.
+
+    With p' = p or p - q, whichever is even, and s its sign, read the
+    partial quotients a_1, a_2, ... of q/|p'|.  An even a_i gives s*a_i and
+    flips s (the next value is -s*[a_(i+1); ...]).  An odd a_i gives
+    s*(a_i + 1), then a_(i+1) - 1 copies of 2s, and adds 1 to a_(i+2): the
+    next value is s*[1; a_(i+1) - 1, a_(i+2), ...].  So the expansion costs
+    one Euclid pass, although T(2,q) has q - 1 coefficients.
+    """
+    if k.q == 1:
+        return 0, []
+    r, tail = (1, k.p - k.q) if k.p % 2 else (0, k.p)
+    s = 1 if tail > 0 else -1
+    quotients = iter(partial_quotients(k.q, abs(tail)))
+    runs = []
+    carry = 0
+    for a in quotients:
+        a += carry
+        if a % 2 == 0:
+            runs.append((s * a, 1))
+            s, carry = -s, 0
+            continue
+        twos = next(quotients, None)
+        if twos is None:
+            raise InternalError(f"the continued fraction of {k.q}/{abs(tail)} ends in an odd quotient")
+        runs.append((s * (a + 1), 1))
+        if twos > 1:
+            runs.append((2 * s, twos - 1))
+        carry = 1
+    return r, runs
 
 
 def even_expansion(k: KnotId) -> Expansion:
-    """The unique expansion of k with all coefficients even.
-
-    Uses the even representative p' of p mod q (p' = p or p - q, whichever
-    is even) and then repeatedly takes the nearest even quotient.  The
-    numerator/denominator parities alternate (odd,even) / (even,odd), so
-    the remainder can vanish only after an even number of steps and every
-    quotient is a nonzero even integer.
-    """
-    if k.q % 2 == 0:
-        raise DomainError("even expansion requires odd q")
-    if k.q == 1:
-        return Expansion(0, ())
-    if k.p % 2 == 1:
-        tail, r = k.p - k.q, 1
-    else:
-        tail, r = k.p, 0
+    """The unique expansion of k with all coefficients even, expanded from `_even_runs`."""
+    r, runs = _even_runs(k)
     coeffs = []
-    a, b = k.q, tail
-    while True:
-        q = _nearest_even_quotient(a, b)
-        coeffs.append(q)
-        a, b = b, q * b - a
-        if b == 0:
-            break
-    if len(coeffs) % 2 != 0:
-        raise InternalError(f"even expansion of {k} has odd length {len(coeffs)}")
+    for c, m in runs:
+        coeffs += [c] * m
     return Expansion(r, tuple(coeffs))
 
 
 def genus(k: KnotId) -> int:
-    """Minimal genus of an orientable spanning surface: half the even length."""
-    return len(even_expansion(k)) // 2
+    """Minimal genus of an orientable spanning surface: half the even length.
+
+    Sums the run lengths, so it costs O(len CF) and never builds the expansion.
+    """
+    return sum(m for _, m in _even_runs(k)[1]) // 2
 
 
 @lru_cache(maxsize=1)
@@ -181,10 +188,11 @@ def crosscap(k: KnotId) -> int:
 def gamma_equals_2g_plus_1(k: KnotId) -> bool:
     """Whether the crosscap number attains the bound 2*genus + 1.
 
-    Holds exactly when the all-even expansion contains no +-2.
+    Holds exactly when the all-even expansion contains no +-2, which the
+    runs show without building it.
     """
     _require_knot(k)
-    return all(abs(c) != 2 for c in even_expansion(k).coefficients)
+    return all(abs(c) != 2 for c, _ in _even_runs(k)[1])
 
 
 def boundary_classification(k: KnotId) -> Boundary:
@@ -218,7 +226,8 @@ def invariant_report(k: KnotId) -> InvariantReport:
 
     The crosscap and boundary fields come from the same rule helper as
     `crosscap` and `boundary_classification`; the genus and the even
-    expansion from `even_expansion`, which is Theta(q) on torus knots.
+    expansion from `even_expansion`, which spells out Theta(q)
+    coefficients on torus knots.
     """
     if k.q == 1:
         empty = Expansion(0, ())

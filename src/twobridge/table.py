@@ -24,7 +24,7 @@ from .core import (
     parse_fraction,
 )
 from .errors import TableDataError, UnknownNameError
-from .invariants import InvariantReport, invariant_report
+from .invariants import InvariantReport, gamma_equals_2g_plus_1, invariant_report
 from .reduction import reduce_expansion
 
 __all__ = ["KnotRecord", "TableReport", "load_table", "verify_table", "resolve", "lookup", "find_record"]
@@ -148,12 +148,11 @@ def verify_table() -> TableReport:
         gamma = invariants.crosscap
         report.record("c_gamma", gamma == rec.gamma, rec.name, f"computed crosscap {gamma}, table says {rec.gamma}")
 
-        even = invariants.even_expansion
         attains_bound = gamma == 2 * invariants.genus + 1
-        even_no_two = all(abs(c) != 2 for c in even.coefficients)
+        even_no_two = gamma_equals_2g_plus_1(k)
         unique_even_shortest = not rec.expansion.odd_type and not any(abs(c) == 2 for c in rec.expansion.coefficients)
         consistent = rec.starred == attains_bound == even_no_two == unique_even_shortest
-        report.record("d_starred", consistent, rec.name, f"starred={rec.starred}, gamma=2g+1 is {attains_bound}, even expansion {even}")
+        report.record("d_starred", consistent, rec.name, f"starred={rec.starred}, gamma=2g+1 is {attains_bound}, even expansion {invariants.even_expansion}")
 
         key = canonical_form(k)
         if key in canon:

@@ -135,6 +135,21 @@ class TestHugeIntegers:
         numerator, denominator = lines[0].split("/")
         assert numerator.isdigit() and denominator.isdigit() and len(denominator) > 4300
 
+    def test_limit_is_restored(self, capsys):
+        # main lifts the limit for its own call only, also when argparse exits
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            code, out, _ = run(capsys, "eval", f"[{self.DIGITS}]")
+            assert code == 0 and out == f"1/{self.DIGITS}\n"
+            assert sys.get_int_max_str_digits() == 4300
+            with pytest.raises(SystemExit) as exc:
+                main(["no-such-command"])
+            assert exc.value.code == 2
+            assert sys.get_int_max_str_digits() == 4300
+        finally:
+            sys.set_int_max_str_digits(saved)
+
     def test_conway_huge_torus_knot(self, capsys):
         # the even expansion of T(2,q) has q-1 coefficients; conway must not build it
         q = 10**30 + 1

@@ -1,4 +1,5 @@
 import ast
+import sys
 from fractions import Fraction
 from math import gcd
 from pathlib import Path
@@ -320,6 +321,18 @@ class TestParsing:
     def test_expansion_errors(self, bad):
         with pytest.raises(ParseError):
             parse_expansion(bad)
+
+    def test_any_length_under_the_default_limit(self):
+        # the parsers do not lean on a lifted int-string limit
+        sevens, sparse = 7 * (10**5000 - 1) // 9, 10**5000 + 3
+        text_sevens, text_sparse = "7" * 5000, "1" + "0" * 4999 + "3"
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            assert parse_expansion(f"-{text_sevens}+[{text_sparse},-{text_sevens}]") == Expansion(-sevens, (sparse, -sevens))
+            assert parse_fraction(f"-{text_sparse}/{text_sevens}") == ExtendedRational(-sparse, sevens)
+        finally:
+            sys.set_int_max_str_digits(saved)
 
     def test_error_carries_position(self):
         with pytest.raises(ParseError) as exc:

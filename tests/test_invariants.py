@@ -3,6 +3,8 @@ from collections import Counter
 from math import gcd
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 import twobridge.invariants
 
@@ -22,7 +24,7 @@ from twobridge import (
     reduce_expansion,
 )
 from twobridge.conway import conway_diagram, verify_diagram
-from twobridge.core import division_expansion, fraction_of, mirror
+from twobridge.core import AdditiveExpansion, division_expansion, eval_additive, fraction_of, mirror
 from twobridge.invariants import (
     family_k_mn,
     gamma_equals_2g_plus_1,
@@ -82,6 +84,22 @@ class TestEvenExpansion:
                 assert found == {e.coefficients}
             else:
                 assert not found
+
+    @given(st.lists(st.integers(1, 30), min_size=1, max_size=40), st.booleans())
+    def test_defining_properties_on_quotient_lists(self, quotients, mirrored):
+        # all coefficients even and nonzero, even length, value p/q: this fixes
+        # the expansion, since it is unique
+        assume(quotients[-1] >= 2)
+        x = eval_additive(AdditiveExpansion(0, tuple(quotients)))
+        assume(x.denominator % 2 == 1)
+        p, q = x.numerator, x.denominator
+        k = KnotId(q, q - p if mirrored else p)
+        e = even_expansion(k)
+        assert all(c % 2 == 0 and c != 0 for c in e.coefficients)
+        assert len(e) % 2 == 0
+        assert eval_expansion(e) == fraction_of(k)
+        assert genus(k) == len(e) // 2
+        assert gamma_equals_2g_plus_1(k) == all(abs(c) != 2 for c in e.coefficients)
 
 
 class TestGenusAndCrosscap:
@@ -272,7 +290,8 @@ class TestReductionMemo:
 
 
 class TestBoundedCost:
-    # the even expansion of T(2,q) is [2]*(q-1); none of these may build it
+    # the even expansion of T(2,q) is [2]*(q-1); none of these may build it,
+    # and genus and the 2g+1 test read it as runs of the partial quotients
     @pytest.mark.parametrize("q", [10**30 + 1, 3**40])
     @pytest.mark.parametrize("mirrored", [False, True])
     def test_torus_knots(self, q, mirrored):
@@ -280,6 +299,8 @@ class TestBoundedCost:
         assert crosscap(k) == 1
         assert boundary_classification(k) == Boundary.INCOMPRESSIBLE
         assert verify_diagram(conway_diagram(k), k) is True
+        assert genus(k) == (q - 1) // 2
+        assert gamma_equals_2g_plus_1(k) is False
 
     def test_unknot(self):
         unknot = KnotId(1, 0)
