@@ -49,10 +49,9 @@ def _cmd_depth(args) -> int:
 def _cmd_shortest(args) -> int:
     shortest = all_shortest_expansions(parse_fraction(args.fraction))
     if args.all:
-        for e in shortest.sorted():
-            print(format_expansion(e))
+        print("\n".join(shortest.sorted_text()))
     else:
-        print(format_expansion(shortest.sorted()[0]))
+        print(format_expansion(shortest.least()))
     return 0
 
 

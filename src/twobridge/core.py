@@ -13,6 +13,7 @@ rather than errors.  This module also houses the Schubert parameters
 from __future__ import annotations
 
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass
 from math import gcd
 
@@ -105,7 +106,7 @@ class ExtendedRational:
         return self + (-other)
 
     def __str__(self) -> str:
-        return f"{self.numerator}/{self.denominator}"
+        return format_fraction(self)
 
 
 INFINITY = ExtendedRational(1, 0)
@@ -296,7 +297,7 @@ class KnotId:
         object.__setattr__(self, "p", p)
 
     def __str__(self) -> str:
-        return f"S({self.q},{self.p})"
+        return f"S({_format_int(self.q)},{_format_int(self.p)})"
 
 
 def _inverse_mod(p: int, q: int) -> int:
@@ -377,8 +378,27 @@ def parse_fraction(text: str) -> ExtendedRational:
     return ExtendedRational(num, den)
 
 
+_FORMAT_DIRECT = 10**640
+
+
+def _format_int(n: int) -> str:
+    """str(n) for an integer of any size, whatever the int-string limit.
+
+    The mirror of `_parse_int`: numbers of 640 digits or fewer convert
+    directly, longer ones are split by a power of ten and the halves
+    joined as text, the low half padded with zeros.
+    """
+    if -_FORMAT_DIRECT < n < _FORMAT_DIRECT:
+        return str(n)
+    if n < 0:
+        return "-" + _format_int(-n)
+    half = n.bit_length() * 3 // 20  # about half the decimal digits, since log10(2) > 0.3
+    high, low = divmod(n, 10**half)
+    return _format_int(high) + _format_int(low).zfill(half)
+
+
 def format_fraction(x: ExtendedRational) -> str:
-    return f"{x.numerator}/{x.denominator}"
+    return f"{_format_int(x.numerator)}/{_format_int(x.denominator)}"
 
 
 _INT_RE = re.compile(r"-?\d+")
@@ -427,8 +447,16 @@ def parse_expansion(text: str) -> Expansion:
     return Expansion(integer_part, tuple(coeffs))
 
 
+def _join_ints(values: Sequence[int]) -> str:
+    """The values as text joined by commas, whatever the int-string limit."""
+    try:
+        return ",".join(map(str, values))
+    except ValueError:  # a value past the limit; str is much the faster path
+        return ",".join(map(_format_int, values))
+
+
 def format_expansion(e: Expansion) -> str:
-    body = "[" + ",".join(str(c) for c in e.coefficients) + "]"
+    body = "[" + _join_ints(e.coefficients) + "]"
     if e.integer_part == 0:
         return body
-    return f"{e.integer_part}+{body}"
+    return f"{_format_int(e.integer_part)}+{body}"

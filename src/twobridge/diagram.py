@@ -12,11 +12,15 @@ regular continued fraction, with no rewriting at all.
 
 from __future__ import annotations
 
-from collections import deque
+from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import groupby, product
+from math import prod
 
-from .core import Expansion, ExtendedRational, partial_quotients, seed_expansion
+from .core import Expansion, ExtendedRational, _format_int, _join_ints, partial_quotients, seed_expansion
 from .errors import DomainError, PatternMatchError
+from .invariants import Boundary, _crosscap_and_boundary
 from .reduction import reduce_expansion
 
 __all__ = [
@@ -89,37 +93,169 @@ def rectangle_positions(e: Expansion) -> list[int]:
     return [i + 1 for i, v in enumerate(e.coefficients) if abs(v) == 2]
 
 
+def _run_states(t: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """The bit states of one run reachable from all zeros, in increasing order.
+
+    Position j may toggle iff t_j - x_(j-1) - x_(j+1) = 2; the positions
+    beside the run never toggle, so they count as 0.
+    """
+    start = (0,) * len(t)
+    padded = (0,) + start + (0,)
+    seen = {start}
+    frontier = [padded]
+    while frontier:
+        x = frontier.pop()
+        for j, tj in enumerate(t, 1):
+            if tj - x[j - 1] - x[j + 1] == 2:
+                y = x[:j] + (1 - x[j],) + x[j + 1 :]
+                if y[1:-1] not in seen:
+                    seen.add(y[1:-1])
+                    frontier.append(y)
+    return tuple(sorted(seen))
+
+
 @dataclass(frozen=True)
 class ShortestSet:
-    """All shortest expansions of one fraction, closed under rectangle moves."""
+    """All shortest expansions of one fraction, kept as the structure of the class.
+
+    With T = `reduced`, the member with no -2, every member is T - A x
+    for a 0/1 vector x, where A is tridiagonal with 4 on the diagonal and
+    1 beside it, and the integer part is r + x_1: a rectangle move at j
+    toggles x_j.  Position j may toggle iff T_j - x_(j-1) - x_(j+1) = 2,
+    the same condition in both directions, and T has no 0, +-1 or -2, so
+    x never leaves {0, 1}.  Only positions with T_j in {2, 3, 4} ever
+    toggle, and the others separate them, so the class is the product of
+    the states each maximal run of such positions reaches on its own.
+    `runs` holds (start, states) for every run with more than one state;
+    start is the 0-based index of its first position.
+
+    Methods that take bits x read the bit of position j at x[j + 2]; the
+    padding around the positions stays 0.
+    """
 
     value: ExtendedRational
-    expansions: frozenset[Expansion]
+    reduced: Expansion
+    runs: tuple[tuple[int, tuple[tuple[int, ...], ...]], ...]
+
+    @property
+    def size(self) -> int:
+        return prod(len(states) for _, states in self.runs)
 
     @property
     def has_odd_type(self) -> bool:
-        return any(e.odd_type for e in self.expansions)
+        """Whether some member has an odd coefficient, by the paper's rule on T.
 
-    def sorted(self) -> list[Expansion]:
-        return sorted(self.expansions, key=str)
+        The rule holds on every class but that of r + 1/2, whose two
+        members r + [2] and r+1 + [-2] are both even.
+        """
+        if self.reduced.coefficients == (2,):
+            return False
+        return _crosscap_and_boundary(self.reduced)[1] is Boundary.INCOMPRESSIBLE
+
+    def _member(self, x: list[int]) -> Expansion:
+        t = self.reduced.coefficients
+        coeffs = tuple(tj - 4 * x[j + 2] - x[j + 1] - x[j + 3] for j, tj in enumerate(t))
+        return Expansion(self.reduced.integer_part + x[2], coeffs)
+
+    def _members(self) -> Iterator[Expansion]:
+        x = [0] * (len(self.reduced) + 3)
+        for combo in product(*(states for _, states in self.runs)):
+            for (start, _), state in zip(self.runs, combo):
+                x[start + 2 : start + 2 + len(state)] = state
+            yield self._member(x)
+
+    @cached_property
+    def expansions(self) -> frozenset[Expansion]:
+        """Every member, built on first use: the class may be exponentially large."""
+        return frozenset(self._members())
+
+    def _text(self, x: list[int], lo: int, hi: int) -> str:
+        """Tokens lo to hi-1 of the member of x.
+
+        Token -1 is the prefix "r+[" (or "[") and token j the coefficient
+        at position j with its "," or "]".  No token is a prefix of
+        another and every member has the same number of them, so text
+        order is the order of the token tuples, and equally long slices
+        compare as their tuples do.
+        """
+        t = self.reduced.coefficients
+        text = ""
+        if lo < 0 <= hi:
+            r = self.reduced.integer_part + x[2]
+            text = f"{_format_int(r)}+[" if r else "["
+        if max(lo, 0) < hi:
+            coeffs = [t[j] - 4 * x[j + 2] - x[j + 1] - x[j + 3] for j in range(max(lo, 0), hi)]
+            text += _join_ints(coeffs) + ("]" if hi == len(t) else ",")
+        return text
+
+    def least(self) -> Expansion:
+        """The member whose text is least, chosen run by run from the left.
+
+        The tokens before a run's left side are fixed once the runs to
+        its left are chosen.  From that side on, each token fixes the
+        next bit of the run, so two states differ before the run's right
+        side: the least text over the run's positions and its left side
+        (the prefix, when the run starts at position 1) picks the state,
+        whatever the runs to the right do.
+        """
+        if not self.runs:
+            return self.reduced
+        x = [0] * (len(self.reduced) + 3)
+        for start, states in self.runs:
+            end = start + len(states[0])
+            texts = []
+            for state in states:
+                x[start + 2 : end + 2] = state
+                texts.append((self._text(x, start - 1, end), state))
+            x[start + 2 : end + 2] = min(texts)[1]
+        return self._member(x)
+
+    def sorted_text(self) -> list[str]:
+        """The text of every member, in text order.
+
+        Run i adds the tokens after run i-1 through its last position.
+        They depend only on the last bit of run i-1 and the state of run
+        i, so each is formatted once per pair, and a member's text is one
+        piece per run and a tail.
+        """
+        x = [0] * (len(self.reduced) + 3)
+        heads = [("", 0)]  # texts so far, each with the last bit of its last run
+        lo = -1
+        for start, states in self.runs:
+            end = start + len(states[0])
+            pieces = {}
+            for bit in {bit for _, bit in heads}:
+                x[lo + 1] = bit  # the last position of the run before
+                fixed = self._text(x, lo, start - 1)
+                for state in states:
+                    x[start + 2 : end + 2] = state
+                    pieces[bit, state] = fixed + self._text(x, start - 1, end)
+            x[start + 2 : end + 2] = states[0]
+            heads = [(head + pieces[bit, state], state[-1]) for head, bit in heads for state in states]
+            lo = end
+        tails = {}
+        for bit in {bit for _, bit in heads}:
+            x[lo + 1] = bit
+            tails[bit] = self._text(x, lo, len(self.reduced))
+        return sorted(head + tails[bit] for head, bit in heads)
 
 
 def all_shortest_expansions(x: ExtendedRational) -> ShortestSet:
-    """Breadth-first closure of one reduced expansion under rectangle moves.
+    """The shortest expansions of x, read off its reduced expansion.
 
-    Rectangle moves connect all shortest expansions of a fraction, so a
-    single seed reaches the whole (finite) set.
+    Only a run containing a 2 can move from all zeros, and each such
+    run's states come from a search over its own bits, so the cost is
+    the sum over runs, not the size of the class.  `oracles` keeps the
+    breadth-first closure under rectangle moves as the reference.
     """
     if x.is_infinite or x.is_integer:
         raise DomainError(f"shortest expansions are defined for non-integer finite values, got {x}")
-    seed, _ = reduce_expansion(seed_expansion(x))
-    seen = {seed}
-    frontier = deque([seed])
-    while frontier:
-        e = frontier.popleft()
-        for pos in rectangle_positions(e):
-            neighbor = rectangle_move(e, pos)
-            if neighbor not in seen:
-                seen.add(neighbor)
-                frontier.append(neighbor)
-    return ShortestSet(x, frozenset(seen))
+    reduced, _ = reduce_expansion(seed_expansion(x))
+    runs = []
+    start = 0
+    for in_run, group in groupby(reduced.coefficients, key=lambda c: 2 <= c <= 4):
+        run = tuple(group)
+        if in_run and 2 in run:
+            runs.append((start, _run_states(run)))
+        start += len(run)
+    return ShortestSet(x, reduced, tuple(runs))

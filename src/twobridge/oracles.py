@@ -7,14 +7,15 @@ serving module imports this one, so `import twobridge.cli` never loads it.
 from __future__ import annotations
 
 import random
+from collections import deque
 from collections.abc import Iterator
 from math import gcd
 
-from .core import Expansion, ExtendedRational, KnotId, eval_expansion, fraction_of
-from .diagram import all_shortest_expansions, depth
+from .core import Expansion, ExtendedRational, KnotId, division_expansion, eval_expansion, fraction_of
+from .diagram import depth, rectangle_move, rectangle_positions
 from .errors import DomainError
 from .invariants import _require_knot
-from .reduction import ReductionStep, ReductionTrace, Rule, apply_rule
+from .reduction import ReductionStep, ReductionTrace, Rule, apply_rule, reduce_expansion
 
 __all__ = [
     "farey_parents",
@@ -23,6 +24,7 @@ __all__ = [
     "alexander_genus",
     "is_shortest",
     "brute_force_min_length",
+    "closure_by_rectangle_moves",
     "odd_type_among_shortest",
     "applicable_steps",
     "reduce_with_strategy",
@@ -210,6 +212,30 @@ def brute_force_min_length(
     return best
 
 
+def closure_by_rectangle_moves(x: ExtendedRational) -> frozenset[Expansion]:
+    """Every shortest expansion of x, by breadth-first search over rectangle moves.
+
+    Rectangle moves connect all shortest expansions of a fraction, so
+    one of them reaches the whole finite class.  The search starts from
+    the reduced division expansion, apart from the seed the serving code
+    reduces, and visits every member: the reference for
+    `diagram.ShortestSet` on small classes only.
+    """
+    if x.is_infinite or x.is_integer:
+        raise DomainError(f"shortest expansions are defined for non-integer finite values, got {x}")
+    start, _ = reduce_expansion(division_expansion(x))
+    seen = {start}
+    frontier = deque([start])
+    while frontier:
+        e = frontier.popleft()
+        for pos in rectangle_positions(e):
+            neighbor = rectangle_move(e, pos)
+            if neighbor not in seen:
+                seen.add(neighbor)
+                frontier.append(neighbor)
+    return frozenset(seen)
+
+
 def odd_type_among_shortest(k: KnotId) -> bool:
     """Enumeration route to the same dichotomy: scan the rectangle-move closure.
 
@@ -217,7 +243,7 @@ def odd_type_among_shortest(k: KnotId) -> bool:
     independent cross-check.
     """
     _require_knot(k)
-    return all_shortest_expansions(fraction_of(k)).has_odd_type
+    return any(e.odd_type for e in closure_by_rectangle_moves(fraction_of(k)))
 
 
 def _steps(c: tuple[int, ...]) -> Iterator[ReductionStep]:

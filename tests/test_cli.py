@@ -2,11 +2,18 @@ import json
 import os
 import subprocess
 import sys
+import time
+from pathlib import Path
 
 import pytest
 
 import twobridge
 from twobridge.cli import main
+from twobridge.core import Expansion, eval_expansion
+
+# stdout of `shortest` and `shortest --all` as the breadth-first closure printed it,
+# on [5,(2,5)*4] and on fractions whose reduced expansion has an interacting run
+SHORTEST_PINS = json.loads((Path(__file__).parent / "shortest_pins.json").read_text(encoding="ascii"))
 
 
 def run(capsys, *argv):
@@ -83,6 +90,21 @@ class TestSharedParser:
         assert code == 0 and len(out.splitlines()) == 3
         code, out, _ = run(capsys, "shortest", "2/5")
         assert code == 0 and out.splitlines() == ["1+[-2,-3]"]
+
+
+class TestShortest:
+    @pytest.mark.parametrize("argv", sorted(SHORTEST_PINS))
+    def test_pinned_output(self, capsys, argv):
+        code, out, _ = run(capsys, *argv.split())
+        assert code == 0 and out == SHORTEST_PINS[argv]
+
+    def test_first_line_of_a_class_of_2_to_the_40(self, capsys):
+        x = eval_expansion(Expansion(0, (5,) + (2, 5) * 40))
+        started = time.perf_counter()
+        code, out, _ = run(capsys, "shortest", str(x))
+        assert code == 0 and out == "[4," + "-2,3," * 39 + "-2,4]\n"
+        # the class has 2**40 members; building it would not finish
+        assert time.perf_counter() - started < 5
 
 
 class TestNegativeOperands:

@@ -334,6 +334,20 @@ class TestParsing:
         finally:
             sys.set_int_max_str_digits(saved)
 
+    def test_format_any_length_under_the_default_limit(self):
+        # parse and format accept the same numbers
+        text = "[" + "7" * 5000 + "]"
+        fraction = "-1" + "0" * 4999 + "3/" + "7" * 5000
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            assert format_expansion(parse_expansion(text)) == text
+            assert format_expansion(parse_expansion("-" + text[1:-1] + "+" + text)) == "-" + text[1:-1] + "+" + text
+            assert format_fraction(parse_fraction(fraction)) == fraction
+            assert str(parse_fraction(fraction)) == fraction
+        finally:
+            sys.set_int_max_str_digits(saved)
+
     def test_error_carries_position(self):
         with pytest.raises(ParseError) as exc:
             parse_expansion("[3,?]")

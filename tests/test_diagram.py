@@ -1,4 +1,5 @@
 import random
+import time
 from math import gcd
 
 import pytest
@@ -20,6 +21,7 @@ from twobridge.diagram import rectangle_move, rectangle_positions
 from twobridge.errors import PatternMatchError
 from twobridge.oracles import (
     brute_force_min_length,
+    closure_by_rectangle_moves,
     depth_by_mediant_walk,
     depth_by_parents,
     farey_parents,
@@ -216,6 +218,64 @@ class TestShortestSets:
             all_shortest_expansions(ExtendedRational(4, 1))
         with pytest.raises(DomainError):
             all_shortest_expansions(INFINITY)
+
+
+def assert_matches_closure(x, full_list):
+    s = all_shortest_expansions(x)
+    closure = closure_by_rectangle_moves(x)
+    assert s.expansions == closure, x
+    assert s.size == len(closure), x
+    assert str(s.least()) == min(map(str, closure)), x
+    assert s.has_odd_type == any(e.odd_type for e in closure), x
+    if full_list:
+        assert s.sorted_text() == sorted(map(str, closure)), x
+
+
+class TestShortestStructure:
+    """The run structure against the breadth-first closure under rectangle moves."""
+
+    def test_every_fraction_up_to_q_200(self):
+        for q in range(2, 201):
+            for p in range(-q, 2 * q):
+                if gcd(p, q) == 1:
+                    assert_matches_closure(ExtendedRational(p, q), full_list=q < 80)
+
+    @given(
+        st.integers(-3, 3),
+        st.lists(st.integers(1, 4), min_size=1, max_size=14),
+    )
+    def test_quotient_lists_with_interacting_runs(self, a0, quotients):
+        # quotients from 1-4 make runs such as 2,4,2,4,2,3 in the reduced expansion
+        if quotients[-1] == 1:
+            quotients[-1] = 2
+        assert_matches_closure(eval_additive(AdditiveExpansion(a0, tuple(quotients))), full_list=True)
+
+    def test_interacting_run(self):
+        s = all_shortest_expansions(ExtendedRational(7, 12))
+        assert str(s.reduced) == "[2,4,2]"
+        assert s.runs == ((0, ((0, 0, 0), (0, 0, 1), (1, 0, 0), (1, 0, 1), (1, 1, 1))),)
+        assert s.sorted_text() == ["1+[-2,2,-2]", "1+[-2,3,2]", "1+[-3,-2,-3]", "[2,3,-2]", "[2,4,2]"]
+
+    def test_half_integers_are_even_type(self):
+        # the one class the paper's rule on the reduced expansion does not describe
+        for x in (ExtendedRational(1, 2), ExtendedRational(-7, 2)):
+            assert not all_shortest_expansions(x).has_odd_type
+
+    def test_class_of_2_to_the_40_answers_without_enumerating(self):
+        x = eval_expansion(Expansion(0, (5,) + (2, 5) * 40))
+        started = time.perf_counter()
+        s = all_shortest_expansions(x)
+        assert s.size == 2**40
+        assert s.has_odd_type
+        assert str(s.least()) == "[4," + "-2,3," * 39 + "-2,4]"
+        # the closure has 2**40 members; an enumeration would not finish
+        assert time.perf_counter() - started < 5
+
+    def test_expansions_are_built_on_first_use(self):
+        s = all_shortest_expansions(ExtendedRational(2, 5))
+        assert "expansions" not in vars(s)
+        assert len(s.expansions) == 3
+        assert s.expansions is s.expansions
 
 
 class TestOracleAgreement:

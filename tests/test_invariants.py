@@ -1,4 +1,5 @@
 import random
+import sys
 from collections import Counter
 from math import gcd
 
@@ -226,6 +227,17 @@ class TestReport:
         assert "crosscap=2" in lines
         assert "boundary=BoundaryIncompressible" in lines
         assert "knot=S(9,2)" in lines
+
+    def test_to_dict_of_a_knot_past_the_default_limit(self):
+        q, digits = 7 * (10**5000 - 1) // 9, "7" * 5000
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            payload = invariant_report(KnotId(q, 2)).to_dict()
+        finally:
+            sys.set_int_max_str_digits(saved)
+        assert payload["knot"] == f"S({digits},2)" and payload["fraction"] == f"2/{digits}"
+        assert parse_expansion(payload["reduced"]) == Expansion(0, ((q + 1) // 2, 2))
 
 
 @pytest.fixture
