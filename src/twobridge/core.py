@@ -297,7 +297,10 @@ class KnotId:
         object.__setattr__(self, "p", p)
 
     def __str__(self) -> str:
-        return f"S({_format_int(self.q)},{_format_int(self.p)})"
+        try:
+            return f"S({self.q},{self.p})"
+        except ValueError:  # past the int-string limit
+            return f"S({_format_int(self.q)},{_format_int(self.p)})"
 
 
 def _inverse_mod(p: int, q: int) -> int:
@@ -378,18 +381,17 @@ def parse_fraction(text: str) -> ExtendedRational:
     return ExtendedRational(num, den)
 
 
-_FORMAT_DIRECT = 10**640
-
-
 def _format_int(n: int) -> str:
     """str(n) for an integer of any size, whatever the int-string limit.
 
-    The mirror of `_parse_int`: numbers of 640 digits or fewer convert
-    directly, longer ones are split by a power of ten and the halves
-    joined as text, the low half padded with zeros.
+    The mirror of `_parse_int`: str where the limit allows it, else the
+    number is split by a power of ten and the halves joined as text, the
+    low half padded with zeros.
     """
-    if -_FORMAT_DIRECT < n < _FORMAT_DIRECT:
+    try:
         return str(n)
+    except ValueError:  # past the int-string limit
+        pass
     if n < 0:
         return "-" + _format_int(-n)
     half = n.bit_length() * 3 // 20  # about half the decimal digits, since log10(2) > 0.3
@@ -398,7 +400,10 @@ def _format_int(n: int) -> str:
 
 
 def format_fraction(x: ExtendedRational) -> str:
-    return f"{_format_int(x.numerator)}/{_format_int(x.denominator)}"
+    try:
+        return f"{x.numerator}/{x.denominator}"
+    except ValueError:  # past the int-string limit; the f-string is much the faster path
+        return f"{_format_int(x.numerator)}/{_format_int(x.denominator)}"
 
 
 _INT_RE = re.compile(r"-?\d+")
