@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from .core import (
     Expansion,
     KnotId,
+    _join_ints,
     eval_expansion,
     knot_from_fraction,
     same_knot,
@@ -153,5 +154,4 @@ def verify_diagram(d: ConwayDiagram, k: KnotId) -> bool:
 
 def format_diagram(d: ConwayDiagram) -> str:
     """Serialize as C(t1,...,tk), with suffix !m when the mirror fallback fired."""
-    body = ",".join(str(t) for t in d.twist_regions)
-    return f"C({body})" + ("!m" if d.mirrored else "")
+    return f"C({_join_ints(d.twist_regions)})" + ("!m" if d.mirrored else "")

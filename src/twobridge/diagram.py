@@ -14,11 +14,9 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from itertools import product
-from math import prod
+from functools import cached_property
 
-from .core import Expansion, ExtendedRational, _format_int, _join_ints, partial_quotients, seed_expansion
+from .core import Expansion, ExtendedRational, _format_int, partial_quotients, seed_expansion
 from .errors import DomainError, PatternMatchError
 from .invariants import Boundary, _crosscap_and_boundary
 from .reduction import reduce_expansion
@@ -93,57 +91,88 @@ def rectangle_positions(e: Expansion) -> list[int]:
     return [i + 1 for i, v in enumerate(e.coefficients) if abs(v) == 2]
 
 
-@lru_cache(maxsize=128)
-def _run_states(t: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """The bit states of one run reachable from all zeros, in increasing order.
-
-    Position j may toggle iff t_j - x_(j-1) - x_(j+1) = 2; the positions
-    beside the run never toggle, so they count as 0.  Short runs such as
-    (2,), (2, 3) and (2, 4, 2) recur from knot to knot (59 distinct runs
-    among the 292 of the 362 table knots), and the search costs about as
-    much as the rest of a small class, so the last 128 results are kept.
-    """
-    start = (0,) * len(t)
-    padded = (0,) + start + (0,)
-    seen = {start}
-    frontier = [padded]
-    while frontier:
-        x = frontier.pop()
-        for j, tj in enumerate(t, 1):
-            if tj - x[j - 1] - x[j + 1] == 2:
-                y = x[:j] + (1 - x[j],) + x[j + 1 :]
-                if y[1:-1] not in seen:
-                    seen.add(y[1:-1])
-                    frontier.append(y)
-    return tuple(sorted(seen))
-
-
 @dataclass(frozen=True)
 class ShortestSet:
-    """All shortest expansions of one fraction, kept as the structure of the class.
+    """All shortest expansions of one fraction, kept as an automaton over T = `reduced`.
 
-    With T = `reduced`, the member with no -2, every member is T - A x
-    for a 0/1 vector x, where A is tridiagonal with 4 on the diagonal and
-    1 beside it, and the integer part is r + x_1: a rectangle move at j
-    toggles x_j.  Position j may toggle iff T_j - x_(j-1) - x_(j+1) = 2,
-    the same condition in both directions, and T has no 0, +-1 or -2, so
-    x never leaves {0, 1}.  Only positions with T_j in {2, 3, 4} ever
-    toggle, and the others separate them, so the class is the product of
-    the states each maximal run of such positions reaches on its own.
-    `runs` holds (start, states) for every run with more than one state;
-    start is the 0-based index of its first position.
+    T is the member with no -2.  Every member is T - A x for a 0/1 vector
+    x, where A is tridiagonal with 4 on the diagonal and 1 beside it, and
+    the integer part is r + x_1: a rectangle move at j toggles x_j.  x is
+    0 where T_j is not in {2, 3, 4}, and T - A x is a member iff it is a
+    fixpoint of the three rewrite rules: no 0, no +-1 and no block
+    2e,3e,...,3e,2e (checked against the breadth-first closure in the
+    tests, not proved).  The automaton reads T from the left.  Before
+    position j its state is (x_(j-1), x_j, open), where open is the sign
+    e of an unfinished 2e,3e,...,3e ending at j-1, or 0; choosing x_(j+1)
+    fixes c_j = T_j - 4 x_j - x_(j-1) - x_(j+1), and the edge is rejected
+    when c_j is 0 or +-1 or would close a block (c_j = 2 open).  A
+    forward pass keeps the reachable states and a backward pass drops
+    those that cannot finish, so each path left is one member.
 
-    Methods that take bits x read the bit of position j at x[j + 2]; the
-    padding around the positions stays 0.
+    A member's text is a sequence of tokens: the prefix "r+[" (or "["),
+    then each coefficient with its "," or "]".  No token is a prefix of
+    another and every member has as many, so text order is token order,
+    and each state keeps its edges in the order of their tokens.
     """
 
     value: ExtendedRational
     reduced: Expansion
-    runs: tuple[tuple[int, tuple[tuple[int, ...], ...]], ...]
+
+    def __reduce__(self):
+        # copies drop the cached automaton, which nests as deep as T is long: too deep for pickle
+        return ShortestSet, (self.value, self.reduced)
+
+    @cached_property
+    def _automaton(self) -> tuple[int, list]:
+        """The number of members and the pruned automaton's first node.
+
+        Layer 0 leaves the start by edges labelled with the integer part
+        r + x_1; layer j + 1 leaves the states before position j by edges
+        labelled c_j.  A node is the list of its live edges in token order,
+        each (label, token, next node); the last layer leads to the empty
+        node.
+        """
+        t = self.reduced.coefficients
+        moves = [(0, 1) if 2 <= v <= 4 else (0,) for v in t] + [(0,)]
+        r = self.reduced.integer_part
+        layers = [[(None, [(r + x, (0, x, 0)) for x in moves[0]])]]
+        states = {(0, x, 0) for x in moves[0]}
+        for tj, ys in zip(t, moves[1:]):
+            layer, after = [], set()
+            for s in states:
+                a, b, o = s
+                edges = []
+                for y in ys:
+                    c = tj - 4 * b - a - y
+                    if not -1 <= c <= 1 and c != 2 * o:
+                        to = (b, y, 1 if c == 2 else -1 if c == -2 else o if c == 3 * o else 0)
+                        edges.append((c, to))
+                        after.add(to)
+                layer.append((s, edges))
+            layers.append(layer)
+            states = after
+        below = dict.fromkeys(states, (1, []))
+        ends = ["+["] + [","] * (len(t) - 1) + ["]"]
+        for layer, end in zip(reversed(layers), reversed(ends)):
+            above = {}
+            for s, edges in layer:
+                size, node = 0, []
+                for c, to in edges:
+                    if to in below:
+                        count, following = below[to]
+                        size += count
+                        # only an integer part is ever 0, and "0+[" is written "["
+                        node.append((c, _format_int(c) + end if c else "[", following))
+                if node:
+                    if len(node) == 2 and node[1][1] < node[0][1]:
+                        node.reverse()
+                    above[s] = size, node
+            below = above
+        return below[None]
 
     @property
     def size(self) -> int:
-        return prod(len(states) for _, states in self.runs)
+        return self._automaton[0]
 
     @property
     def has_odd_type(self) -> bool:
@@ -156,114 +185,55 @@ class ShortestSet:
             return False
         return _crosscap_and_boundary(self.reduced)[1] is Boundary.INCOMPRESSIBLE
 
-    def _member(self, x: list[int]) -> Expansion:
-        t = self.reduced.coefficients
-        coeffs = tuple(tj - 4 * x[j + 2] - x[j + 1] - x[j + 3] for j, tj in enumerate(t))
-        return Expansion(self.reduced.integer_part + x[2], coeffs)
+    def _paths(self, field: int) -> Iterator[list]:
+        """Field 0 (labels) or 1 (tokens) of the edges along each path, in token order.
 
-    def _members(self) -> Iterator[Expansion]:
-        x = [0] * (len(self.reduced) + 3)
-        for combo in product(*(states for _, states in self.runs)):
-            for (start, _), state in zip(self.runs, combo):
-                x[start + 2 : start + 2 + len(state)] = state
-            yield self._member(x)
+        A depth-first walk without recursion; one list is reused, so each
+        path must be read before the next is asked for.
+        """
+        path, forks = [], []  # forks: (path length, later edge) at each fork passed
+        node = self._automaton[1]
+        while True:
+            while node:
+                if len(node) == 2:
+                    forks.append((len(path), node[1]))
+                edge = node[0]
+                path.append(edge[field])
+                node = edge[2]
+            yield path
+            if not forks:
+                return
+            j, edge = forks.pop()
+            del path[j:]
+            path.append(edge[field])
+            node = edge[2]
+
+    @staticmethod
+    def _member(labels: list[int]) -> Expansion:
+        return Expansion(labels[0], tuple(labels[1:]))
 
     @cached_property
     def expansions(self) -> frozenset[Expansion]:
         """Every member, built on first use: the class may be exponentially large."""
-        return frozenset(self._members())
-
-    def _text(self, x: list[int], lo: int, hi: int) -> str:
-        """Tokens lo to hi-1 of the member of x.
-
-        Token -1 is the prefix "r+[" (or "[") and token j the coefficient
-        at position j with its "," or "]".  No token is a prefix of
-        another and every member has the same number of them, so text
-        order is the order of the token tuples, and equally long slices
-        compare as their tuples do.
-        """
-        t = self.reduced.coefficients
-        text = ""
-        if lo < 0 <= hi:
-            r = self.reduced.integer_part + x[2]
-            text = f"{_format_int(r)}+[" if r else "["
-        if max(lo, 0) < hi:
-            coeffs = [t[j] - 4 * x[j + 2] - x[j + 1] - x[j + 3] for j in range(max(lo, 0), hi)]
-            text += _join_ints(coeffs) + ("]" if hi == len(t) else ",")
-        return text
+        return frozenset(map(self._member, self._paths(0)))
 
     def least(self) -> Expansion:
-        """The member whose text is least, chosen run by run from the left.
-
-        The tokens before a run's left side are fixed once the runs to
-        its left are chosen.  From that side on, each token fixes the
-        next bit of the run, so two states differ before the run's right
-        side: the least text over the run's positions and its left side
-        (the prefix, when the run starts at position 1) picks the state,
-        whatever the runs to the right do.
-        """
-        if not self.runs:
-            return self.reduced
-        x = [0] * (len(self.reduced) + 3)
-        for start, states in self.runs:
-            end = start + len(states[0])
-            texts = []
-            for state in states:
-                x[start + 2 : end + 2] = state
-                texts.append((self._text(x, start - 1, end), state))
-            x[start + 2 : end + 2] = min(texts)[1]
-        return self._member(x)
+        """The member whose text is least: the first edge at every node."""
+        return self._member(next(self._paths(0)))
 
     def sorted_text(self) -> list[str]:
-        """The text of every member, in text order.
-
-        Run i adds the tokens after run i-1 through its last position.
-        They depend only on the last bit of run i-1 and the state of run
-        i, so each is formatted once per pair, and a member's text is one
-        piece per run and a tail.
-        """
-        x = [0] * (len(self.reduced) + 3)
-        heads = [("", 0)]  # texts so far, each with the last bit of its last run
-        lo = -1
-        for start, states in self.runs:
-            end = start + len(states[0])
-            pieces = {}
-            for bit in {bit for _, bit in heads}:
-                x[lo + 1] = bit  # the last position of the run before
-                fixed = self._text(x, lo, start - 1)
-                for state in states:
-                    x[start + 2 : end + 2] = state
-                    pieces[bit, state] = fixed + self._text(x, start - 1, end)
-            x[start + 2 : end + 2] = states[0]
-            heads = [(head + pieces[bit, state], state[-1]) for head, bit in heads for state in states]
-            lo = end
-        tails = {}
-        for bit in {bit for _, bit in heads}:
-            x[lo + 1] = bit
-            tails[bit] = self._text(x, lo, len(self.reduced))
-        return sorted(head + tails[bit] for head, bit in heads)
+        """The text of every member, in text order, with no sort."""
+        return ["".join(tokens) for tokens in self._paths(1)]
 
 
 def all_shortest_expansions(x: ExtendedRational) -> ShortestSet:
     """The shortest expansions of x, read off its reduced expansion.
 
-    Only a run containing a 2 can move from all zeros, and each such
-    run's states come from a search over its own bits, so the cost is
-    the sum over runs, not the size of the class.  `oracles` keeps the
-    breadth-first closure under rectangle moves as the reference.
+    The automaton behind the class has at most 12 states per position, so
+    `size`, `least()` and `has_odd_type` cost O(len T) and the walks
+    O(len T) per member.  `oracles` keeps the breadth-first closure under
+    rectangle moves as the reference.
     """
     if x.is_infinite or x.is_integer:
         raise DomainError(f"shortest expansions are defined for non-integer finite values, got {x}")
-    reduced, _ = reduce_expansion(seed_expansion(x))
-    t = reduced.coefficients
-    runs = []
-    end = 0
-    for j, c in enumerate(t):
-        if c == 2 and j >= end:  # a 2 not in the last run found: extend to its maximal run
-            start, end = j, j + 1
-            while start and 2 <= t[start - 1] <= 4:
-                start -= 1
-            while end < len(t) and 2 <= t[end] <= 4:
-                end += 1
-            runs.append((start, _run_states(t[start:end])))
-    return ShortestSet(x, reduced, tuple(runs))
+    return ShortestSet(x, reduce_expansion(seed_expansion(x))[0])

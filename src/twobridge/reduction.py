@@ -21,7 +21,6 @@ __all__ = [
     "ReductionStep",
     "ReductionTrace",
     "apply_rule",
-    "scan_for_step",
     "reduce_expansion",
     "format_trace",
 ]
@@ -227,11 +226,6 @@ class _Sites:
         self.block_from = min(self.block_from, lo)
 
 
-def scan_for_step(e: Expansion) -> ReductionStep | None:
-    """Leftmost applicable step, trying RemoveZero, then RemoveUnit, then RemoveBlock."""
-    return _Sites(e.coefficients).next_step()
-
-
 def reduce_expansion(e: Expansion) -> tuple[Expansion, ReductionTrace]:
     """Drive e to a fixpoint of the three rules, recording every step.
 
@@ -239,11 +233,11 @@ def reduce_expansion(e: Expansion) -> tuple[Expansion, ReductionTrace]:
     fractions equivalent to the value; the empty list (integer values)
     and a lone [0] (the value 1/0) are legal degenerate outputs.
 
-    Applies the same steps as repeating `scan_for_step` and `apply_rule`,
-    but edits one list in place and searches incrementally: the counts of
-    0 and +-1 say whether a zero or unit step is due, `list.index` finds
-    the leftmost one, and each search resumes no further left than the
-    last edit could have created a site.
+    Each step is the leftmost zero, else the leftmost unit, else the
+    leftmost block.  One list is edited in place and searched
+    incrementally: the counts of 0 and +-1 say whether a zero or unit
+    step is due, `list.index` finds the leftmost one, and each search
+    resumes no further left than the last edit could have created a site.
     """
     c = list(e.coefficients)
     r = e.integer_part

@@ -106,6 +106,15 @@ class TestShortest:
         # the class has 2**40 members; building it would not finish
         assert time.perf_counter() - started < 5
 
+    @pytest.mark.parametrize("n", [25, 2001])
+    def test_first_line_of_a_fence(self, capsys, n):
+        # the fence [2,4,2,4,...,2] of n coefficients; a search over its members took seconds at n = 25
+        x = eval_expansion(Expansion(0, (2, 4) * (n // 2) + (2,)))
+        started = time.perf_counter()
+        code, out, _ = run(capsys, "shortest", str(x))
+        assert code == 0 and out == "1+[" + "-2,2," * (n // 2) + "-2]\n"
+        assert time.perf_counter() - started < 1
+
 
 class TestNegativeOperands:
     @pytest.mark.parametrize(

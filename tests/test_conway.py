@@ -1,3 +1,4 @@
+import sys
 from math import gcd
 
 import pytest
@@ -139,3 +140,13 @@ class TestVerification:
         assert format_diagram(conway_diagram(KnotId(15, 4))) == "C(3,-1,5,1,2)"
         d = diagram_from_expansion(Expansion(0, (1, 3, 2)))
         assert format_diagram(d) == "C(2,1,3,-1,1)!m"
+
+    def test_serialization_under_the_default_limit(self):
+        # a twist region past the int-string limit is written like core's numbers
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            d = conway_diagram(KnotId(7 * (10**5000 - 1) // 9, 2))
+            assert format_diagram(d) == "C(3" + "8" * 4999 + ",-1,2,1)"
+        finally:
+            sys.set_int_max_str_digits(saved)

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 import time
 from math import gcd
@@ -20,6 +22,7 @@ from twobridge.core import INFINITY, AdditiveExpansion, division_expansion, eval
 from twobridge.diagram import rectangle_move, rectangle_positions
 from twobridge.errors import PatternMatchError
 from twobridge.oracles import (
+    applicable_steps,
     brute_force_min_length,
     closure_by_rectangle_moves,
     depth_by_mediant_walk,
@@ -220,6 +223,18 @@ class TestShortestSets:
             all_shortest_expansions(INFINITY)
 
 
+def fence(n):
+    """The value of [2,4,2,4,...,2] with n coefficients (n odd); its class has F(n+2) members."""
+    return eval_expansion(Expansion(0, (2, 4) * (n // 2) + (2,)))
+
+
+def fibonacci(n):
+    a, b = 0, 1
+    for _ in range(n):
+        a, b = b, a + b
+    return a
+
+
 def assert_matches_closure(x, full_list):
     s = all_shortest_expansions(x)
     closure = closure_by_rectangle_moves(x)
@@ -232,7 +247,7 @@ def assert_matches_closure(x, full_list):
 
 
 class TestShortestStructure:
-    """The run structure against the breadth-first closure under rectangle moves."""
+    """The automaton against the breadth-first closure under rectangle moves."""
 
     def test_every_fraction_up_to_q_200(self):
         for q in range(2, 201):
@@ -250,10 +265,20 @@ class TestShortestStructure:
             quotients[-1] = 2
         assert_matches_closure(eval_additive(AdditiveExpansion(a0, tuple(quotients))), full_list=True)
 
+    @given(
+        st.integers(-3, 3),
+        st.lists(st.integers(1, 2), min_size=1, max_size=16),
+    )
+    def test_quotient_lists_with_long_runs(self, a0, quotients):
+        # quotients from 1-2 make long runs of 2s, 3s and 4s, such as fences 2,4,2,4,...,2
+        if quotients[-1] == 1:
+            quotients[-1] = 2
+        assert_matches_closure(eval_additive(AdditiveExpansion(a0, tuple(quotients))), full_list=True)
+
     def test_interacting_run(self):
         s = all_shortest_expansions(ExtendedRational(7, 12))
         assert str(s.reduced) == "[2,4,2]"
-        assert s.runs == ((0, ((0, 0, 0), (0, 0, 1), (1, 0, 0), (1, 0, 1), (1, 1, 1))),)
+        assert s.size == 5
         assert s.sorted_text() == ["1+[-2,2,-2]", "1+[-2,3,2]", "1+[-3,-2,-3]", "[2,3,-2]", "[2,4,2]"]
 
     def test_half_integers_are_even_type(self):
@@ -270,6 +295,36 @@ class TestShortestStructure:
         assert str(s.least()) == "[4," + "-2,3," * 39 + "-2,4]"
         # the closure has 2**40 members; an enumeration would not finish
         assert time.perf_counter() - started < 5
+
+    @pytest.mark.parametrize("n", [25, 2001])
+    def test_fence_answers_in_bounded_time(self, n):
+        # a search over the fence's members took seconds at n = 25
+        started = time.perf_counter()
+        s = all_shortest_expansions(fence(n))
+        assert s.size == fibonacci(n + 2)
+        assert str(s.least()) == "1+[" + "-2,2," * (n // 2) + "-2]"
+        assert time.perf_counter() - started < 1
+
+    def test_random_quotients_answer_in_bounded_time(self):
+        # 2,000 quotients from 1-2 make runs of dozens of moving positions
+        rng = random.Random(11)
+        x = eval_additive(AdditiveExpansion(0, tuple(rng.randint(1, 2) for _ in range(2000)) + (2,)))
+        started = time.perf_counter()
+        s = all_shortest_expansions(x)
+        size, least = s.size, s.least()
+        assert time.perf_counter() - started < 1
+        assert size > 2**100
+        assert eval_expansion(least) == x and len(least) == depth(x)
+        assert not applicable_steps(least)
+        # every rectangle move leads to another member, whose text is greater
+        for pos in rectangle_positions(least):
+            assert str(rectangle_move(least, pos)) > str(least)
+
+    def test_copies_of_a_long_class(self):
+        s = all_shortest_expansions(fence(2001))
+        least = s.least()
+        for copied in (pickle.loads(pickle.dumps(s)), copy.deepcopy(s)):
+            assert copied == s and copied.least() == least
 
     def test_expansions_are_built_on_first_use(self):
         s = all_shortest_expansions(ExtendedRational(2, 5))

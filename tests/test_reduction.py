@@ -14,7 +14,6 @@ from twobridge.reduction import (
     Rule,
     apply_rule,
     format_trace,
-    scan_for_step,
 )
 
 expansions = st.builds(
@@ -88,28 +87,32 @@ class TestApplyRule:
             apply_rule(parse_expansion(text), s)
 
 
+def first_move(text):
+    """The step reduce_expansion takes first, as a tuple of at most one."""
+    return reduce_expansion(parse_expansion(text))[1].moves[:1]
+
+
 class TestScan:
     def test_examples(self):
-        assert scan_for_step(parse_expansion("[7,0,2]")) == step(Rule.REMOVE_ZERO, 2)
-        assert scan_for_step(parse_expansion("[4,4]")) is None
-        assert scan_for_step(parse_expansion("[2,2,1]")) == step(Rule.REMOVE_UNIT, 3, eps=1)
+        assert first_move("[7,0,2]") == (step(Rule.REMOVE_ZERO, 2),)
+        assert first_move("[4,4]") == ()
+        assert first_move("[2,2,1]") == (step(Rule.REMOVE_UNIT, 3, eps=1),)
 
     def test_priority_and_leftmost(self):
         # zero beats unit beats block; leftmost within one rule
-        assert scan_for_step(parse_expansion("[1,0,2,2]")).rule is Rule.REMOVE_ZERO
-        assert scan_for_step(parse_expansion("[2,2,1]")).rule is Rule.REMOVE_UNIT
-        assert scan_for_step(parse_expansion("[3,0,5,0,2]")) == step(Rule.REMOVE_ZERO, 2)
-        s = scan_for_step(parse_expansion("[5,2,2,-2,-2]"))
-        assert s == step(Rule.REMOVE_BLOCK, 2, eps=1, m=2)
+        assert first_move("[1,0,2,2]")[0].rule is Rule.REMOVE_ZERO
+        assert first_move("[2,2,1]")[0].rule is Rule.REMOVE_UNIT
+        assert first_move("[3,0,5,0,2]") == (step(Rule.REMOVE_ZERO, 2),)
+        assert first_move("[5,2,2,-2,-2]") == (step(Rule.REMOVE_BLOCK, 2, eps=1, m=2),)
 
     def test_block_with_threes(self):
-        assert scan_for_step(parse_expansion("[5,2,3,3,2,4]")) == step(Rule.REMOVE_BLOCK, 2, eps=1, m=4)
+        assert first_move("[5,2,3,3,2,4]") == (step(Rule.REMOVE_BLOCK, 2, eps=1, m=4),)
         # a 2-run never borrows a 3 of the opposite sign
-        assert scan_for_step(parse_expansion("[5,2,-3,2]")) is None
+        assert first_move("[5,2,-3,2]") == ()
 
     def test_lone_zero_is_a_fixpoint(self):
-        assert scan_for_step(parse_expansion("[0]")) is None
-        assert scan_for_step(parse_expansion("3+[0]")) is None
+        assert first_move("[0]") == ()
+        assert first_move("3+[0]") == ()
 
 
 class TestReduce:
@@ -148,7 +151,6 @@ class TestReduce:
     @given(expansions)
     def test_fixpoint_has_no_pattern(self, e):
         reduced, _ = reduce_expansion(e)
-        assert scan_for_step(reduced) is None
         assert not applicable_steps(reduced)
         c = reduced.coefficients
         if c == (0,):  # the value 1/0
