@@ -1,6 +1,7 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or parse errors.
+Exit codes: 0 success, 1 verification failure, 2 usage or parse errors and
+output refused for passing `_MAX_OUTPUT` characters.
 Diagnostics go to stderr; results to stdout, ASCII only.
 """
 
@@ -21,11 +22,22 @@ from .core import (
     parse_fraction,
 )
 from .diagram import all_shortest_expansions, depth
-from .errors import TwoBridgeError
+from .errors import DomainError, TwoBridgeError
+from .invariants import genus, invariant_report
 from .reduction import format_trace, reduce_expansion
-from .table import find_record, lookup, resolve, verify_table
+from .table import find_record, resolve, verify_table
 
 __all__ = ["main", "entry"]
+
+# The most characters a command may print.  A command whose output would
+# be longer is refused before it builds that output.
+_MAX_OUTPUT = 10**7
+
+
+def _check_output_size(at_least: int, command: str) -> None:
+    """Refuse `command` when its output, of at least `at_least` characters, would pass the bound."""
+    if at_least > _MAX_OUTPUT:
+        raise DomainError(f"{command} would print more than {_MAX_OUTPUT} characters")
 
 
 def _cmd_eval(args) -> int:
@@ -49,6 +61,8 @@ def _cmd_depth(args) -> int:
 def _cmd_shortest(args) -> int:
     shortest = all_shortest_expansions(parse_fraction(args.fraction))
     if args.all:
+        # every member has len(T) coefficients, each with its "," or "]", after a "["
+        _check_output_size(shortest.size * (2 * len(shortest.reduced) + 1), "shortest --all")
         print("\n".join(shortest.sorted_text()))
     else:
         print(format_expansion(shortest.least()))
@@ -56,7 +70,13 @@ def _cmd_shortest(args) -> int:
 
 
 def _cmd_invariants(args) -> int:
-    report, record = lookup(args.knot)
+    knot, record = resolve(args.knot)
+    # The even expansion has 2*genus coefficients, each with a separator, so
+    # at least 4*genus characters.  Its coefficients are even and nonzero, so
+    # its denominator q is at least 2*genus + 1: a smaller q needs no genus.
+    if 2 * (knot.q - 1) > _MAX_OUTPUT:
+        _check_output_size(4 * genus(knot), "invariants")
+    report = invariant_report(knot)
     if args.json:
         payload = report.to_dict()
         if record is not None:

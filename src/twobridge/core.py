@@ -15,6 +15,7 @@ from __future__ import annotations
 import re
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd
 
 from .errors import DomainError, ParseError
@@ -222,11 +223,18 @@ def division_expansion(x: ExtendedRational) -> Expansion:
     return Expansion(r, tuple(coeffs))
 
 
+@lru_cache(maxsize=1)
 def partial_quotients(p: int, q: int) -> tuple[int, ...]:
     """Regular continued fraction (a_0, a_1, ..., a_n) of p/q, by one Euclid pass.
 
     p/q = a_0 + 1/(a_1 + 1/(... + 1/a_n)) with a_0 = floor(p/q), every
     later quotient >= 1 and the last one >= 2 when n >= 1.
+
+    This is the only big-integer pass on the serving path.  The last
+    fraction's quotients are kept in a one-slot memo, so the seed, the
+    even runs and the depth of one knot share a single pass; the tuple is
+    immutable, so callers on several threads may share it.
+    `partial_quotients.__wrapped__` is the unmemoized call.
     """
     if q <= 0:
         raise DomainError(f"partial quotients need a positive denominator, got {p}/{q}")

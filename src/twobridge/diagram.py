@@ -40,24 +40,28 @@ def depth(x: ExtendedRational) -> int:
     runs the left end.  A run of k >= 1 steps leaves its end at depth
     min(depth(other end) + 1, depth(it) + k), and the two ends are
     neighbours whose depths differ by at most 1, so for k >= 2 that is
-    the other end's depth plus 1.  The answer is one more than the
-    shallower end.  Only the Euclid pass touches big integers.
+    the other end's depth plus 1, and for k = 1 the shallower end's.  The
+    answer is one more than the shallower end.  The quotients come from
+    the memoized Euclid pass that the knot's seed and even runs share, so
+    after the report depth makes no pass of its own.
     """
     if x.is_infinite:
         return 0
     quotients = partial_quotients(x.numerator, x.denominator)
-    n = len(quotients) - 1
-    if n == 0:
+    if len(quotients) == 1:
         return 0
+    runs = list(quotients[1:])
+    runs[0] -= 1
+    runs[-1] -= 1
     left = right = 0
-    for i in range(1, n + 1):
-        k = quotients[i] - (i == 1) - (i == n)
-        if k == 0:
-            continue
-        if i % 2:
-            right = left + 1 if k > 1 else min(left, right) + 1
-        else:
-            left = right + 1 if k > 1 else min(left, right) + 1
+    odd = True
+    for k in runs:
+        if k:
+            if odd:
+                right = left + 1 if k > 1 or left <= right else right + 1
+            else:
+                left = right + 1 if k > 1 or right <= left else left + 1
+        odd = not odd
     return min(left, right) + 1
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from itertools import chain, islice
 
 from .core import (
     Expansion,
@@ -98,14 +99,26 @@ def _even_runs(k: KnotId) -> tuple[int, list[tuple[int, int]]]:
     partial quotients a_1, a_2, ... of q/|p'|.  An even a_i gives s*a_i and
     flips s (the next value is -s*[a_(i+1); ...]).  An odd a_i gives
     s*(a_i + 1), then a_(i+1) - 1 copies of 2s, and adds 1 to a_(i+2): the
-    next value is s*[1; a_(i+1) - 1, a_(i+2), ...].  So the expansion costs
-    one Euclid pass, although T(2,q) has q - 1 coefficients.
+    next value is s*[1; a_(i+1) - 1, a_(i+2), ...].  So the runs cost
+    O(len CF), although T(2,q) has q - 1 coefficients.
+
+    The quotients of q/|p'| come from those of p/q = [0; a_1, ..., a_n],
+    the same memoized Euclid pass as the seed: for even p they are
+    a_1, ..., a_n; for odd p, q/(q - p) = [1; a_1 - 1, a_2, ...], or
+    [a_2 + 1; a_3, ...] when a_1 = 1 (then n >= 2, as p < q).
     """
     if k.q == 1:
         return 0, []
     r, tail = (1, k.p - k.q) if k.p % 2 else (0, k.p)
     s = 1 if tail > 0 else -1
-    quotients = iter(partial_quotients(k.q, abs(tail)))
+    cf = partial_quotients(k.p, k.q)
+    if tail > 0:
+        head, rest = (), 1
+    elif cf[1] > 1:
+        head, rest = (1, cf[1] - 1), 2
+    else:
+        head, rest = (cf[2] + 1,), 3
+    quotients = chain(head, islice(cf, rest, None))
     runs = []
     carry = 0
     for a in quotients:
@@ -153,6 +166,8 @@ def reduced_expansion(k: KnotId) -> Expansion:
     The last knot's result is kept in a one-slot memo, so the report,
     `conway_diagram` and `verify_diagram` of one knot share a single
     reduction.  `reduced_expansion.__wrapped__` is the unmemoized call.
+    The seed's Euclid pass has a one-slot memo of its own, in
+    `partial_quotients`, which `_even_runs` and `depth` read too.
     """
     reduced, _ = reduce_expansion(seed_expansion(fraction_of(k)))
     return reduced

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,8 +9,10 @@ from pathlib import Path
 import pytest
 
 import twobridge
+import twobridge.cli
 from twobridge.cli import main
-from twobridge.core import Expansion, eval_expansion
+from twobridge.core import Expansion, KnotId, eval_expansion
+from twobridge.invariants import genus
 
 # stdout of `shortest` and `shortest --all` as the breadth-first closure printed it,
 # on [5,(2,5)*4] and on fractions whose reduced expansion has an interacting run
@@ -186,6 +189,54 @@ class TestHugeIntegers:
         q = 10**30 + 1
         code, out, _ = run(capsys, "conway", f"1/{q}")
         assert code == 0 and out.splitlines() == [f"C({q})", "verified=true"]
+
+
+class TestOutputBound:
+    # a command whose output would pass cli._MAX_OUTPUT characters is refused
+    # from a lower bound on that output, before anything is built
+
+    def refused(self, code, out, err):
+        return code == 2 and out == "" and len(err.splitlines()) == 1 and "more than" in err
+
+    def test_shortest_all_at_the_boundary(self, capsys, monkeypatch):
+        # 3 members of 2 coefficients: at least 3 * (2*2 + 1) = 15 characters
+        monkeypatch.setattr(twobridge.cli, "_MAX_OUTPUT", 15)
+        code, out, _ = run(capsys, "shortest", "2/5", "--all")
+        assert code == 0 and out.splitlines() == ["1+[-2,-3]", "[2,-2]", "[3,2]"]
+        monkeypatch.setattr(twobridge.cli, "_MAX_OUTPUT", 14)
+        assert self.refused(*run(capsys, "shortest", "2/5", "--all"))
+        code, out, _ = run(capsys, "shortest", "2/5")
+        assert code == 0 and out == "1+[-2,-3]\n"
+
+    @pytest.mark.parametrize("flags", [(), ("--json",)])
+    def test_invariants_at_the_boundary(self, capsys, monkeypatch, flags):
+        # genus 2: the even expansion 1+[-2,-2,-2,-2] has at least 4 * 2 = 8 characters
+        monkeypatch.setattr(twobridge.cli, "_MAX_OUTPUT", 8)
+        code, out, _ = run(capsys, "invariants", "1/5", *flags)
+        assert code == 0 and "1+[-2,-2,-2,-2]" in out
+        monkeypatch.setattr(twobridge.cli, "_MAX_OUTPUT", 7)
+        assert self.refused(*run(capsys, "invariants", "1/5", *flags))
+        assert self.refused(*run(capsys, "invariants", "5_1", *flags))
+
+    def test_knots_below_half_the_bound_need_no_genus(self):
+        # `invariants` skips the genus when 2*(q - 1) is within the bound, as
+        # 2*genus <= q - 1: the even expansion's 2*genus coefficients are at
+        # least 2 in size, so its denominator is at least 2*genus + 1
+        for q in range(3, 302, 2):
+            assert max(genus(KnotId(q, p)) for p in range(1, q) if math.gcd(p, q) == 1) * 2 <= q - 1
+        assert 2 * genus(KnotId(10**30 + 1, 1)) == 10**30
+
+    def test_huge_torus_knot_is_refused_at_once(self, capsys):
+        started = time.perf_counter()
+        assert self.refused(*run(capsys, "invariants", f"1/{10**30 + 1}"))
+        assert time.perf_counter() - started < 1
+
+    def test_all_members_of_a_fence_are_refused_at_once(self, capsys):
+        # the fence [2,4,2,4,...,2] of 2,001 coefficients has about 10**418 members
+        x = eval_expansion(Expansion(0, (2, 4) * 1000 + (2,)))
+        started = time.perf_counter()
+        assert self.refused(*run(capsys, "shortest", str(x), "--all"))
+        assert time.perf_counter() - started < 1
 
 
 def test_cli_import_leaves_oracles_unloaded():

@@ -25,8 +25,17 @@ from twobridge import (
     reduce_expansion,
 )
 from twobridge.conway import conway_diagram, verify_diagram
-from twobridge.core import AdditiveExpansion, division_expansion, eval_additive, fraction_of, mirror
+from twobridge.core import (
+    AdditiveExpansion,
+    division_expansion,
+    eval_additive,
+    fraction_of,
+    mirror,
+    partial_quotients,
+)
+from twobridge.diagram import depth
 from twobridge.invariants import (
+    _even_runs,
     family_k_mn,
     gamma_equals_2g_plus_1,
     plumbing_surface,
@@ -101,6 +110,58 @@ class TestEvenExpansion:
         assert eval_expansion(e) == fraction_of(k)
         assert genus(k) == len(e) // 2
         assert gamma_equals_2g_plus_1(k) == all(abs(c) != 2 for c in e.coefficients)
+
+
+def even_runs_by_second_pass(k):
+    """Reference for `_even_runs`: the same run reading over a Euclid pass of its own on q/|p'|."""
+    if k.q == 1:
+        return 0, []
+    r, tail = (1, k.p - k.q) if k.p % 2 else (0, k.p)
+    s = 1 if tail > 0 else -1
+    quotients = iter(partial_quotients.__wrapped__(k.q, abs(tail)))
+    runs = []
+    carry = 0
+    for a in quotients:
+        a += carry
+        if a % 2 == 0:
+            runs.append((s * a, 1))
+            s, carry = -s, 0
+            continue
+        twos = next(quotients)
+        runs.append((s * (a + 1), 1))
+        if twos > 1:
+            runs.append((2 * s, twos - 1))
+        carry = 1
+    return r, runs
+
+
+class TestEvenRunsFromTheSeedPass:
+    # `_even_runs` derives the quotients of q/|p'| from those of p/q
+    # instead of running a second Euclid pass
+
+    def test_every_knot_up_to_q_301(self):
+        for k in odd_knots_up_to(301):
+            assert _even_runs(k) == even_runs_by_second_pass(k)
+
+    @given(
+        st.integers(1, 4),
+        st.lists(st.integers(1, 6), max_size=30),
+        st.integers(2, 6),
+        st.booleans(),
+    )
+    def test_quotient_lists(self, a1, middle, last, single):
+        # p/q = [0; a_1, ..., a_n]: a_1 = 1, 2 or >= 3, n = 1 or more, and
+        # both p and q - p, so both parities of p
+        quotients = (a1 + 1,) if single else (a1, *middle, last)
+        x = eval_additive(AdditiveExpansion(0, quotients))
+        assume(x.denominator % 2 == 1)
+        p, q = x.numerator, x.denominator
+        assert partial_quotients.__wrapped__(p, q) == (0, *quotients)
+        for k in (KnotId(q, p), KnotId(q, q - p)):
+            assert _even_runs(k) == even_runs_by_second_pass(k)
+
+    def test_unknot(self):
+        assert _even_runs(KnotId(1, 0)) == (0, [])
 
 
 class TestGenusAndCrosscap:
@@ -299,6 +360,82 @@ class TestReductionMemo:
             reduced_expansion.cache_clear()
             fresh = invariant_report(k)
             assert all(r == fresh for r in seen)
+
+
+class TestEuclidMemo:
+    """One Euclid pass per knot: the seed, the even runs and depth share `partial_quotients`."""
+
+    @pytest.fixture(autouse=True)
+    def cold(self):
+        reduced_expansion.cache_clear()
+        partial_quotients.cache_clear()
+        yield
+        partial_quotients.cache_clear()
+
+    def test_every_invariant_of_one_knot(self):
+        k = KnotId(55, 21)
+        report = invariant_report(k)
+        assert verify_diagram(conway_diagram(k), k)
+        assert depth(fraction_of(k)) == len(report.reduced) == 4
+        assert genus(k) == report.genus
+        assert gamma_equals_2g_plus_1(k) is False
+        assert partial_quotients.cache_info().misses == 1
+
+    def test_torus_knot_of_3_to_the_40(self):
+        k = KnotId(3**40, 1)
+        assert crosscap(k) == 1
+        assert genus(k) == (3**40 - 1) // 2
+        assert depth(fraction_of(k)) == 1
+        assert partial_quotients.cache_info().misses == 1
+
+    def test_knot_of_2000_random_quotients(self):
+        rng = random.Random(2000)
+        quotients = [rng.randint(1, 4) for _ in range(1999)] + [rng.randint(2, 4)]
+        x = eval_additive(AdditiveExpansion(0, tuple(quotients)))
+        if x.denominator % 2 == 0:
+            x = eval_additive(AdditiveExpansion(0, tuple(quotients[:-1]) + (quotients[-1] + 1,)))
+        k = KnotId(x.denominator, x.numerator)
+        report = invariant_report(k)
+        assert verify_diagram(conway_diagram(k), k)
+        assert depth(fraction_of(k)) == len(report.reduced)
+        assert genus(k) == report.genus
+        assert partial_quotients.cache_info().misses == 1
+
+    def test_one_slot(self):
+        for p, q in ((2, 9), (2, 9), (4, 15), (2, 9)):
+            partial_quotients(p, q)
+        assert partial_quotients.cache_info().misses == 3
+        assert partial_quotients.cache_info().currsize == 1
+
+    def test_threads_share_the_memos(self):
+        # 8 threads switching every microsecond, so calls on
+        # different knots interleave between a memo's lookup and its store
+        from concurrent.futures import ThreadPoolExecutor
+
+        knots = list(odd_knots_up_to(45))
+        random.Random(45).shuffle(knots)
+
+        def numbers(k):
+            return invariant_report(k), depth(fraction_of(k)), genus(k)
+
+        serial = [numbers(k) for k in knots]
+        saved = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(numbers, k) for k in knots]
+                parallel = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(saved)
+        assert parallel == serial
+
+    def test_memo_is_transparent(self):
+        pairs = [(x.numerator, x.denominator) for x in map(fraction_of, odd_knots_up_to(101))]
+        pairs += [(-p, q) for p, q in pairs[::7]] + [(q, p) for p, q in pairs[::5]]
+        random.Random(101).shuffle(pairs)
+        for a, b in zip(pairs[::2], pairs[1::2]):
+            for p, q in (a, b, a, a):
+                assert partial_quotients(p, q) == partial_quotients.__wrapped__(p, q)
 
 
 class TestBoundedCost:
