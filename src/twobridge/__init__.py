@@ -1,12 +1,14 @@
 """Crosscap numbers of 2-bridge knots from exact continued-fraction arithmetic.
 
-The pipeline: a fraction p/q names the knot S(q,p); a seed expansion
-read off its partial quotients is driven to a fixpoint by a three-rule
-rewrite system whose output length is the minimal expansion length; the crosscap number,
-genus, boundary classification and a crosscap-realizing Conway diagram
-are read off from there.  The Farey-diagram depth provides an
-independent check of minimal lengths, and the bundled table of the 362
-two-bridge knots through 12 crossings is verified end to end.
+The pipeline: a fraction p/q names the knot S(q,p); one pass over its
+partial quotients forms a seed expansion and keeps it a fixpoint of a
+three-rule rewrite system, whose fixpoints have the minimal expansion
+length; the crosscap number, genus, boundary classification and a
+crosscap-realizing Conway diagram are read off that reduced expansion.
+`reduce_expansion` applies the same rules to any expansion and records
+each step.  The Farey-diagram depth provides an independent check of
+minimal lengths, and the bundled table of the 362 two-bridge knots
+through 12 crossings is verified end to end.
 
 This namespace holds the serving API; the rest lives in the submodules,
 and the slow verification oracles in `twobridge.oracles`.

@@ -31,7 +31,6 @@ __all__ = [
     "alternating_sign_convert",
     "division_expansion",
     "partial_quotients",
-    "seed_expansion",
     "same_knot",
     "mirror",
     "canonical_form",
@@ -205,8 +204,9 @@ def division_expansion(x: ExtendedRational) -> Expansion:
     Splits off the floor as the integer part, then applies ceiling
     quotients, which yields coefficients that are all >= 2.  Its length
     is about the sum of the partial quotients, so no serving code runs
-    it: the pipeline seeds from `seed_expansion`, and the tests hold that
-    seed's fixpoint to the one this expansion reduces to.
+    it: the pipeline reduces in one pass over the partial quotients
+    (`reduction.reduced_from_quotients`), and the tests hold that result
+    to the fixpoint this expansion reduces to.
     """
     if x.is_infinite:
         raise DomainError("cannot expand 1/0")
@@ -231,9 +231,10 @@ def partial_quotients(p: int, q: int) -> tuple[int, ...]:
     later quotient >= 1 and the last one >= 2 when n >= 1.
 
     This is the only big-integer pass on the serving path.  The last
-    fraction's quotients are kept in a one-slot memo, so the seed, the
-    even runs and the depth of one knot share a single pass; the tuple is
-    immutable, so callers on several threads may share it.
+    fraction's quotients are kept in a one-slot memo, so the reduced
+    expansion, the even runs and the depth of one knot share a single
+    pass; the tuple is immutable, so callers on several threads may
+    share it.
     `partial_quotients.__wrapped__` is the unmemoized call.
     """
     if q <= 0:
@@ -244,37 +245,6 @@ def partial_quotients(p: int, q: int) -> tuple[int, ...]:
         out.append(a)
         p, q = q, r
     return tuple(out)
-
-
-def seed_expansion(x: ExtendedRational) -> Expansion:
-    """The alternating-sign expansion of x with its -1s removed and its -2s flipped.
-
-    For x = a_0 + [0; a_1, ..., a_n] that expansion is
-    a_0 + [a_1, -a_2, a_3, -a_4, ...].  An even-position quotient of 1
-    is dropped, [...,a,-1,b,...] = [...,a+1,b+1,...], and one of 2 is
-    flipped, [...,a,-2,b,...] = [...,a+1,2,b+1,...]; the last quotient is
-    never 1, and at the tail [...,a,-2] = [...,a+1,2].  Odd-position
-    terms stay positive, so no edit creates another.  The seed evaluates
-    exactly to x and has at most n coefficients, where the division
-    expansion has about a_1 + ... + a_n.
-    """
-    if x.is_infinite:
-        raise DomainError("cannot expand 1/0")
-    a0, *quotients = partial_quotients(x.numerator, x.denominator)
-    coeffs = []
-    bump = 0  # 1 right after a dropped or flipped quotient: the next term gains 1
-    for i, a in enumerate(quotients):
-        if i % 2 == 0:
-            coeffs.append(a + bump)
-            bump = 0
-        elif a >= 3:
-            coeffs.append(-a)
-        else:
-            coeffs[-1] += 1
-            if a == 2:
-                coeffs.append(2)
-            bump = 1
-    return Expansion(a0, tuple(coeffs))
 
 
 # ---------------------------------------------------------------------------

@@ -16,10 +16,10 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 
-from .core import Expansion, ExtendedRational, _format_int, partial_quotients, seed_expansion
+from .core import Expansion, ExtendedRational, _format_int, partial_quotients
 from .errors import DomainError, PatternMatchError
 from .invariants import Boundary, _crosscap_and_boundary
-from .reduction import reduce_expansion
+from .reduction import reduced_from_quotients
 
 __all__ = [
     "depth",
@@ -42,8 +42,8 @@ def depth(x: ExtendedRational) -> int:
     neighbours whose depths differ by at most 1, so for k >= 2 that is
     the other end's depth plus 1, and for k = 1 the shallower end's.  The
     answer is one more than the shallower end.  The quotients come from
-    the memoized Euclid pass that the knot's seed and even runs share, so
-    after the report depth makes no pass of its own.
+    the memoized Euclid pass that the knot's reduced expansion and even
+    runs share, so after the report depth makes no pass of its own.
     """
     if x.is_infinite:
         return 0
@@ -233,11 +233,12 @@ class ShortestSet:
 def all_shortest_expansions(x: ExtendedRational) -> ShortestSet:
     """The shortest expansions of x, read off its reduced expansion.
 
-    The automaton behind the class has at most 12 states per position, so
-    `size`, `least()` and `has_odd_type` cost O(len T) and the walks
-    O(len T) per member.  `oracles` keeps the breadth-first closure under
+    T comes from `reduced_from_quotients`, one pass over the partial
+    quotients of x.  The automaton behind the class has at most 12
+    states per position, so `size`, `least()` and `has_odd_type` cost
+    O(len T) and the walks O(len T) per member.  `oracles` keeps the breadth-first closure under
     rectangle moves as the reference.
     """
     if x.is_infinite or x.is_integer:
         raise DomainError(f"shortest expansions are defined for non-integer finite values, got {x}")
-    return ShortestSet(x, reduce_expansion(seed_expansion(x))[0])
+    return ShortestSet(x, reduced_from_quotients(x.numerator, x.denominator))

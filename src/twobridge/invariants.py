@@ -24,10 +24,9 @@ from .core import (
     format_expansion,
     knot_from_fraction,
     partial_quotients,
-    seed_expansion,
 )
 from .errors import DomainError, InternalError
-from .reduction import reduce_expansion
+from .reduction import reduced_from_quotients
 
 __all__ = [
     "Boundary",
@@ -103,9 +102,9 @@ def _even_runs(k: KnotId) -> tuple[int, list[tuple[int, int]]]:
     O(len CF), although T(2,q) has q - 1 coefficients.
 
     The quotients of q/|p'| come from those of p/q = [0; a_1, ..., a_n],
-    the same memoized Euclid pass as the seed: for even p they are
-    a_1, ..., a_n; for odd p, q/(q - p) = [1; a_1 - 1, a_2, ...], or
-    [a_2 + 1; a_3, ...] when a_1 = 1 (then n >= 2, as p < q).
+    the same memoized Euclid pass as the reduced expansion: for even p
+    they are a_1, ..., a_n; for odd p, q/(q - p) = [1; a_1 - 1, a_2, ...],
+    or [a_2 + 1; a_3, ...] when a_1 = 1 (then n >= 2, as p < q).
     """
     if k.q == 1:
         return 0, []
@@ -156,21 +155,21 @@ def genus(k: KnotId) -> int:
 
 @lru_cache(maxsize=1)
 def reduced_expansion(k: KnotId) -> Expansion:
-    """Fixpoint of the rewrite system on the seed read off the partial quotients of p/q.
+    """The shortest expansion of p/q with no -2, from one pass over its partial quotients.
 
-    The seed (`seed_expansion`) is the alternating-sign expansion
-    a_0 + [a_1, -a_2, a_3, ...] with its -1s removed and its -2s flipped,
-    so it has at most len CF coefficients instead of about q.  The tests
-    hold the fixpoint to the one the division expansion reduces to.
+    `reduced_from_quotients` forms the seed a_0 + [a_1, -a_2, a_3, ...]
+    (its -1s removed, its -2s flipped) as it reads the quotients and
+    keeps the coefficients so far a fixpoint of the rewrite rules, so the
+    cost grows with len CF, not with q, and no trace is built.  The tests
+    hold the result to the fixpoint of the division expansion.
 
     The last knot's result is kept in a one-slot memo, so the report,
     `conway_diagram` and `verify_diagram` of one knot share a single
     reduction.  `reduced_expansion.__wrapped__` is the unmemoized call.
-    The seed's Euclid pass has a one-slot memo of its own, in
+    The Euclid pass has a one-slot memo of its own, in
     `partial_quotients`, which `_even_runs` and `depth` read too.
     """
-    reduced, _ = reduce_expansion(seed_expansion(fraction_of(k)))
-    return reduced
+    return reduced_from_quotients(k.p, k.q)
 
 
 def _crosscap_and_boundary(reduced: Expansion) -> tuple[int, Boundary]:

@@ -11,13 +11,22 @@ from collections import deque
 from collections.abc import Iterator
 from math import gcd
 
-from .core import Expansion, ExtendedRational, KnotId, division_expansion, eval_expansion, fraction_of
+from .core import (
+    Expansion,
+    ExtendedRational,
+    KnotId,
+    division_expansion,
+    eval_expansion,
+    fraction_of,
+    partial_quotients,
+)
 from .diagram import depth, rectangle_move, rectangle_positions
 from .errors import DomainError
 from .invariants import _require_knot
 from .reduction import ReductionStep, ReductionTrace, Rule, apply_rule, reduce_expansion
 
 __all__ = [
+    "seed_expansion",
     "farey_parents",
     "depth_by_parents",
     "depth_by_mediant_walk",
@@ -31,6 +40,41 @@ __all__ = [
     "reduce_by_scanning",
     "check_trace",
 ]
+
+
+def seed_expansion(x: ExtendedRational) -> Expansion:
+    """The alternating-sign expansion of x with its -1s removed and its -2s flipped.
+
+    For x = a_0 + [0; a_1, ..., a_n] that expansion is
+    a_0 + [a_1, -a_2, a_3, -a_4, ...].  An even-position quotient of 1
+    is dropped, [...,a,-1,b,...] = [...,a+1,b+1,...], and one of 2 is
+    flipped, [...,a,-2,b,...] = [...,a+1,2,b+1,...]; the last quotient is
+    never 1, and at the tail [...,a,-2] = [...,a+1,2].  Odd-position
+    terms stay positive, so no edit creates another.  The seed evaluates
+    exactly to x and has at most n coefficients, where the division
+    expansion has about a_1 + ... + a_n.
+
+    The reference for `reduction.reduced_from_quotients`, which forms
+    the same coefficients inside its pass: that result must equal
+    `reduce_expansion(seed_expansion(x))`.
+    """
+    if x.is_infinite:
+        raise DomainError("cannot expand 1/0")
+    a0, *quotients = partial_quotients(x.numerator, x.denominator)
+    coeffs = []
+    bump = 0  # 1 right after a dropped or flipped quotient: the next term gains 1
+    for i, a in enumerate(quotients):
+        if i % 2 == 0:
+            coeffs.append(a + bump)
+            bump = 0
+        elif a >= 3:
+            coeffs.append(-a)
+        else:
+            coeffs[-1] += 1
+            if a == 2:
+                coeffs.append(2)
+            bump = 1
+    return Expansion(a0, tuple(coeffs))
 
 
 def farey_parents(x: ExtendedRational) -> tuple[ExtendedRational, ExtendedRational]:

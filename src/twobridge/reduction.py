@@ -5,6 +5,11 @@ The rules remove a zero coefficient, a +-1 coefficient, or a run
 boundary form.  Each application preserves the exact value and strictly
 shortens the coefficient list, so iteration reaches a fixpoint whose
 length is the minimal expansion length of the value.
+
+`reduce_expansion` drives any expansion to its fixpoint leftmost site
+first and records each step; `reduced_from_quotients` reaches the
+fixpoint of a fraction's seed in one pass over its partial quotients and
+records nothing.
 """
 
 from __future__ import annotations
@@ -13,8 +18,8 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 
-from .core import Expansion, format_expansion
-from .errors import PatternMatchError
+from .core import Expansion, format_expansion, partial_quotients
+from .errors import InternalError, PatternMatchError
 
 __all__ = [
     "Rule",
@@ -22,6 +27,7 @@ __all__ = [
     "ReductionTrace",
     "apply_rule",
     "reduce_expansion",
+    "reduced_from_quotients",
     "format_trace",
 ]
 
@@ -229,6 +235,11 @@ class _Sites:
 def reduce_expansion(e: Expansion) -> tuple[Expansion, ReductionTrace]:
     """Drive e to a fixpoint of the three rules, recording every step.
 
+    For an expansion the user gives, whose leftmost-first trace is the
+    answer (`twobridge reduce --trace`, the table's shortest check, the
+    oracles).  The pipeline derives a knot's reduced expansion with
+    `reduced_from_quotients`, which keeps no trace.
+
     The fixpoint length is the minimal length over all expansions of all
     fractions equivalent to the value; the empty list (integer values)
     and a lone [0] (the value 1/0) are legal degenerate outputs.
@@ -249,6 +260,137 @@ def reduce_expansion(e: Expansion) -> tuple[Expansion, ReductionTrace]:
         moves.append(step)
     final = Expansion(r, c) if moves else e
     return final, ReductionTrace(e, tuple(moves), final)
+
+
+def _block_start(c: list[int]) -> int:
+    """Index of the 2e that opens a block 2e,3e,...,3e,2e ending at the top of c, else -1.
+
+    The top is +-2; the scan passes the 3e run below it once.
+    """
+    t = c[-1]
+    three = t + t // 2
+    j = len(c) - 2
+    while j >= 0 and c[j] == three:
+        j -= 1
+    return j if j >= 0 and c[j] == t else -1
+
+
+def _settle(c: list[int], todo: list[int]) -> int:
+    """Push the values of todo, last first, onto c; returns the change in the integer part.
+
+    c has no site of the three rules except at its top: a top of 0 or +-1,
+    or a +-2 that closes a block, waits for the right neighbour that the
+    interior form needs.  A push supplies it, so that rule applies, and
+    the pushed value, edited by the rule, is pushed onto what is left;
+    a block leaves its body -3e,...,-3e to push first.  The head forms
+    apply where the site starts at c[0].
+    """
+    dr = 0
+    while todo:
+        v = todo.pop()
+        while c:
+            t = c[-1]
+            if t == 0:  # [..., a, 0, v] = [..., a + v]; [0, v, ...] = -v + [...]
+                c.pop()
+                if not c:
+                    dr -= v
+                    break
+                v += c.pop()
+            elif t == 1 or t == -1:  # [..., a, e, v] = [..., a - e, v - e]; [e, v, ...] = e + [v - e, ...]
+                c.pop()
+                v -= t
+                if c:
+                    c[-1] -= t
+                else:
+                    dr += t
+            elif (t == 2 or t == -2) and (j := _block_start(c)) >= 0:
+                # [..., a, 2e, 3e, ..., 3e, 2e, v] = [..., a - e, -3e, ..., -3e, v - e]
+                eps = t // 2
+                body = len(c) - j - 1
+                del c[j:]
+                if c:
+                    c[-1] -= eps
+                else:
+                    dr += eps
+                todo.append(v - eps)
+                todo += [-3 * eps] * body
+                break
+            else:
+                c.append(v)
+                break
+        else:
+            c.append(v)
+    return dr
+
+
+def _close(c: list[int]) -> int:
+    """Apply the tail forms of the rules at the top of c until none applies; returns the change in r."""
+    dr = 0
+    while c:
+        t = c[-1]
+        if t == 0:  # [..., a, 0] = [...]
+            if len(c) == 1:
+                raise InternalError("a lone [0] is the value 1/0, which no fraction reduces to")
+            del c[-2:]
+        elif t == 1 or t == -1:  # [..., a, e] = [..., a - e]; [e] = e + []
+            c.pop()
+            if c:
+                c[-1] -= t
+            else:
+                dr += t
+        elif (t == 2 or t == -2) and (j := _block_start(c)) >= 0:
+            # [..., a, 2e, 3e, ..., 3e, 2e] = [..., a - e, -3e, ..., -3e]
+            eps = t // 2
+            body = len(c) - j - 1
+            del c[j:]
+            if c:
+                c[-1] -= eps
+            else:
+                dr += eps
+            dr += _settle(c, [-3 * eps] * body)
+        else:
+            break
+    return dr
+
+
+def reduced_from_quotients(p: int, q: int) -> Expansion:
+    """The reduced expansion of p/q, in one pass over its partial quotients a_0; a_1, ..., a_n.
+
+    The pass forms the seed (`oracles.seed_expansion`) inline: an
+    odd-position a_i gives a_i, an even-position a_i >= 3 gives -a_i, an
+    even-position 1 raises both neighbours, and an even-position 2 raises
+    both and gives 2.  Each coefficient is pushed onto a list kept a
+    fixpoint of the three rules but at its top, so that the rules apply
+    as the list grows and the tail forms once at the end.  A push onto a
+    top of absolute value 3 or more, or onto a +-2 whose left neighbour
+    is neither 2e nor 3e, is one append, with no call; the rest go
+    through `_settle`.  The result equals the fixpoint that
+    `reduce_expansion` reaches from the seed, the one shortest
+    expansion with no -2 (held to it in the tests), without building the
+    seed, the steps or the trace.
+    """
+    cf = partial_quotients(p, q)
+    r = cf[0]
+    c: list[int] = []
+    odd, even = cf[1::2], cf[2::2]
+    bump = 0  # true after an even-position 1 or 2, which raises the next odd-position term by 1
+    for a, b in zip(odd, even):
+        v = a + bump if b > 2 else a + bump + 1  # an even-position 1 or 2 raises its left neighbour too
+        if c and -3 < (t := c[-1]) < 3 and (-2 < t < 2 or len(c) > 1 and c[-2] in (t, t + t // 2)):
+            r += _settle(c, [v])
+        else:
+            c.append(v)
+        if b != 1:
+            v = -b if b > 2 else 2
+            if c and -3 < (t := c[-1]) < 3 and (-2 < t < 2 or len(c) > 1 and c[-2] in (t, t + t // 2)):
+                r += _settle(c, [v])
+            else:
+                c.append(v)
+        bump = b < 3
+    if len(odd) > len(even):
+        r += _settle(c, [odd[-1] + bump])
+    r += _close(c)
+    return Expansion(r, tuple(c))
 
 
 def format_trace(trace: ReductionTrace) -> str:

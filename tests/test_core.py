@@ -32,9 +32,9 @@ from twobridge.core import (
     partial_quotients,
     reverse_expansion,
     same_knot,
-    seed_expansion,
 )
 from twobridge.diagram import rectangle_move
+from twobridge.oracles import seed_expansion
 from twobridge.reduction import ReductionStep, Rule, apply_rule
 
 coefficients = st.lists(
@@ -384,3 +384,12 @@ def test_serving_modules_do_not_seed_from_the_division_expansion():
     for path in Path(twobridge.__file__).parent.glob("*.py"):
         if path.name not in ("core.py", "oracles.py"):
             assert "division_expansion" not in path.read_text(encoding="utf-8"), path.name
+
+
+def test_serving_modules_reduce_in_one_pass():
+    """A knot's reduced expansion comes from one pass over its quotients, never from the traced reducer."""
+    import twobridge
+
+    for name in ("invariants.py", "diagram.py", "conway.py"):
+        text = (Path(twobridge.__file__).parent / name).read_text(encoding="utf-8")
+        assert "seed_expansion" not in text and "reduce_expansion" not in text, name

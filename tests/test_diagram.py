@@ -18,7 +18,7 @@ from twobridge import (
     parse_expansion,
     reduce_expansion,
 )
-from twobridge.core import INFINITY, AdditiveExpansion, division_expansion, eval_additive, seed_expansion
+from twobridge.core import INFINITY, AdditiveExpansion, division_expansion, eval_additive
 from twobridge.diagram import rectangle_move, rectangle_positions
 from twobridge.errors import PatternMatchError
 from twobridge.oracles import (
@@ -29,6 +29,7 @@ from twobridge.oracles import (
     depth_by_parents,
     farey_parents,
     is_shortest,
+    seed_expansion,
 )
 
 

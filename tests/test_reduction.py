@@ -1,19 +1,24 @@
 import random
+import time
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from twobridge import Expansion, ExtendedRational, eval_expansion, parse_expansion, reduce_expansion
-from twobridge.core import AdditiveExpansion, division_expansion, eval_additive, format_expansion, seed_expansion
-from twobridge.errors import PatternMatchError
-from twobridge.oracles import applicable_steps, check_trace, reduce_by_scanning, reduce_with_strategy
+from twobridge.core import AdditiveExpansion, division_expansion, eval_additive, format_expansion, partial_quotients
+from twobridge.diagram import depth
+from twobridge.errors import DomainError, PatternMatchError
+from twobridge.oracles import applicable_steps, check_trace, reduce_by_scanning, reduce_with_strategy, seed_expansion
 from twobridge.reduction import (
     ReductionStep,
     Rule,
+    _close,
+    _settle,
     apply_rule,
     format_trace,
+    reduced_from_quotients,
 )
 
 expansions = st.builds(
@@ -232,3 +237,79 @@ class TestSeedAgainstDivision:
         assert eval_expansion(seed) == x
         assert len(seed) <= len(quotients)
         assert reduce_expansion(seed)[0] == reduce_expansion(division_expansion(x))[0]
+
+
+def assert_matches_the_seed_fixpoint(x):
+    """reduced_from_quotients(x) is the seed's leftmost-first fixpoint: shortest, no -2, value x."""
+    reduced = reduced_from_quotients(x.numerator, x.denominator)
+    assert reduced == reduce_expansion(seed_expansion(x))[0]
+    assert -2 not in reduced.coefficients
+    assert len(reduced) == depth(x)
+    assert eval_expansion(reduced) == x
+
+
+def value_of_quotients(a0, quotients):
+    if quotients and quotients[-1] == 1:
+        quotients = quotients[:-1] + [2]  # the last quotient of a regular continued fraction is >= 2
+    return eval_additive(AdditiveExpansion(a0, tuple(quotients)))
+
+
+class TestReducedFromQuotients:
+    @pytest.mark.parametrize(
+        "fraction,reduced",
+        [("0/1", "[]"), ("5/1", "5+[]"), ("2/9", "[5,2]"), ("-3/7", "-1+[2,4]"), ("34/89", "[3,3,3,3,2]"),
+         ("3/4", "1+[-4]"), ("2/3", "1+[-3]"), ("15/34", "[2,-4,-4]"), ("8/19", "[2,-3,-3]"),
+         ("39/53", "1+[-4,-5,-3]")],
+    )
+    def test_examples(self, fraction, reduced):
+        assert format_expansion(reduced_from_quotients(*map(int, fraction.split("/")))) == reduced
+
+    def test_every_fraction_up_to_150(self):
+        for q in range(1, 151):
+            for p in range(-2 * q, 3 * q):
+                if gcd(p, q) == 1:
+                    assert_matches_the_seed_fixpoint(ExtendedRational(p, q))
+
+    @given(st.integers(-3, 3), st.lists(st.integers(1, 2), max_size=60))
+    def test_quotients_one_and_two(self, a0, quotients):
+        assert_matches_the_seed_fixpoint(value_of_quotients(a0, quotients))
+
+    @given(st.integers(-3, 3), st.lists(st.integers(1, 4), max_size=60))
+    def test_quotients_up_to_four(self, a0, quotients):
+        assert_matches_the_seed_fixpoint(value_of_quotients(a0, quotients))
+
+    @given(st.integers(-3, 3), st.lists(st.integers(1, 3) | st.integers(4, 10**12), max_size=40))
+    def test_large_quotients(self, a0, quotients):
+        assert_matches_the_seed_fixpoint(value_of_quotients(a0, quotients))
+
+    @given(expansions)
+    def test_pushing_any_expansion_reaches_a_fixpoint(self, e):
+        # the seeds never make a 0; any expansion exercises every rule form at the top
+        assume(not eval_expansion(e).is_infinite)
+        c, r = [], e.integer_part
+        for v in e.coefficients:
+            r += _settle(c, [v])
+        r += _close(c)
+        pushed = Expansion(r, tuple(c))
+        assert eval_expansion(pushed) == eval_expansion(e)
+        assert not applicable_steps(pushed)
+        assert len(pushed) == len(reduce_expansion(e)[0])
+
+    def test_rejects_a_zero_denominator(self):
+        with pytest.raises(DomainError):
+            reduced_from_quotients(1, 0)
+
+    @pytest.mark.parametrize("kind", ["ones", "twos", "ones_and_twos"])
+    def test_long_quotient_lists_in_bounded_time(self, kind):
+        rng = random.Random(20000)
+        quotients = {
+            "ones": [1] * 20000,
+            "twos": [2] * 20000,
+            "ones_and_twos": [rng.choice((1, 2)) for _ in range(20000)],
+        }[kind]
+        x = value_of_quotients(0, quotients)
+        partial_quotients(x.numerator, x.denominator)  # time the pass over the quotients, not the Euclid pass
+        started = time.perf_counter()
+        reduced = reduced_from_quotients(x.numerator, x.denominator)
+        assert time.perf_counter() - started < 0.5
+        assert reduced == reduce_expansion(seed_expansion(x))[0]

@@ -1,8 +1,10 @@
 import hashlib
+from dataclasses import replace
 from importlib import resources
 
 import pytest
 
+import twobridge.table
 from twobridge import (
     Boundary,
     DomainError,
@@ -18,6 +20,7 @@ from twobridge import (
     parse_fraction,
     verify_table,
 )
+from twobridge.table import KnotRecord, _Table
 
 EXPECTED_SHA256 = "431762012ab15346eb125390ad32fc5ffa683a9673909fd2df3dc621581881a7"
 STARRED = {"7_4", "8_3", "9_5", "10_3", "11a_343", "11a_363", "12a_1166", "12a_1287"}
@@ -76,6 +79,35 @@ class TestVerify:
         lines = verify_table().lines()
         assert lines[-1] == "OK"
         assert any(line.startswith("a_eval") and line.endswith("362/362") for line in lines)
+
+
+    def test_each_corruption_is_one_fail_line(self, monkeypatch):
+        table = twobridge.table._table()
+        changed = {
+            "3_1": {"gamma": 2},
+            "4_1": {"expansion": parse_expansion("[5,2]")},  # the expansion of 6_1
+            "6_1": {"expansion": parse_expansion("[5,3,1]")},  # right value, not shortest
+            "7_4": {"starred": False},
+        }
+        records = [replace(rec, **changed.get(rec.name, {})) for rec in table.records]
+        records.append(KnotRecord("6_1'", parse_fraction("5/9"), 2, parse_expansion("[2,5]"), False))
+        corrupted = _Table(records, {rec.name: rec for rec in records}, table.by_canonical)
+        monkeypatch.setattr(twobridge.table, "_table", lambda: corrupted)
+        report = verify_table()
+        assert not report.ok
+        assert report.lines() == [
+            "a_eval (expansion evaluates to p/q): 362/363",
+            "b_shortest (expansion is shortest (reduction preserves length)): 362/363",
+            "c_gamma (computed crosscap equals the table's): 362/363",
+            "d_starred (starred exactly when crosscap = 2*genus + 1 (even type, no +-2)): 362/363",
+            "e_distinct (all canonical forms distinct): 362/363",
+            "FAIL 3_1 c_gamma: computed crosscap 1, table says 2",
+            "FAIL 4_1 a_eval: [5,2] evaluates to 2/9, table says 2/5",
+            "FAIL 6_1 b_shortest: [5,3,1] reduces to [5,2]",
+            "FAIL 7_4 d_starred: starred=False, gamma=2g+1 is True, even expansion [4,4]",
+            "FAIL 6_1' e_distinct: same knot as 6_1",
+            "FAILED (5 failures)",
+        ]
 
 
 class TestLookup:
