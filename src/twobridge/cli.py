@@ -23,7 +23,7 @@ from .core import (
 )
 from .diagram import all_shortest_expansions, depth
 from .errors import DomainError, TwoBridgeError
-from .invariants import genus, invariant_report
+from .invariants import invariant_report
 from .reduction import format_trace, reduce_expansion
 from .table import find_record, resolve, verify_table
 
@@ -47,7 +47,9 @@ def _cmd_eval(args) -> int:
 
 def _cmd_reduce(args) -> int:
     reduced, trace = reduce_expansion(parse_expansion(args.expansion))
-    if args.trace and trace.steps:
+    if args.trace and trace.moves:
+        # each line ends in the expansion that its move left, of L coefficients: at least 2*L + 1 characters
+        _check_output_size(sum(2 * n + 1 for n in trace.lengths()), "reduce --trace")
         print(format_trace(trace))
     print(format_expansion(reduced))
     return 0
@@ -71,12 +73,9 @@ def _cmd_shortest(args) -> int:
 
 def _cmd_invariants(args) -> int:
     knot, record = resolve(args.knot)
-    # The even expansion has 2*genus coefficients, each with a separator, so
-    # at least 4*genus characters.  Its coefficients are even and nonzero, so
-    # its denominator q is at least 2*genus + 1: a smaller q needs no genus.
-    if 2 * (knot.q - 1) > _MAX_OUTPUT:
-        _check_output_size(4 * genus(knot), "invariants")
     report = invariant_report(knot)
+    # the even expansion has 2*genus coefficients, each with its "," or "]"
+    _check_output_size(4 * report.genus, "invariants")
     if args.json:
         payload = report.to_dict()
         if record is not None:
@@ -189,22 +188,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    # Numbers may have any length, so the int-string limit is lifted for the
-    # call and restored afterwards, also when argparse exits on a usage error.
-    # 3.10 releases lacking it have no limit to lift.
-    lift = hasattr(sys, "set_int_max_str_digits")
-    if lift:
-        limit = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(0)
     try:
         args = _build_parser().parse_args(argv)
         return args.func(args)
     except TwoBridgeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    finally:
-        if lift:
-            sys.set_int_max_str_digits(limit)
 
 
 def entry() -> None:

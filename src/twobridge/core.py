@@ -238,7 +238,7 @@ def partial_quotients(p: int, q: int) -> tuple[int, ...]:
     `partial_quotients.__wrapped__` is the unmemoized call.
     """
     if q <= 0:
-        raise DomainError(f"partial quotients need a positive denominator, got {p}/{q}")
+        raise DomainError(f"partial quotients need a positive denominator, got {_format_int(p)}/{_format_int(q)}")
     out = []
     while q:
         a, r = divmod(p, q)
@@ -265,20 +265,17 @@ class KnotId:
     def __post_init__(self):
         q, p = self.q, self.p
         if q < 1 or q % 2 == 0:
-            raise DomainError(f"q must be a positive odd integer, got {q}")
+            raise DomainError(f"q must be a positive odd integer, got {_format_int(q)}")
         if q == 1:
             p = 0
         else:
             p %= q
             if gcd(p, q) != 1:
-                raise DomainError(f"p and q must be coprime, got S({q},{self.p})")
+                raise DomainError(f"p and q must be coprime, got S({_format_int(q)},{_format_int(self.p)})")
         object.__setattr__(self, "p", p)
 
     def __str__(self) -> str:
-        try:
-            return f"S({self.q},{self.p})"
-        except ValueError:  # past the int-string limit
-            return f"S({_format_int(self.q)},{_format_int(self.p)})"
+        return f"S({_format_int(self.q)},{_format_int(self.p)})"
 
 
 def _inverse_mod(p: int, q: int) -> int:

@@ -76,7 +76,7 @@ def rectangle_move(e: Expansion, position: int) -> Expansion:
     n = len(c)
     j = position - 1
     if not 0 <= j < n:
-        raise PatternMatchError(f"rectangle move position {position} out of range for {e}")
+        raise PatternMatchError(f"rectangle move position {_format_int(position)} out of range for {e}")
     if abs(c[j]) != 2:
         raise PatternMatchError(f"rectangle move needs coefficient +-2 at position {position} in {e}")
     eps = c[j] // 2

@@ -19,6 +19,7 @@ from itertools import chain, islice
 from .core import (
     Expansion,
     KnotId,
+    _format_int,
     eval_expansion,
     fraction_of,
     format_expansion,
@@ -61,13 +62,20 @@ class PlumbingSurface:
 
 @dataclass(frozen=True)
 class InvariantReport:
+    """Every invariant of one knot; the even expansion is kept as its `_even_runs`."""
+
     knot: KnotId
     crosscap: int
     genus: int
     reduced: Expansion
-    even_expansion: Expansion
+    even_runs: tuple[int, tuple[tuple[int, int], ...]]
     odd_shortest_exists: bool
     boundary: Boundary
+
+    @property
+    def even_expansion(self) -> Expansion:
+        """The all-even expansion, spelled out from the runs on each read."""
+        return _spell(*self.even_runs)
 
     def to_dict(self) -> dict:
         return {
@@ -91,7 +99,7 @@ def _require_knot(k: KnotId):
         raise DomainError("operation is undefined for the unknot")
 
 
-def _even_runs(k: KnotId) -> tuple[int, list[tuple[int, int]]]:
+def _even_runs(k: KnotId) -> tuple[int, tuple[tuple[int, int], ...]]:
     """The all-even expansion of k as its integer part and (coef, count) runs.
 
     With p' = p or p - q, whichever is even, and s its sign, read the
@@ -107,7 +115,7 @@ def _even_runs(k: KnotId) -> tuple[int, list[tuple[int, int]]]:
     or [a_2 + 1; a_3, ...] when a_1 = 1 (then n >= 2, as p < q).
     """
     if k.q == 1:
-        return 0, []
+        return 0, ()
     r, tail = (1, k.p - k.q) if k.p % 2 else (0, k.p)
     s = 1 if tail > 0 else -1
     cf = partial_quotients(k.p, k.q)
@@ -133,16 +141,20 @@ def _even_runs(k: KnotId) -> tuple[int, list[tuple[int, int]]]:
         if twos > 1:
             runs.append((2 * s, twos - 1))
         carry = 1
-    return r, runs
+    return r, tuple(runs)
 
 
-def even_expansion(k: KnotId) -> Expansion:
-    """The unique expansion of k with all coefficients even, expanded from `_even_runs`."""
-    r, runs = _even_runs(k)
+def _spell(r: int, runs) -> Expansion:
+    """The expansion r + [c, ..., c, ...] with each (c, m) of runs written out m times."""
     coeffs = []
     for c, m in runs:
         coeffs += [c] * m
     return Expansion(r, tuple(coeffs))
+
+
+def even_expansion(k: KnotId) -> Expansion:
+    """The unique expansion of k with all coefficients even, spelled out from `_even_runs`."""
+    return _spell(*_even_runs(k))
 
 
 def genus(k: KnotId) -> int:
@@ -230,31 +242,31 @@ def plumbing_surface(e: Expansion) -> PlumbingSurface:
 def family_k_mn(m: int, n: int) -> KnotId:
     """The knot of the expansion [m, 4, 4, ..., 4] of length n."""
     if n < 1 or m < 3:
-        raise DomainError(f"family needs m >= 3 and n >= 1, got m={m}, n={n}")
+        raise DomainError(f"family needs m >= 3 and n >= 1, got m={_format_int(m)}, n={_format_int(n)}")
     value = eval_expansion(Expansion(0, (m,) + (4,) * (n - 1)))
     return knot_from_fraction(value)
 
 
 def invariant_report(k: KnotId) -> InvariantReport:
-    """Assemble every invariant of one knot.
+    """Assemble every invariant of one knot in O(len CF) after the Euclid pass.
 
     The crosscap and boundary fields come from the same rule helper as
-    `crosscap` and `boundary_classification`; the genus and the even
-    expansion from `even_expansion`, which spells out Theta(q)
-    coefficients on torus knots.
+    `crosscap` and `boundary_classification`; the genus is half the
+    summed run counts of `_even_runs`, which the report keeps in place of
+    the spelled-out even expansion.
     """
     if k.q == 1:
         empty = Expansion(0, ())
-        return InvariantReport(k, 0, 0, empty, empty, False, Boundary.TRIVIAL)
+        return InvariantReport(k, 0, 0, empty, (0, ()), False, Boundary.TRIVIAL)
     reduced = reduced_expansion(k)
     gamma, boundary = _crosscap_and_boundary(reduced)
-    even = even_expansion(k)
+    runs = _even_runs(k)
     return InvariantReport(
         knot=k,
         crosscap=gamma,
-        genus=len(even) // 2,
+        genus=sum(m for _, m in runs[1]) // 2,
         reduced=reduced,
-        even_expansion=even,
+        even_runs=runs,
         odd_shortest_exists=boundary is Boundary.INCOMPRESSIBLE,
         boundary=boundary,
     )

@@ -14,11 +14,12 @@ records nothing.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 
-from .core import Expansion, format_expansion, partial_quotients
+from .core import Expansion, _format_int, format_expansion, partial_quotients
 from .errors import InternalError, PatternMatchError
 
 __all__ = [
@@ -66,6 +67,18 @@ class ReductionTrace:
     moves: tuple[ReductionStep, ...]
     final: Expansion
 
+    def lengths(self) -> Iterator[int]:
+        """The length of the expansion after each move, read off the rules without replaying them.
+
+        A zero step turns a,0,b into a+b, or drops the 0 and its one
+        neighbour at an end: it removes two coefficients.  A unit or a block
+        step removes one.
+        """
+        n = len(self.initial)
+        for step in self.moves:
+            n -= 2 if step.rule is Rule.REMOVE_ZERO else 1
+            yield n
+
     @cached_property
     def steps(self) -> tuple[tuple[ReductionStep, Expansion], ...]:
         out = []
@@ -79,7 +92,7 @@ class ReductionTrace:
 def _require(condition: bool, step: ReductionStep, c, r: int, why: str):
     if not condition:
         raise PatternMatchError(
-            f"{step.rule.value} at position {step.position} does not match {Expansion(r, c)}: {why}"
+            f"{step.rule.value} at position {_format_int(step.position)} does not match {Expansion(r, c)}: {why}"
         )
 
 

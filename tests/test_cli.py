@@ -170,7 +170,8 @@ class TestHugeIntegers:
         assert numerator.isdigit() and denominator.isdigit() and len(denominator) > 4300
 
     def test_limit_is_restored(self, capsys):
-        # main lifts the limit for its own call only, also when argparse exits
+        # main leaves the limit as it found it, also when argparse exits, and
+        # needs no lift: the parsers and formatters take integers of any length
         saved = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(4300)
         try:
@@ -219,12 +220,30 @@ class TestOutputBound:
         assert self.refused(*run(capsys, "invariants", "5_1", *flags))
 
     def test_knots_below_half_the_bound_need_no_genus(self):
-        # `invariants` skips the genus when 2*(q - 1) is within the bound, as
-        # 2*genus <= q - 1: the even expansion's 2*genus coefficients are at
-        # least 2 in size, so its denominator is at least 2*genus + 1
+        # 2*genus <= q - 1, a bound on the genus: the even expansion's 2*genus
+        # coefficients are at least 2 in size, so its denominator is at least
+        # 2*genus + 1
         for q in range(3, 302, 2):
             assert max(genus(KnotId(q, p)) for p in range(1, q) if math.gcd(p, q) == 1) * 2 <= q - 1
         assert 2 * genus(KnotId(10**30 + 1, 1)) == 10**30
+
+    def test_reduce_trace_at_the_boundary(self, capsys, monkeypatch):
+        # one move leaves [4,-3,4], 3 coefficients: at least 2*3 + 1 = 7 characters
+        monkeypatch.setattr(twobridge.cli, "_MAX_OUTPUT", 7)
+        code, out, _ = run(capsys, "reduce", "[5,2,2,5]", "--trace")
+        assert code == 0 and out.splitlines() == ["RemoveBlock 2 1 2 | [4,-3,4]", "[4,-3,4]"]
+        monkeypatch.setattr(twobridge.cli, "_MAX_OUTPUT", 6)
+        assert self.refused(*run(capsys, "reduce", "[5,2,2,5]", "--trace"))
+        code, out, _ = run(capsys, "reduce", "[5,2,2,5]")
+        assert code == 0 and out == "[4,-3,4]\n"
+
+    def test_long_trace_is_refused_at_once(self, capsys):
+        # 4,000 twos take 3,999 moves, whose lines would print about 1.6 * 10**7 characters
+        started = time.perf_counter()
+        assert self.refused(*run(capsys, "reduce", "[" + ",".join(["2"] * 4000) + "]", "--trace"))
+        assert time.perf_counter() - started < 1
+        code, out, _ = run(capsys, "reduce", "[" + ",".join(["2"] * 4000) + "]")
+        assert code == 0 and out == "1+[-4001]\n"
 
     def test_huge_torus_knot_is_refused_at_once(self, capsys):
         started = time.perf_counter()
@@ -245,6 +264,26 @@ def test_cli_import_leaves_oracles_unloaded():
     env = dict(os.environ, PYTHONPATH=src)
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert result.stdout.strip() == "False"
+
+
+def test_entry_point_under_the_smallest_limit():
+    # the interpreter's least int-string limit, 640 digits; main lifts nothing
+    src = os.path.dirname(os.path.dirname(twobridge.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    q, low, high = "7" * 700, "7" * 699 + "6", "3" + "8" * 699  # q, q - 1 and (q - 1)/2
+    expected = {
+        ("eval", f"[{q}]"): f"1/{q}\n",
+        ("reduce", f"[{q},2,2,{q}]", "--trace"): f"RemoveBlock 2 1 2 | [{low},-3,{low}]\n[{low},-3,{low}]\n",
+        ("invariants", f"2/{q}"): (
+            f"knot=S({q},2)\nfraction=2/{q}\ncrosscap=2\ngenus=1\nreduced=[{high[:-1]}9,2]\n"
+            f"even_expansion=[{high},-2]\nodd_shortest_exists=True\nboundary=BoundaryIncompressible\n"
+        ),
+        ("conway", f"2/{q}"): f"C({high},-1,2,1)\nverified=true\n",
+    }
+    for argv, out in expected.items():
+        command = [sys.executable, "-X", "int_max_str_digits=640", "-m", "twobridge.cli", *argv]
+        result = subprocess.run(command, env=env, capture_output=True, text=True, timeout=60)
+        assert (result.returncode, result.stdout, result.stderr) == (0, out, ""), argv[0]
 
 
 class TestExitCodes:

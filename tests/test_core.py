@@ -34,6 +34,8 @@ from twobridge.core import (
     same_knot,
 )
 from twobridge.diagram import rectangle_move
+from twobridge.errors import PatternMatchError
+from twobridge.invariants import family_k_mn
 from twobridge.oracles import seed_expansion
 from twobridge.reduction import ReductionStep, Rule, apply_rule
 
@@ -345,6 +347,27 @@ class TestParsing:
             assert format_expansion(parse_expansion("-" + text[1:-1] + "+" + text)) == "-" + text[1:-1] + "+" + text
             assert format_fraction(parse_fraction(fraction)) == fraction
             assert str(parse_fraction(fraction)) == fraction
+        finally:
+            sys.set_int_max_str_digits(saved)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: KnotId(10**5000, 1),
+            lambda: KnotId(3 * 10**5000 + 3, 3),
+            lambda: partial_quotients(10**5000, 0),
+            lambda: family_k_mn(10**5000, 0),
+            lambda: rectangle_move(Expansion(0, (2,)), 10**5000),
+            lambda: apply_rule(Expansion(0, (0,)), ReductionStep(Rule.REMOVE_ZERO, 10**5000)),
+        ],
+    )
+    def test_errors_on_numbers_past_the_default_limit(self, call):
+        # a message that names the caller's number still raises the package's own error
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            with pytest.raises((DomainError, PatternMatchError)):
+                call()
         finally:
             sys.set_int_max_str_digits(saved)
 

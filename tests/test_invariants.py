@@ -1,5 +1,6 @@
 import random
 import sys
+import time
 from collections import Counter
 from math import gcd
 
@@ -115,7 +116,7 @@ class TestEvenExpansion:
 def even_runs_by_second_pass(k):
     """Reference for `_even_runs`: the same run reading over a Euclid pass of its own on q/|p'|."""
     if k.q == 1:
-        return 0, []
+        return 0, ()
     r, tail = (1, k.p - k.q) if k.p % 2 else (0, k.p)
     s = 1 if tail > 0 else -1
     quotients = iter(partial_quotients.__wrapped__(k.q, abs(tail)))
@@ -132,7 +133,7 @@ def even_runs_by_second_pass(k):
         if twos > 1:
             runs.append((2 * s, twos - 1))
         carry = 1
-    return r, runs
+    return r, tuple(runs)
 
 
 class TestEvenRunsFromTheSeedPass:
@@ -161,7 +162,7 @@ class TestEvenRunsFromTheSeedPass:
             assert _even_runs(k) == even_runs_by_second_pass(k)
 
     def test_unknot(self):
-        assert _even_runs(KnotId(1, 0)) == (0, [])
+        assert _even_runs(KnotId(1, 0)) == (0, ())
 
 
 class TestGenusAndCrosscap:
@@ -303,7 +304,7 @@ class TestReport:
 
 @pytest.fixture
 def counted(monkeypatch):
-    """Counts of reductions and even expansions made by `twobridge.invariants`, memo cleared."""
+    """Counts of reductions, even-run readings and spellings in `twobridge.invariants`, memo cleared."""
     counts = Counter()
 
     def counting(name):
@@ -316,7 +317,8 @@ def counted(monkeypatch):
         monkeypatch.setattr(twobridge.invariants, name, wrapper)
 
     counting("reduced_from_quotients")
-    counting("even_expansion")
+    counting("_even_runs")
+    counting("_spell")
     reduced_expansion.cache_clear()
     yield counts
     reduced_expansion.cache_clear()
@@ -328,7 +330,8 @@ class TestReductionMemo:
         report = invariant_report(k)
         assert verify_diagram(conway_diagram(k), k)
         assert report.crosscap == 4
-        assert counted == {"reduced_from_quotients": 1, "even_expansion": 1}
+        # the report keeps the runs and spells out no even expansion
+        assert counted == {"reduced_from_quotients": 1, "_even_runs": 1}
 
     def test_crosscap_boundary_diagram_skip_the_even_expansion(self, counted):
         k = KnotId(15, 4)
@@ -450,6 +453,23 @@ class TestBoundedCost:
         assert verify_diagram(conway_diagram(k), k) is True
         assert genus(k) == (q - 1) // 2
         assert gamma_equals_2g_plus_1(k) is False
+
+    @pytest.mark.parametrize("mirrored", [False, True])
+    def test_report_of_a_huge_torus_knot(self, mirrored):
+        # the report keeps the runs, so it answers at once where the even expansion has 10**30 coefficients
+        q = 10**30 + 1
+        started = time.perf_counter()
+        report = invariant_report(KnotId(q, q - 1 if mirrored else 1))
+        assert time.perf_counter() - started < 1
+        assert report.genus == 5 * 10**29
+        assert (report.crosscap, report.boundary) == (1, Boundary.INCOMPRESSIBLE)
+        assert sum(m for _, m in report.even_runs[1]) == 10**30
+
+    def test_report_spells_the_even_expansion_of_small_torus_knots(self):
+        for q in range(3, 402, 2):
+            for k in (KnotId(q, 1), KnotId(q, q - 1)):
+                assert invariant_report(k).even_expansion == even_expansion(k)
+                assert len(even_expansion(k)) == q - 1
 
     def test_unknot(self):
         unknot = KnotId(1, 0)

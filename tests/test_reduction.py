@@ -153,6 +153,12 @@ class TestReduce:
         assert check_trace(trace)
         assert eval_expansion(reduced) == eval_expansion(e)
 
+    @given(long_expansions)
+    def test_lengths_match_the_replay(self, e):
+        # `reduce --trace` bounds its output by these lengths before replaying anything
+        _, trace = reduce_expansion(e)
+        assert list(trace.lengths()) == [len(expansion) for _, expansion in trace.steps]
+
     @given(expansions)
     def test_fixpoint_has_no_pattern(self, e):
         reduced, _ = reduce_expansion(e)

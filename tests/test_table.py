@@ -1,5 +1,7 @@
 import hashlib
+from collections import Counter
 from dataclasses import replace
+from functools import cache
 from importlib import resources
 
 import pytest
@@ -8,12 +10,16 @@ import twobridge.table
 from twobridge import (
     Boundary,
     DomainError,
+    KnotId,
     ParseError,
     UnknownNameError,
+    crosscap,
     eval_expansion,
     find_record,
     format_expansion,
     format_fraction,
+    genus,
+    knot_from_fraction,
     load_table,
     lookup,
     parse_expansion,
@@ -108,6 +114,74 @@ class TestVerify:
             "FAIL 6_1' e_distinct: same knot as 6_1",
             "FAILED (5 failures)",
         ]
+
+
+def compositions(total):
+    """Every tuple of positive integers summing to total."""
+    if total == 0:
+        yield ()
+    for first in range(1, total + 1):
+        for rest in compositions(total - first):
+            yield (first, *rest)
+
+
+def knot_key(q, p):
+    """(q, least of p, 1/p, -p, -1/p mod q): one key per knot up to mirror image."""
+    inverse = pow(p, -1, q)
+    return q, min(p, inverse, q - p, q - inverse)
+
+
+@cache
+def two_bridge_knots(most_crossings):
+    """{key: crossing number} of every 2-bridge knot with at most most_crossings crossings.
+
+    A composition a_1 + ... + a_n = c with a_n >= 2 gives p/q = [0; a_1, ..., a_n]
+    (regular continued fraction), whose alternating diagram is reduced and has
+    c crossings; an odd q names a knot.
+    """
+    knots = {}
+    for c in range(3, most_crossings + 1):
+        for last in range(2, c + 1):
+            for head in compositions(c - last):
+                p, q = 1, last
+                for a in reversed(head):
+                    p, q = q, a * q + p
+                if q % 2:
+                    assert knots.setdefault(knot_key(q, p), c) == c
+    return knots
+
+
+def ernst_sumners(c):
+    """The number of 2-bridge knots with c >= 3 crossings up to mirror image (Ernst-Sumners, 1987)."""
+    half = 2 ** ((c - 4) // 2) if c % 2 == 0 else 2 ** ((c - 3) // 2)
+    count, rest = divmod(2 ** (c - 3) + half + (0, 0, -1, 1)[c % 4], 3)
+    assert rest == 0
+    return count
+
+
+class TestCompleteness:
+    # the table holds every 2-bridge knot through 12 crossings, up to mirror image
+
+    def test_table_is_every_knot_through_12_crossings(self):
+        table = {knot_key(k.q, k.p) for k in (knot_from_fraction(rec.fraction) for rec in load_table())}
+        assert len(table) == 362
+        assert table == set(two_bridge_knots(12))
+
+    def test_counts_follow_ernst_sumners(self):
+        counts = Counter(two_bridge_knots(16).values())
+        expected = [1, 1, 2, 3, 7, 12, 24, 45, 91, 176, 352, 693, 1387, 2752]
+        assert [ernst_sumners(c) for c in range(3, 17)] == expected
+        assert [counts[c] for c in range(3, 17)] == expected
+
+    def test_crosscap_bounds_through_16_crossings(self):
+        # Murakami-Yasuhara (1995): gamma <= floor(c/2); Clark (1978): gamma <= 2g + 1
+        knots = two_bridge_knots(16)
+        assert len(knots) == 5546
+        for (q, p), c in knots.items():
+            k = KnotId(q, p)
+            gamma = crosscap(k)
+            assert gamma <= c // 2
+            assert gamma <= 2 * genus(k) + 1
 
 
 class TestLookup:
