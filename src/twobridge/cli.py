@@ -1,5 +1,9 @@
 """Command-line interface.
 
+Each command is one entry of `_COMMANDS`: its handler, at most one operand
+and at most one boolean flag.  `main` reads argv against that table with
+one loop, and the help texts are written from it.
+
 Exit codes: 0 success, 1 verification failure, 2 usage or parse errors and
 output refused for passing `_MAX_OUTPUT` characters.
 Diagnostics go to stderr; results to stdout, ASCII only.
@@ -7,11 +11,11 @@ Diagnostics go to stderr; results to stdout, ASCII only.
 
 from __future__ import annotations
 
-import argparse
 import json
-import re
 import sys
-from functools import cache
+from collections.abc import Callable, Iterator
+from types import SimpleNamespace
+from typing import NamedTuple, NoReturn
 
 from .conway import conway_diagram, format_diagram, verify_diagram
 from .core import (
@@ -116,81 +120,164 @@ def _cmd_table_lookup(args) -> int:
     return 0
 
 
-_NEGATIVE_OPERAND = re.compile(r"-\d")
+class _Command(NamedTuple):
+    """One command: its handler, its operand and its flag (None when it has none), and their help."""
+
+    run: Callable[[SimpleNamespace], int]
+    operand: str | None
+    flag: str | None
+    help: str
+    operand_help: str = ""
+    flag_help: str = ""
 
 
-class _Parser(argparse.ArgumentParser):
-    """An argparse parser that reads a token like '-2/3' or '-1+[2]' as an operand.
+# Every command, by the word that names it; the two `table` commands sit in
+# a table of their own under that word.  The parser in `main` and every
+# help text read this table and nothing else.
+_COMMANDS = {
+    "eval": _Command(
+        _cmd_eval, "expansion", None, "evaluate a subtractive continued fraction", "e.g. '[3,2]' or '1+[-2,-2]'"
+    ),
+    "reduce": _Command(
+        _cmd_reduce, "expansion", "--trace", "reduce an expansion to a shortest one",
+        flag_help="print one line per rewrite step",
+    ),
+    "depth": _Command(
+        _cmd_depth, "fraction", None, "depth of a fraction in the Farey diagram",
+        "e.g. '2/5' (the literal '1/0' is allowed)",
+    ),
+    "shortest": _Command(
+        _cmd_shortest, "fraction", "--all", "a shortest expansion of a fraction",
+        flag_help="print every shortest expansion, in text order",
+    ),
+    "invariants": _Command(
+        _cmd_invariants, "knot", "--json", "crosscap, genus and boundary data of a knot",
+        "fraction like '4/15' or table name like '7_4'", "print one JSON object",
+    ),
+    "conway": _Command(
+        _cmd_conway, "knot", None, "Conway diagram realizing the crosscap number", "fraction or table name"
+    ),
+    "table": {
+        "verify": _Command(_cmd_table_verify, None, None, "recompute and check all 362 rows"),
+        "lookup": _Command(_cmd_table_lookup, "name", None, "print one table record", "table name like '7_4'"),
+    },
+}
 
-    argparse only takes '-2' or '-.5' for a negative number and reads
-    every other token that starts with '-' as an option.  No option of
-    this CLI starts with '-' and a digit, so such a token is always an
-    operand.  `add_subparsers` builds the subcommand parsers from this
-    class too; '--' keeps working.
+_HELP_FLAGS = ("-h", "--help")
+
+
+def _listing(table: dict, prefix: str = "") -> Iterator[tuple[str, str]]:
+    """(name, help) of every command in `table`, its words after `prefix`."""
+    for word, entry in table.items():
+        if isinstance(entry, dict):
+            yield from _listing(entry, f"{prefix}{word} ")
+        else:
+            yield prefix + word, entry.help
+
+
+def _group_usage(prog: str) -> str:
+    return f"usage: {prog} [-h] <command> ..."
+
+
+def _group_help(prog: str, table: dict) -> str:
+    rows = list(_listing(table))
+    width = max(len(name) for name, _ in rows)
+    lines = [_group_usage(prog), ""]
+    if table is _COMMANDS:
+        lines += ["Crosscap numbers and spanning-surface data of 2-bridge knots.", ""]
+    lines.append("commands:")
+    lines += [f"  {name:<{width}}  {text}" for name, text in rows]
+    lines += [
+        "",
+        "A command reads its operand and its flag, if it has them, in any order;",
+        "'--' ends the flags, and an operand may start with '-' and a digit",
+        "('depth -2/3').",
+        f"'{prog} <command> -h' describes one command.",
+    ]
+    return "\n".join(lines)
+
+
+def _command_usage(prog: str, command: _Command) -> str:
+    flag = f" [{command.flag}]" if command.flag else ""
+    operand = f" {command.operand}" if command.operand else ""
+    return f"usage: {prog} [-h]{flag}{operand}"
+
+
+def _command_help(prog: str, command: _Command) -> str:
+    rows = [(command.operand, command.operand_help)] if command.operand else []
+    if command.flag:
+        rows.append((command.flag, command.flag_help))
+    rows.append(("-h, --help", "show this help and exit"))
+    width = max(len(left) for left, _ in rows)
+    lines = [_command_usage(prog, command), "", command.help, ""]
+    lines += [f"  {left:<{width}}  {right}".rstrip() for left, right in rows]
+    return "\n".join(lines)
+
+
+def _usage_error(usage: str, message: str) -> NoReturn:
+    print(usage, file=sys.stderr)
+    print(f"error: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
+def _show_help(text: str) -> NoReturn:
+    print(text)
+    raise SystemExit(0)
+
+
+def _find_command(argv: list[str]) -> tuple[str, _Command, list[str]]:
+    """The command that the first one or two words name, its name and the words after them."""
+    prog, entry, rest = "twobridge", _COMMANDS, argv
+    while isinstance(entry, dict):
+        word = rest[0] if rest else None
+        if word in _HELP_FLAGS:
+            _show_help(_group_help(prog, entry))
+        if word not in entry:
+            _usage_error(_group_usage(prog), "a command is required" if word is None else f"unknown command {word!r}")
+        prog, entry, rest = f"{prog} {word}", entry[word], rest[1:]
+    return prog, entry, rest
+
+
+def _read_arguments(prog: str, command: _Command, tokens: list[str]) -> SimpleNamespace:
+    """The operand and flag of one call, as the attributes that the handler reads.
+
+    A token that starts with '-' and then a non-digit, before '--', is a
+    flag; every other token is an operand.
     """
-
-    def _parse_optional(self, arg_string):
-        if _NEGATIVE_OPERAND.match(arg_string):
-            return None
-        return super()._parse_optional(arg_string)
-
-
-@cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on first use and then shared by every call.
-
-    Building it costs about as much as the rest of a typical command;
-    parsing leaves it unchanged, so calls cannot leak options into each
-    other.
-    """
-    parser = _Parser(
-        prog="twobridge",
-        description="Crosscap numbers and spanning-surface data of 2-bridge knots.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("eval", help="evaluate a subtractive continued fraction")
-    p.add_argument("expansion", help="e.g. '[3,2]' or '1+[-2,-2]'")
-    p.set_defaults(func=_cmd_eval)
-
-    p = sub.add_parser("reduce", help="reduce an expansion to a shortest one")
-    p.add_argument("expansion")
-    p.add_argument("--trace", action="store_true", help="print one line per rewrite step")
-    p.set_defaults(func=_cmd_reduce)
-
-    p = sub.add_parser("depth", help="depth of a fraction in the Farey diagram")
-    p.add_argument("fraction", help="e.g. '2/5' (the literal '1/0' is allowed)")
-    p.set_defaults(func=_cmd_depth)
-
-    p = sub.add_parser("shortest", help="a shortest expansion of a fraction")
-    p.add_argument("fraction")
-    p.add_argument("--all", action="store_true", help="print the whole rectangle-move closure")
-    p.set_defaults(func=_cmd_shortest)
-
-    p = sub.add_parser("invariants", help="crosscap, genus and boundary data of a knot")
-    p.add_argument("knot", help="fraction like '4/15' or table name like '7_4'")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_invariants)
-
-    p = sub.add_parser("conway", help="Conway diagram realizing the crosscap number")
-    p.add_argument("knot", help="fraction or table name")
-    p.set_defaults(func=_cmd_conway)
-
-    p = sub.add_parser("table", help="operations on the embedded knot table")
-    table_sub = p.add_subparsers(dest="table_command", required=True)
-    q = table_sub.add_parser("verify", help="recompute and check all 362 rows")
-    q.set_defaults(func=_cmd_table_verify)
-    q = table_sub.add_parser("lookup", help="print one table record")
-    q.add_argument("name")
-    q.set_defaults(func=_cmd_table_lookup)
-
-    return parser
+    operands = []
+    flagged = False
+    for i, token in enumerate(tokens):
+        if token == "--":
+            operands += tokens[i + 1 :]
+            break
+        if len(token) < 2 or token[0] != "-" or token[1].isdecimal():
+            operands.append(token)
+        elif token in _HELP_FLAGS:
+            _show_help(_command_help(prog, command))
+        elif token == command.flag:
+            flagged = True
+        else:
+            _usage_error(_command_usage(prog, command), f"unknown flag {token!r}")
+    wanted = 1 if command.operand else 0
+    if len(operands) < wanted:
+        _usage_error(_command_usage(prog, command), f"the operand {command.operand} is required")
+    if len(operands) > wanted:
+        _usage_error(_command_usage(prog, command), f"unexpected operand {operands[wanted]!r}")
+    args = SimpleNamespace()
+    if command.operand:
+        setattr(args, command.operand, operands[0])
+    if command.flag:
+        setattr(args, command.flag[2:], flagged)
+    return args
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command; usage errors and help leave by `SystemExit`, with code 2 and 0."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    prog, command, rest = _find_command(argv)
+    args = _read_arguments(prog, command, rest)
     try:
-        args = _build_parser().parse_args(argv)
-        return args.func(args)
+        return command.run(args)
     except TwoBridgeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -211,6 +211,11 @@ def crosscap(k: KnotId) -> int:
     return _crosscap_and_boundary(reduced_expansion(k))[0]
 
 
+def _no_two(even_runs: tuple[int, tuple[tuple[int, int], ...]]) -> bool:
+    """Whether the all-even expansion with these `_even_runs` has no +-2 coefficient."""
+    return all(abs(c) != 2 for c, _ in even_runs[1])
+
+
 def gamma_equals_2g_plus_1(k: KnotId) -> bool:
     """Whether the crosscap number attains the bound 2*genus + 1.
 
@@ -218,7 +223,7 @@ def gamma_equals_2g_plus_1(k: KnotId) -> bool:
     runs show without building it.
     """
     _require_knot(k)
-    return all(abs(c) != 2 for c, _ in _even_runs(k)[1])
+    return _no_two(_even_runs(k))
 
 
 def boundary_classification(k: KnotId) -> Boundary:

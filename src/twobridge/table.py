@@ -25,7 +25,7 @@ from .core import (
     parse_fraction,
 )
 from .errors import TableDataError, UnknownNameError
-from .invariants import InvariantReport, gamma_equals_2g_plus_1, invariant_report
+from .invariants import InvariantReport, _no_two, invariant_report
 from .reduction import reduce_expansion
 
 __all__ = ["KnotRecord", "TableReport", "load_table", "verify_table", "resolve", "lookup", "find_record"]
@@ -151,7 +151,7 @@ def verify_table() -> TableReport:
         report.record("c_gamma", gamma == rec.gamma, rec.name, lambda: f"computed crosscap {gamma}, table says {rec.gamma}")
 
         attains_bound = gamma == 2 * invariants.genus + 1
-        even_no_two = gamma_equals_2g_plus_1(k)
+        even_no_two = _no_two(invariants.even_runs)
         unique_even_shortest = not rec.expansion.odd_type and not any(abs(c) == 2 for c in rec.expansion.coefficients)
         consistent = rec.starred == attains_bound == even_no_two == unique_even_shortest
         report.record("d_starred", consistent, rec.name, lambda: f"starred={rec.starred}, gamma=2g+1 is {attains_bound}, even expansion {invariants.even_expansion}")

@@ -258,12 +258,107 @@ class TestOutputBound:
         assert time.perf_counter() - started < 1
 
 
+COMMANDS = ["eval", "reduce", "depth", "shortest", "invariants", "conway", "table verify", "table lookup"]
+
+
+class TestDispatcher:
+    def exits(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        captured = capsys.readouterr()
+        return exc.value.code, captured.out, captured.err
+
+    def test_top_level_help_lists_every_command(self, capsys):
+        for flag in ("-h", "--help"):
+            code, out, err = self.exits(capsys, [flag])
+            assert code == 0 and out.startswith("usage:") and not err
+            for name in COMMANDS:
+                assert f"  {name} " in out
+
+    @pytest.mark.parametrize("argv", [("table", "-h")] + [(*name.split(), "-h") for name in COMMANDS])
+    def test_help_of_each_command(self, capsys, argv):
+        code, out, err = self.exits(capsys, argv)
+        assert code == 0 and out.startswith("usage:") and not err
+
+    def test_table_help_lists_its_commands(self, capsys):
+        code, out, _ = self.exits(capsys, ["table", "--help"])
+        assert code == 0 and "  verify " in out and "  lookup " in out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            (),
+            ("no-such-command",),
+            ("table",),
+            ("table", "no-such-command"),
+            ("depth", "--no-such-flag", "2/3"),
+            ("eval", "--trace", "[3,2]"),
+            ("invariants", "--js", "2/9"),
+            ("depth",),
+            ("table", "lookup"),
+            ("depth", "2/3", "2/5"),
+            ("table", "verify", "extra"),
+            ("reduce", "--trace", "--", "[3,2]", "--trace"),
+        ],
+    )
+    def test_usage_errors(self, capsys, argv):
+        code, out, err = self.exits(capsys, argv)
+        assert code == 2 and not out
+        lines = err.splitlines()
+        assert len(lines) == 2 and lines[0].startswith("usage:") and "error:" in lines[1]
+
+    @pytest.mark.parametrize(
+        "before,after",
+        [
+            (("reduce", "--trace", "[5,2,2,5]"), ("reduce", "[5,2,2,5]", "--trace")),
+            (("shortest", "--all", "2/5"), ("shortest", "2/5", "--all")),
+            (("invariants", "--json", "7_4"), ("invariants", "7_4", "--json")),
+        ],
+    )
+    def test_flag_in_any_position(self, capsys, before, after):
+        code, out, err = run(capsys, *before)
+        assert code == 0 and out and not err
+        assert (code, out, err) == run(capsys, *after)
+
+    def test_repeated_flag(self, capsys):
+        once = run(capsys, "shortest", "2/5", "--all")
+        assert once[0] == 0 and len(once[1].splitlines()) == 3
+        assert run(capsys, "shortest", "--all", "2/5", "--all") == once
+
+    @pytest.mark.parametrize(
+        "argv,operand",
+        [
+            (("depth", "--", "-x"), "-x"),
+            (("eval", "--", "--trace"), "--trace"),
+            (("table", "lookup", "--", "-h"), "-h"),
+        ],
+    )
+    def test_operand_after_double_dash(self, capsys, argv, operand):
+        # read as the operand, so the parser refuses it and names it
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and not out and err.startswith("error:") and operand in err
+
+    def test_dash_alone_is_an_operand(self, capsys):
+        code, out, err = run(capsys, "depth", "-")
+        assert code == 2 and not out and err.startswith("error:")
+
 def test_cli_import_leaves_oracles_unloaded():
+    # nor argparse: the command table is the only parser
     src = os.path.dirname(os.path.dirname(twobridge.__file__))
-    code = "import sys, twobridge.cli; print('twobridge.oracles' in sys.modules)"
+    code = "import sys, twobridge.cli; print('twobridge.oracles' in sys.modules, 'argparse' in sys.modules)"
     env = dict(os.environ, PYTHONPATH=src)
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert result.stdout.strip() == "False"
+    assert result.stdout.strip() == "False False"
+
+
+def test_entry_point_help():
+    src = os.path.dirname(os.path.dirname(twobridge.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    command = [sys.executable, "-m", "twobridge.cli", "-h"]
+    result = subprocess.run(command, env=env, capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0 and result.stdout.startswith("usage:") and not result.stderr
+    for name in COMMANDS:
+        assert f"  {name} " in result.stdout
 
 
 def test_entry_point_under_the_smallest_limit():

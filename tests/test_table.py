@@ -6,6 +6,7 @@ from importlib import resources
 
 import pytest
 
+import twobridge.invariants
 import twobridge.table
 from twobridge import (
     Boundary,
@@ -86,6 +87,18 @@ class TestVerify:
         assert lines[-1] == "OK"
         assert any(line.startswith("a_eval") and line.endswith("362/362") for line in lines)
 
+    def test_one_even_run_reading_per_row(self, monkeypatch):
+        # check d reads "no +-2" off the report's runs, not off a second `_even_runs`
+        calls = Counter()
+        even_runs = twobridge.invariants._even_runs
+
+        def counting(k):
+            calls[k] += 1
+            return even_runs(k)
+
+        monkeypatch.setattr(twobridge.invariants, "_even_runs", counting)
+        assert verify_table().ok
+        assert len(calls) == 362 and set(calls.values()) == {1}
 
     def test_each_corruption_is_one_fail_line(self, monkeypatch):
         table = twobridge.table._table()
