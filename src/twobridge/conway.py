@@ -26,7 +26,7 @@ from .core import (
 )
 from .diagram import rectangle_move, rectangle_positions
 from .errors import DomainError, InternalError
-from .invariants import crosscap, reduced_expansion
+from .invariants import invariant_report
 
 __all__ = [
     "ConwayDiagram",
@@ -61,7 +61,7 @@ def odd_shortest_expansion(k: KnotId) -> Expansion:
     """
     if k.q == 1:
         raise DomainError("the unknot has no odd-type expansion")
-    reduced = reduced_expansion(k)
+    reduced = invariant_report(k).reduced
     if reduced.odd_type:
         return reduced
     positions = rectangle_positions(reduced)
@@ -118,8 +118,7 @@ def diagram_from_expansion(source: Expansion) -> ConwayDiagram:
 def conway_diagram(k: KnotId) -> ConwayDiagram:
     """Diagram of k carrying a minimal-genus non-orientable checkerboard surface.
 
-    Built from the memoized reduced expansion alone; the even expansion
-    is never needed.
+    Built from the reduced expansion of the knot's memoized report.
     """
     if k.q == 1:
         raise DomainError("the unknot has no crosscap-realizing diagram")
@@ -134,9 +133,7 @@ def verify_diagram(d: ConwayDiagram, k: KnotId) -> bool:
     integer part and p <-> p^-1 ambiguities are absorbed by knot
     equivalence).  Also checks that no region is zero and that the region
     count is 2*gamma - 1 for odd gamma and 2*gamma for even gamma, where
-    gamma is the crosscap number of k.  gamma comes from `crosscap`, which
-    reads the memoized reduced expansion and never the even expansion, so
-    verifying the diagram just built for k costs no second reduction.
+    gamma is the crosscap number of k, read off the knot's memoized report.
     """
     regions = d.twist_regions
     if not regions or 0 in regions:
@@ -144,7 +141,7 @@ def verify_diagram(d: ConwayDiagram, k: KnotId) -> bool:
     value = eval_expansion(Expansion(0, regions))
     if k.q == 1:
         return value.is_integer
-    gamma = crosscap(k)
+    gamma = invariant_report(k).crosscap
     if len(regions) != (2 * gamma - 1 if gamma % 2 == 1 else 2 * gamma):
         return False
     if value.is_infinite or value.is_integer or value.denominator % 2 == 0:

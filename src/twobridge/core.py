@@ -231,10 +231,9 @@ def partial_quotients(p: int, q: int) -> tuple[int, ...]:
     later quotient >= 1 and the last one >= 2 when n >= 1.
 
     This is the only big-integer pass on the serving path.  The last
-    fraction's quotients are kept in a one-slot memo, so the reduced
-    expansion, the even runs and the depth of one knot share a single
-    pass; the tuple is immutable, so callers on several threads may
-    share it.
+    fraction's quotients are kept in a one-slot memo, so the invariant
+    report and the depth of one knot share a single pass; the tuple is
+    immutable, so callers on several threads may share it.
     `partial_quotients.__wrapped__` is the unmemoized call.
     """
     if q <= 0:
@@ -278,17 +277,14 @@ class KnotId:
         return f"S({_format_int(self.q)},{_format_int(self.p)})"
 
 
-def _inverse_mod(p: int, q: int) -> int:
-    return pow(p, -1, q)
-
-
 def same_knot(k1: KnotId, k2: KnotId) -> bool:
-    """S(q,p) and S(q',p') name the same knot iff q'=q and p' = p or p^-1 mod q."""
+    """S(q,p) and S(q',p') name the same knot iff q'=q and p' = p or p^-1 mod q.
+
+    p' = p^-1 is tested as p*p' = 1 mod q, which needs no inverse.
+    """
     if k1.q != k2.q:
         return False
-    if k1.q == 1:
-        return True
-    return k2.p == k1.p or k2.p == _inverse_mod(k1.p, k1.q)
+    return k2.p == k1.p or k1.p * k2.p % k1.q == 1
 
 
 def mirror(k: KnotId) -> KnotId:
@@ -302,7 +298,7 @@ def canonical_form(k: KnotId) -> KnotId:
     """Least representative (q, min(p, p^-1 mod q)); a dedup key for knots."""
     if k.q == 1:
         return k
-    return KnotId(k.q, min(k.p, _inverse_mod(k.p, k.q)))
+    return KnotId(k.q, min(k.p, pow(k.p, -1, k.q)))
 
 
 def knot_from_fraction(x: ExtendedRational) -> KnotId:

@@ -18,7 +18,7 @@ from functools import cached_property
 
 from .core import Expansion, ExtendedRational, _format_int, partial_quotients
 from .errors import DomainError, PatternMatchError
-from .invariants import Boundary, _crosscap_and_boundary
+from .invariants import _odd_shortest_exists
 from .reduction import reduced_from_quotients
 
 __all__ = [
@@ -42,8 +42,8 @@ def depth(x: ExtendedRational) -> int:
     neighbours whose depths differ by at most 1, so for k >= 2 that is
     the other end's depth plus 1, and for k = 1 the shallower end's.  The
     answer is one more than the shallower end.  The quotients come from
-    the memoized Euclid pass that the knot's reduced expansion and even
-    runs share, so after the report depth makes no pass of its own.
+    the memoized Euclid pass that the knot's report made, so after the
+    report depth makes no pass of its own.
     """
     if x.is_infinite:
         return 0
@@ -185,9 +185,7 @@ class ShortestSet:
         The rule holds on every class but that of r + 1/2, whose two
         members r + [2] and r+1 + [-2] are both even.
         """
-        if self.reduced.coefficients == (2,):
-            return False
-        return _crosscap_and_boundary(self.reduced)[1] is Boundary.INCOMPRESSIBLE
+        return self.reduced.coefficients != (2,) and _odd_shortest_exists(self.reduced)
 
     def _paths(self, field: int) -> Iterator[list]:
         """Field 0 (labels) or 1 (tokens) of the edges along each path, in token order.

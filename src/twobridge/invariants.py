@@ -7,6 +7,11 @@ otherwise.  The genus is half the length of the unique all-even
 expansion.  A minimal-genus non-orientable spanning surface is
 boundary-incompressible exactly when an odd-type shortest expansion
 exists.
+
+`invariant_report` derives all of them at once and keeps the last
+knot's report in a one-slot memo; `crosscap`, `genus`,
+`boundary_classification`, `gamma_equals_2g_plus_1` and the Conway
+diagram read its fields.
 """
 
 from __future__ import annotations
@@ -40,7 +45,6 @@ __all__ = [
     "boundary_classification",
     "plumbing_surface",
     "family_k_mn",
-    "reduced_expansion",
     "invariant_report",
 ]
 
@@ -69,8 +73,11 @@ class InvariantReport:
     genus: int
     reduced: Expansion
     even_runs: tuple[int, tuple[tuple[int, int], ...]]
-    odd_shortest_exists: bool
     boundary: Boundary
+
+    @property
+    def odd_shortest_exists(self) -> bool:
+        return self.boundary is Boundary.INCOMPRESSIBLE
 
     @property
     def even_expansion(self) -> Expansion:
@@ -158,57 +165,23 @@ def even_expansion(k: KnotId) -> Expansion:
 
 
 def genus(k: KnotId) -> int:
-    """Minimal genus of an orientable spanning surface: half the even length.
+    """Minimal genus of an orientable spanning surface: half the even length; 0 for the unknot."""
+    return invariant_report(k).genus
 
-    Sums the run lengths, so it costs O(len CF) and never builds the expansion.
+
+def _odd_shortest_exists(reduced: Expansion) -> bool:
+    """The paper's rule: an odd-type shortest expansion exists iff the
+    reduced expansion has an odd coefficient or a +-2.
+
+    Then the crosscap number is the reduced length n and the surface is
+    boundary-incompressible; otherwise n+1 and compressible.
     """
-    return sum(m for _, m in _even_runs(k)[1]) // 2
-
-
-@lru_cache(maxsize=1)
-def reduced_expansion(k: KnotId) -> Expansion:
-    """The shortest expansion of p/q with no -2, from one pass over its partial quotients.
-
-    `reduced_from_quotients` forms the seed a_0 + [a_1, -a_2, a_3, ...]
-    (its -1s removed, its -2s flipped) as it reads the quotients and
-    keeps the coefficients so far a fixpoint of the rewrite rules, so the
-    cost grows with len CF, not with q, and no trace is built.  The tests
-    hold the result to the fixpoint of the division expansion.
-
-    The last knot's result is kept in a one-slot memo, so the report,
-    `conway_diagram` and `verify_diagram` of one knot share a single
-    reduction.  `reduced_expansion.__wrapped__` is the unmemoized call.
-    The Euclid pass has a one-slot memo of its own, in
-    `partial_quotients`, which `_even_runs` and `depth` read too.
-    """
-    return reduced_from_quotients(k.p, k.q)
-
-
-def _crosscap_and_boundary(reduced: Expansion) -> tuple[int, Boundary]:
-    """The rule the paper reads off the reduced expansion of length n.
-
-    With an odd coefficient or a +-2, an odd-type shortest expansion
-    exists: the crosscap number is n and the surface is
-    boundary-incompressible.  Otherwise it is n+1 and compressible.  The
-    only place this rule is applied.
-    """
-    n = len(reduced)
-    if any(c % 2 != 0 or abs(c) == 2 for c in reduced.coefficients):
-        return n, Boundary.INCOMPRESSIBLE
-    return n + 1, Boundary.COMPRESSIBLE
+    return any(c % 2 != 0 or abs(c) == 2 for c in reduced.coefficients)
 
 
 def crosscap(k: KnotId) -> int:
-    """Minimal first Betti number of a non-orientable spanning surface.
-
-    n if the reduced expansion has an odd coefficient or a +-2 (then an
-    odd-type shortest expansion exists), n+1 otherwise; 0 for the unknot.
-    Reads only the reduced expansion, never the even one, so after the
-    Euclid pass it costs O(len CF).
-    """
-    if k.q == 1:
-        return 0
-    return _crosscap_and_boundary(reduced_expansion(k))[0]
+    """Minimal first Betti number of a non-orientable spanning surface; 0 for the unknot."""
+    return invariant_report(k).crosscap
 
 
 def _no_two(even_runs: tuple[int, tuple[tuple[int, int], ...]]) -> bool:
@@ -217,24 +190,15 @@ def _no_two(even_runs: tuple[int, tuple[tuple[int, int], ...]]) -> bool:
 
 
 def gamma_equals_2g_plus_1(k: KnotId) -> bool:
-    """Whether the crosscap number attains the bound 2*genus + 1.
-
-    Holds exactly when the all-even expansion contains no +-2, which the
-    runs show without building it.
-    """
+    """Whether the crosscap number attains the bound 2*genus + 1: the even expansion has no +-2."""
     _require_knot(k)
-    return _no_two(_even_runs(k))
+    return _no_two(invariant_report(k).even_runs)
 
 
 def boundary_classification(k: KnotId) -> Boundary:
-    """Classify minimal-genus non-orientable spanning surfaces of k.
-
-    Boundary-incompressible iff some shortest expansion is of odd type,
-    which the reduced expansion witnesses syntactically.  Like
-    `crosscap`, it never builds the even expansion.
-    """
+    """Whether minimal-genus non-orientable spanning surfaces of k are boundary-incompressible."""
     _require_knot(k)
-    return _crosscap_and_boundary(reduced_expansion(k))[1]
+    return invariant_report(k).boundary
 
 
 def plumbing_surface(e: Expansion) -> PlumbingSurface:
@@ -252,26 +216,30 @@ def family_k_mn(m: int, n: int) -> KnotId:
     return knot_from_fraction(value)
 
 
+@lru_cache(maxsize=1)
 def invariant_report(k: KnotId) -> InvariantReport:
-    """Assemble every invariant of one knot in O(len CF) after the Euclid pass.
+    """Every invariant of one knot, in O(len CF) after the Euclid pass.
 
-    The crosscap and boundary fields come from the same rule helper as
-    `crosscap` and `boundary_classification`; the genus is half the
-    summed run counts of `_even_runs`, which the report keeps in place of
-    the spelled-out even expansion.
+    The reduced expansion comes from `reduced_from_quotients`, one pass
+    over the partial quotients whose cost grows with len CF, not with q;
+    the crosscap and boundary from `_odd_shortest_exists` on it; the
+    genus from the summed run counts of `_even_runs`, which the report
+    keeps in place of the spelled-out even expansion.
+
+    The last knot's report is kept in a one-slot memo, so the per-knot
+    views and the Conway diagram and its verification of one knot share
+    it.  `invariant_report.__wrapped__` is the unmemoized call.
     """
     if k.q == 1:
-        empty = Expansion(0, ())
-        return InvariantReport(k, 0, 0, empty, (0, ()), False, Boundary.TRIVIAL)
-    reduced = reduced_expansion(k)
-    gamma, boundary = _crosscap_and_boundary(reduced)
+        return InvariantReport(k, 0, 0, Expansion(0, ()), (0, ()), Boundary.TRIVIAL)
+    reduced = reduced_from_quotients(k.p, k.q)
+    odd = _odd_shortest_exists(reduced)
     runs = _even_runs(k)
     return InvariantReport(
         knot=k,
-        crosscap=gamma,
+        crosscap=len(reduced) if odd else len(reduced) + 1,
         genus=sum(m for _, m in runs[1]) // 2,
         reduced=reduced,
         even_runs=runs,
-        odd_shortest_exists=boundary is Boundary.INCOMPRESSIBLE,
-        boundary=boundary,
+        boundary=Boundary.INCOMPRESSIBLE if odd else Boundary.COMPRESSIBLE,
     )

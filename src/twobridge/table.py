@@ -84,6 +84,7 @@ class _Table:
     records: list[KnotRecord]
     by_name: dict[str, KnotRecord]
     by_canonical: dict[KnotId, KnotRecord]
+    max_q: int
 
 
 def _read_rows() -> list[tuple[int, list[str]]]:
@@ -124,7 +125,7 @@ def _table() -> _Table:
         by_canonical.setdefault(canonical_form(KnotId(q, p)), rec)
     if len(records) != 362:
         raise TableDataError(f"expected 362 records, found {len(records)}", 0)
-    return _Table(records, by_name, by_canonical)
+    return _Table(records, by_name, by_canonical, max(rec.fraction.denominator for rec in records))
 
 
 def load_table() -> list[KnotRecord]:
@@ -175,14 +176,17 @@ def resolve(text: str) -> tuple[KnotId, KnotRecord | None]:
 
     The record is attached when the knot appears in the table (matching
     up to knot equivalence, not just the printed fraction).  Computes no
-    invariant.
+    invariant, and no inverse mod q when q is past every q in the table.
     """
     s = text.strip()
     if "/" not in s:
         rec = find_record(s)
         return knot_from_fraction(rec.fraction), rec
     k = knot_from_fraction(parse_fraction(s))
-    return k, _table().by_canonical.get(canonical_form(k))
+    table = _table()
+    if k.q > table.max_q:
+        return k, None
+    return k, table.by_canonical.get(canonical_form(k))
 
 
 def lookup(text: str) -> tuple[InvariantReport, KnotRecord | None]:

@@ -257,6 +257,10 @@ class TestKnots:
         assert same_knot(KnotId(9, 2), KnotId(9, 5))
         assert not same_knot(KnotId(3, 1), KnotId(3, 2))
         assert same_knot(KnotId(5, 2), KnotId(5, 2))
+        q = 10**300 + 1  # p, its inverse (q+1)/2, and neither
+        assert same_knot(KnotId(q, 2), KnotId(q, 2))
+        assert same_knot(KnotId(q, 2), KnotId(q, (q + 1) // 2))
+        assert not same_knot(KnotId(q, 2), KnotId(q, 3))
 
     def test_mirror_examples(self):
         assert mirror(KnotId(3, 1)) == KnotId(3, 2)

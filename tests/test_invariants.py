@@ -1,3 +1,5 @@
+import importlib
+import pkgutil
 import random
 import sys
 import time
@@ -8,7 +10,10 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+import twobridge
+import twobridge.core
 import twobridge.invariants
+import twobridge.table
 
 from twobridge import (
     Boundary,
@@ -40,7 +45,6 @@ from twobridge.invariants import (
     family_k_mn,
     gamma_equals_2g_plus_1,
     plumbing_surface,
-    reduced_expansion,
 )
 from twobridge.oracles import alexander_genus, odd_type_among_shortest
 
@@ -199,12 +203,12 @@ class TestReducedExpansion:
     def test_matches_the_division_route(self):
         for k in odd_knots_up_to(301):
             division_fixpoint, _ = reduce_expansion(division_expansion(fraction_of(k)))
-            assert reduced_expansion(k) == division_fixpoint
+            assert invariant_report(k).reduced == division_fixpoint
 
     def test_cost_is_bounded_by_the_continued_fraction(self):
         # the division expansion of (q-1)/q is [2]*(q-1)
         q = 10**30 + 1
-        assert str(reduced_expansion(KnotId(q, q - 1))) == f"1+[-{q}]"
+        assert str(invariant_report(KnotId(q, q - 1)).reduced) == f"1+[-{q}]"
 
 
 class TestGenusOracle:
@@ -278,7 +282,7 @@ class TestReport:
             r = invariant_report(k)
             assert r.crosscap == crosscap(k)
             assert r.genus == genus(k)
-            assert r.reduced == reduced_expansion(k)
+            assert r.reduced == invariant_report.__wrapped__(k).reduced
             assert r.even_expansion == even_expansion(k)
             assert r.crosscap <= 2 * r.genus + 1
             assert (r.boundary == Boundary.INCOMPRESSIBLE) == r.odd_shortest_exists
@@ -304,7 +308,7 @@ class TestReport:
 
 @pytest.fixture
 def counted(monkeypatch):
-    """Counts of reductions, even-run readings and spellings in `twobridge.invariants`, memo cleared."""
+    """Counts of reductions, even-run readings and spellings in `twobridge.invariants`, memos cleared."""
     counts = Counter()
 
     def counting(name):
@@ -319,9 +323,11 @@ def counted(monkeypatch):
     counting("reduced_from_quotients")
     counting("_even_runs")
     counting("_spell")
-    reduced_expansion.cache_clear()
+    invariant_report.cache_clear()
+    partial_quotients.cache_clear()
     yield counts
-    reduced_expansion.cache_clear()
+    invariant_report.cache_clear()
+    partial_quotients.cache_clear()
 
 
 class TestReductionMemo:
@@ -334,35 +340,59 @@ class TestReductionMemo:
         assert counted == {"reduced_from_quotients": 1, "_even_runs": 1}
 
     def test_crosscap_boundary_diagram_skip_the_even_expansion(self, counted):
+        # they read the report, which reads the runs once and spells nothing
         k = KnotId(15, 4)
         assert crosscap(k) == 3
         assert boundary_classification(k) == Boundary.COMPRESSIBLE
         assert verify_diagram(conway_diagram(k), k)
-        assert counted == {"reduced_from_quotients": 1}
+        assert counted == {"reduced_from_quotients": 1, "_even_runs": 1}
+
+    def test_every_view_of_one_cold_knot_shares_one_report(self, counted):
+        k = KnotId(55, 21)
+        report = invariant_report(k)
+        assert verify_diagram(conway_diagram(k), k)
+        assert depth(fraction_of(k)) == len(report.reduced)
+        assert crosscap(k) == report.crosscap
+        assert genus(k) == report.genus
+        assert boundary_classification(k) is report.boundary
+        assert gamma_equals_2g_plus_1(k) is False
+        assert counted == {"reduced_from_quotients": 1, "_even_runs": 1}
+        assert partial_quotients.cache_info().misses == 1
+        assert invariant_report.cache_info().misses == 1
 
     def test_one_slot(self, counted):
         a, b = KnotId(9, 2), KnotId(15, 4)
         for k in (a, a, b, b, a):
-            reduced_expansion(k)
+            invariant_report(k)
         assert counted["reduced_from_quotients"] == 3
-        assert reduced_expansion.cache_info().currsize == 1
+        assert invariant_report.cache_info().misses == 3
+        assert invariant_report.cache_info().currsize == 1
 
     def test_memo_is_transparent(self):
         knots = list(odd_knots_up_to(151))
         random.Random(151).shuffle(knots)
-        reports = {}
+        seen = set()
         for a, b in zip(knots[::2], knots[1::2]):
             for k in (a, b, a):
-                report = invariant_report(k)
-                assert reduced_expansion(k) == reduced_expansion.__wrapped__(k)
-                assert crosscap(k) == report.crosscap
-                assert boundary_classification(k) == report.boundary
-                reports.setdefault(k, []).append(report)
-        assert len(reports) == len(knots)
-        for k, seen in reports.items():
-            reduced_expansion.cache_clear()
-            fresh = invariant_report(k)
-            assert all(r == fresh for r in seen)
+                seen.add(k)
+                fresh = invariant_report.__wrapped__(k)
+                assert invariant_report(k) == fresh
+                assert crosscap(k) == fresh.crosscap
+                assert genus(k) == fresh.genus
+                assert boundary_classification(k) is fresh.boundary
+                assert gamma_equals_2g_plus_1(k) == (fresh.crosscap == 2 * fresh.genus + 1)
+        assert seen == set(knots)
+
+
+class TestModuleCaches:
+    def test_the_only_module_level_caches(self):
+        # a new module-level cache is shared state; it comes with a benchmark that shows it pays
+        caches = set()
+        for info in pkgutil.iter_modules(twobridge.__path__):
+            module = importlib.import_module(f"twobridge.{info.name}")
+            caches |= {value for value in vars(module).values() if hasattr(value, "cache_info")}
+        caches |= {value for value in vars(twobridge).values() if hasattr(value, "cache_info")}
+        assert caches == {twobridge.core.partial_quotients, twobridge.invariants.invariant_report, twobridge.table._table}
 
 
 class TestEuclidMemo:
@@ -370,7 +400,7 @@ class TestEuclidMemo:
 
     @pytest.fixture(autouse=True)
     def cold(self):
-        reduced_expansion.cache_clear()
+        invariant_report.cache_clear()
         partial_quotients.cache_clear()
         yield
         partial_quotients.cache_clear()

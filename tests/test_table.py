@@ -27,7 +27,7 @@ from twobridge import (
     parse_fraction,
     verify_table,
 )
-from twobridge.table import KnotRecord, _Table
+from twobridge.table import KnotRecord, _Table, resolve
 
 EXPECTED_SHA256 = "431762012ab15346eb125390ad32fc5ffa683a9673909fd2df3dc621581881a7"
 STARRED = {"7_4", "8_3", "9_5", "10_3", "11a_343", "11a_363", "12a_1166", "12a_1287"}
@@ -110,7 +110,7 @@ class TestVerify:
         }
         records = [replace(rec, **changed.get(rec.name, {})) for rec in table.records]
         records.append(KnotRecord("6_1'", parse_fraction("5/9"), 2, parse_expansion("[2,5]"), False))
-        corrupted = _Table(records, {rec.name: rec for rec in records}, table.by_canonical)
+        corrupted = _Table(records, {rec.name: rec for rec in records}, table.by_canonical, table.max_q)
         monkeypatch.setattr(twobridge.table, "_table", lambda: corrupted)
         report = verify_table()
         assert not report.ok
@@ -229,6 +229,23 @@ class TestLookup:
             for text in (f"{p}/{q}", f"{pow(p, -1, q)}/{q}"):
                 _, found = lookup(text)
                 assert found is rec
+
+    def test_no_inverse_past_the_table(self, monkeypatch):
+        calls = Counter()
+        canonical = twobridge.table.canonical_form
+
+        def counting(k):
+            calls[k] += 1
+            return canonical(k)
+
+        monkeypatch.setattr(twobridge.table, "canonical_form", counting)
+        q = 10**30 + 1
+        assert resolve(f"2/{q}") == (KnotId(q, 2), None)
+        assert not calls
+        for rec in load_table():
+            p, q = rec.fraction.numerator, rec.fraction.denominator
+            assert resolve(f"{pow(p, -1, q)}/{q}")[1] is rec
+        assert sum(calls.values()) == 362
 
     def test_errors(self):
         with pytest.raises(UnknownNameError):
