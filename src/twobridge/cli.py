@@ -11,14 +11,14 @@ Diagnostics go to stderr; results to stdout, ASCII only.
 
 from __future__ import annotations
 
-import json
 import sys
 from collections.abc import Callable, Iterator
 from types import SimpleNamespace
-from typing import NamedTuple, NoReturn
 
 from .conway import conway_diagram, format_diagram, verify_diagram
 from .core import (
+    _set_field,
+    _Value,
     format_expansion,
     format_fraction,
     eval_expansion,
@@ -30,6 +30,11 @@ from .errors import DomainError, TwoBridgeError
 from .invariants import invariant_report
 from .reduction import format_trace, reduce_expansion
 from .table import find_record, resolve, verify_table
+
+# `typing` is for type checkers only: importing it costs the cold start.
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import NoReturn
 
 __all__ = ["main", "entry"]
 
@@ -81,6 +86,8 @@ def _cmd_invariants(args) -> int:
     # the even expansion has 2*genus coefficients, each with its "," or "]"
     _check_output_size(4 * report.genus, "invariants")
     if args.json:
+        import json  # only here: the other commands do not pay its import
+
         payload = report.to_dict()
         if record is not None:
             payload["table_name"] = record.name
@@ -120,15 +127,26 @@ def _cmd_table_lookup(args) -> int:
     return 0
 
 
-class _Command(NamedTuple):
+class _Command(_Value):
     """One command: its handler, its operand and its flag (None when it has none), and their help."""
 
-    run: Callable[[SimpleNamespace], int]
-    operand: str | None
-    flag: str | None
-    help: str
-    operand_help: str = ""
-    flag_help: str = ""
+    __slots__ = ("run", "operand", "flag", "help", "operand_help", "flag_help")
+
+    def __init__(
+        self,
+        run: Callable[[SimpleNamespace], int],
+        operand: str | None,
+        flag: str | None,
+        help: str,
+        operand_help: str = "",
+        flag_help: str = "",
+    ):
+        _set_field(self, "run", run)
+        _set_field(self, "operand", operand)
+        _set_field(self, "flag", flag)
+        _set_field(self, "help", help)
+        _set_field(self, "operand_help", operand_help)
+        _set_field(self, "flag_help", flag_help)
 
 
 # Every command, by the word that names it; the two `table` commands sit in

@@ -14,12 +14,12 @@ fraction, to the same value as C.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .core import (
     Expansion,
     KnotId,
     _join_ints,
+    _set_field,
+    _Value,
     eval_expansion,
     knot_from_fraction,
     same_knot,
@@ -38,17 +38,21 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ConwayDiagram:
+class ConwayDiagram(_Value):
     """Twist regions of a Conway diagram, with the expansion it came from.
 
     source_expansion is None for diagrams entered directly rather than
     built from an expansion.
     """
 
-    twist_regions: tuple[int, ...]
-    source_expansion: Expansion | None = None
-    mirrored: bool = False
+    __slots__ = ("twist_regions", "source_expansion", "mirrored")
+
+    def __init__(
+        self, twist_regions: tuple[int, ...], source_expansion: Expansion | None = None, mirrored: bool = False
+    ):
+        _set_field(self, "twist_regions", twist_regions)
+        _set_field(self, "source_expansion", source_expansion)
+        _set_field(self, "mirrored", mirrored)
 
 
 def odd_shortest_expansion(k: KnotId) -> Expansion:

@@ -14,25 +14,20 @@ from __future__ import annotations
 
 import re
 from collections.abc import Sequence
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
+from operator import attrgetter
 
 from .errors import DomainError, ParseError
 
 __all__ = [
     "ExtendedRational",
     "Expansion",
-    "AdditiveExpansion",
     "KnotId",
     "eval_expansion",
-    "eval_additive",
-    "reverse_expansion",
-    "alternating_sign_convert",
     "division_expansion",
     "partial_quotients",
     "same_knot",
-    "mirror",
     "canonical_form",
     "knot_from_fraction",
     "fraction_of",
@@ -40,23 +35,77 @@ __all__ = [
     "format_fraction",
     "parse_expansion",
     "format_expansion",
-    "INFINITY",
 ]
 
+# Stores a field in `__init__`, past the `__setattr__` that refuses assignment.
+_set_field = object.__setattr__
 
-@dataclass(frozen=True)
-class ExtendedRational:
+
+class _Value:
+    """Base of the package's immutable values.
+
+    A subclass lists its fields, in order, in `__slots__`, or in
+    `_FIELDS` when a `cached_property` needs an instance `__dict__`.  Its
+    `__init__` normalizes the arguments and stores each field with
+    `_set_field`.  The base gives it:
+
+    - equality: same type and equal fields; a hash of the fields;
+    - the repr `KnotId(q=15, p=4)`;
+    - pickling and copying, by calling the class on the fields again;
+    - AttributeError on assignment and deletion.
+
+    These classes were frozen `@dataclass` classes.  Importing the module
+    behind the decorator, which loads `inspect`, `ast`, `dis` and
+    `tokenize`, took about 12 ms, and building the classes, each with six
+    methods compiled by `exec`, about 14 ms: more than half of the
+    package's cold start of about 45 ms (perfbench `setup_s`, Python
+    3.11).  With this base the cold start reads about 11 ms
+    (BENCH_17.json).  Bring no `@dataclass` back without a benchmark that
+    shows it pays.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        own = vars(cls)
+        cls._fields = own["__slots__"] if "__slots__" in own else own["_FIELDS"]
+        # an attrgetter is no descriptor, so `self._values(self)` gives the field values
+        cls._values = attrgetter(*cls._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values(self) == other._values(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self):
+        return self.__class__, tuple(getattr(self, name) for name in self._fields)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class ExtendedRational(_Value):
     """A fraction in lowest terms with non-negative denominator.
 
     The pair (1, 0) is the unique representation of infinity; the sign
     is always carried on the numerator.
     """
 
-    numerator: int
-    denominator: int
+    __slots__ = ("numerator", "denominator")
 
-    def __post_init__(self):
-        n, d = self.numerator, self.denominator
+    def __init__(self, numerator: int, denominator: int):
+        n, d = numerator, denominator
         if d == 0:
             if n == 0:
                 raise DomainError("0/0 is not a point of the projective line")
@@ -66,8 +115,8 @@ class ExtendedRational:
                 n, d = -n, -d
             g = gcd(abs(n), d)
             n, d = n // g, d // g
-        object.__setattr__(self, "numerator", n)
-        object.__setattr__(self, "denominator", d)
+        _set_field(self, "numerator", n)
+        _set_field(self, "denominator", d)
 
     @property
     def is_infinite(self) -> bool:
@@ -109,22 +158,28 @@ class ExtendedRational:
         return format_fraction(self)
 
 
-INFINITY = ExtendedRational(1, 0)
-
-
-@dataclass(frozen=True)
-class Expansion:
+class Expansion(_Value):
     """Integer part plus coefficients of a subtractive continued fraction.
 
     Coefficients may contain 0 and +-1; those only occur in intermediate
     rewrite states, never in a reduced expansion.
     """
 
-    integer_part: int
-    coefficients: tuple[int, ...]
+    __slots__ = ("integer_part", "coefficients")
 
-    def __post_init__(self):
-        object.__setattr__(self, "coefficients", tuple(self.coefficients))
+    def __init__(self, integer_part: int, coefficients: Sequence[int]):
+        _set_field(self, "integer_part", integer_part)
+        _set_field(self, "coefficients", tuple(coefficients))
+
+    # Equality and hash spelled out: shortest sets keep expansions in a
+    # frozenset, and this is about twice as fast as the base's field tuples.
+    def __eq__(self, other):
+        if other.__class__ is Expansion:
+            return self.integer_part == other.integer_part and self.coefficients == other.coefficients
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.integer_part, self.coefficients))
 
     def __len__(self) -> int:
         return len(self.coefficients)
@@ -136,21 +191,6 @@ class Expansion:
 
     def __str__(self) -> str:
         return format_expansion(self)
-
-
-@dataclass(frozen=True)
-class AdditiveExpansion:
-    """Ordinary (all-plus) continued fraction r + 1/(a_1 + 1/(a_2 + ...)).
-
-    Kept as a separate type: the additive and subtractive conventions
-    differ by alternating signs and must never be mixed silently.
-    """
-
-    integer_part: int
-    coefficients: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "coefficients", tuple(self.coefficients))
 
 
 def eval_expansion(e: Expansion) -> ExtendedRational:
@@ -165,37 +205,6 @@ def eval_expansion(e: Expansion) -> ExtendedRational:
         u, w = b * u - w, u
     # r + 1/(u/w) = (r*u + w)/u
     return ExtendedRational(e.integer_part * u + w, u)
-
-
-def eval_additive(a: AdditiveExpansion) -> ExtendedRational:
-    """Exact projective value of an ordinary continued fraction."""
-    u, w = 1, 0
-    for b in reversed(a.coefficients):
-        u, w = b * u + w, u
-    return ExtendedRational(a.integer_part * u + w, u)
-
-
-def reverse_expansion(e: Expansion) -> Expansion:
-    """Reverse the coefficients of an expansion of a fraction in (0, 1).
-
-    If e evaluates to p/q, the reversal evaluates to p'/q with
-    p * p' = 1 (mod q).
-    """
-    if e.integer_part != 0:
-        raise DomainError("reversal requires integer part 0")
-    v = eval_expansion(e)
-    if v.is_infinite or not 0 < v.numerator < v.denominator:
-        raise DomainError(f"reversal requires a value strictly between 0 and 1, got {v}")
-    return Expansion(0, tuple(reversed(e.coefficients)))
-
-
-def alternating_sign_convert(a: AdditiveExpansion) -> Expansion:
-    """Rewrite an additive continued fraction as a subtractive one.
-
-    r + 1/(a_1 + 1/(a_2 + ...)) equals r + [a_1, -a_2, a_3, -a_4, ...].
-    """
-    coeffs = tuple(c if i % 2 == 0 else -c for i, c in enumerate(a.coefficients))
-    return Expansion(a.integer_part, coeffs)
 
 
 def division_expansion(x: ExtendedRational) -> Expansion:
@@ -250,28 +259,36 @@ def partial_quotients(p: int, q: int) -> tuple[int, ...]:
 # 2-bridge knot identifiers
 
 
-@dataclass(frozen=True)
-class KnotId:
+class KnotId(_Value):
     """Schubert parameters (q, p) of the 2-bridge knot S(q,p).
 
     q is odd (even q gives a 2-component link), p is normalized into
     (0, q) for q > 1; the unknot is S(1, 0).
     """
 
-    q: int
-    p: int
+    __slots__ = ("q", "p")
 
-    def __post_init__(self):
-        q, p = self.q, self.p
+    def __init__(self, q: int, p: int):
         if q < 1 or q % 2 == 0:
             raise DomainError(f"q must be a positive odd integer, got {_format_int(q)}")
         if q == 1:
-            p = 0
+            normalized = 0
         else:
-            p %= q
-            if gcd(p, q) != 1:
-                raise DomainError(f"p and q must be coprime, got S({_format_int(q)},{_format_int(self.p)})")
-        object.__setattr__(self, "p", p)
+            normalized = p % q
+            if gcd(normalized, q) != 1:
+                raise DomainError(f"p and q must be coprime, got S({_format_int(q)},{_format_int(p)})")
+        _set_field(self, "q", q)
+        _set_field(self, "p", normalized)
+
+    # Equality and hash spelled out: the memos key on KnotId, and this is
+    # about twice as fast as the base's field tuples.
+    def __eq__(self, other):
+        if other.__class__ is KnotId:
+            return self.q == other.q and self.p == other.p
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.q, self.p))
 
     def __str__(self) -> str:
         return f"S({_format_int(self.q)},{_format_int(self.p)})"
@@ -285,13 +302,6 @@ def same_knot(k1: KnotId, k2: KnotId) -> bool:
     if k1.q != k2.q:
         return False
     return k2.p == k1.p or k1.p * k2.p % k1.q == 1
-
-
-def mirror(k: KnotId) -> KnotId:
-    """The mirror image S(q,-p)."""
-    if k.q == 1:
-        return k
-    return KnotId(k.q, -k.p % k.q)
 
 
 def canonical_form(k: KnotId) -> KnotId:

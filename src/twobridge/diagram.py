@@ -13,10 +13,9 @@ regular continued fraction, with no rewriting at all.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
 from functools import cached_property
 
-from .core import Expansion, ExtendedRational, _format_int, partial_quotients
+from .core import Expansion, ExtendedRational, _format_int, _set_field, _Value, partial_quotients
 from .errors import DomainError, PatternMatchError
 from .invariants import _odd_shortest_exists
 from .reduction import reduced_from_quotients
@@ -95,8 +94,7 @@ def rectangle_positions(e: Expansion) -> list[int]:
     return [i + 1 for i, v in enumerate(e.coefficients) if abs(v) == 2]
 
 
-@dataclass(frozen=True)
-class ShortestSet:
+class ShortestSet(_Value):
     """All shortest expansions of one fraction, kept as an automaton over T = `reduced`.
 
     T is the member with no -2.  Every member is T - A x for a 0/1 vector
@@ -117,14 +115,16 @@ class ShortestSet:
     then each coefficient with its "," or "]".  No token is a prefix of
     another and every member has as many, so text order is token order,
     and each state keeps its edges in the order of their tokens.
+
+    A copy or a pickle holds the two fields only, as the base makes it: the
+    cached automaton nests as deep as T is long, too deep for pickle.
     """
 
-    value: ExtendedRational
-    reduced: Expansion
+    _FIELDS = ("value", "reduced")
 
-    def __reduce__(self):
-        # copies drop the cached automaton, which nests as deep as T is long: too deep for pickle
-        return ShortestSet, (self.value, self.reduced)
+    def __init__(self, value: ExtendedRational, reduced: Expansion):
+        _set_field(self, "value", value)
+        _set_field(self, "reduced", reduced)
 
     @cached_property
     def _automaton(self) -> tuple[int, list]:

@@ -16,7 +16,6 @@ diagram read its fields.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from itertools import chain, islice
@@ -25,6 +24,8 @@ from .core import (
     Expansion,
     KnotId,
     _format_int,
+    _set_field,
+    _Value,
     eval_expansion,
     fraction_of,
     format_expansion,
@@ -55,25 +56,37 @@ class Boundary(Enum):
     TRIVIAL = "Trivial"
 
 
-@dataclass(frozen=True)
-class PlumbingSurface:
+class PlumbingSurface(_Value):
     """Surface plumbed from a row of twisted bands, one per coefficient."""
 
-    bands: tuple[int, ...]
-    first_betti: int
-    orientable: bool
+    __slots__ = ("bands", "first_betti", "orientable")
+
+    def __init__(self, bands: tuple[int, ...], first_betti: int, orientable: bool):
+        _set_field(self, "bands", bands)
+        _set_field(self, "first_betti", first_betti)
+        _set_field(self, "orientable", orientable)
 
 
-@dataclass(frozen=True)
-class InvariantReport:
+class InvariantReport(_Value):
     """Every invariant of one knot; the even expansion is kept as its `_even_runs`."""
 
-    knot: KnotId
-    crosscap: int
-    genus: int
-    reduced: Expansion
-    even_runs: tuple[int, tuple[tuple[int, int], ...]]
-    boundary: Boundary
+    __slots__ = ("knot", "crosscap", "genus", "reduced", "even_runs", "boundary")
+
+    def __init__(
+        self,
+        knot: KnotId,
+        crosscap: int,
+        genus: int,
+        reduced: Expansion,
+        even_runs: tuple[int, tuple[tuple[int, int], ...]],
+        boundary: Boundary,
+    ):
+        _set_field(self, "knot", knot)
+        _set_field(self, "crosscap", crosscap)
+        _set_field(self, "genus", genus)
+        _set_field(self, "reduced", reduced)
+        _set_field(self, "even_runs", even_runs)
+        _set_field(self, "boundary", boundary)
 
     @property
     def odd_shortest_exists(self) -> bool:

@@ -2,19 +2,24 @@
 
 Tests and verification runs compare the serving code against these.  No
 serving module imports this one, so `import twobridge.cli` never loads it.
+The reference-only values and conversions that no serving route needs
+(ordinary continued fractions, reversal, the mirror image, 1/0 as a
+constant) live here too.
 """
 
 from __future__ import annotations
 
 import random
 from collections import deque
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from math import gcd
 
 from .core import (
     Expansion,
     ExtendedRational,
     KnotId,
+    _set_field,
+    _Value,
     division_expansion,
     eval_expansion,
     fraction_of,
@@ -26,6 +31,12 @@ from .invariants import _require_knot
 from .reduction import ReductionStep, ReductionTrace, Rule, apply_rule, reduce_expansion
 
 __all__ = [
+    "INFINITY",
+    "AdditiveExpansion",
+    "eval_additive",
+    "alternating_sign_convert",
+    "reverse_expansion",
+    "mirror",
     "seed_expansion",
     "farey_parents",
     "depth_by_parents",
@@ -40,6 +51,60 @@ __all__ = [
     "reduce_by_scanning",
     "check_trace",
 ]
+
+INFINITY = ExtendedRational(1, 0)
+
+
+class AdditiveExpansion(_Value):
+    """Ordinary (all-plus) continued fraction r + 1/(a_1 + 1/(a_2 + ...)).
+
+    Kept as a separate type: the additive and subtractive conventions
+    differ by alternating signs and must never be mixed silently.
+    """
+
+    __slots__ = ("integer_part", "coefficients")
+
+    def __init__(self, integer_part: int, coefficients: Sequence[int]):
+        _set_field(self, "integer_part", integer_part)
+        _set_field(self, "coefficients", tuple(coefficients))
+
+
+def eval_additive(a: AdditiveExpansion) -> ExtendedRational:
+    """Exact projective value of an ordinary continued fraction."""
+    u, w = 1, 0
+    for b in reversed(a.coefficients):
+        u, w = b * u + w, u
+    return ExtendedRational(a.integer_part * u + w, u)
+
+
+def alternating_sign_convert(a: AdditiveExpansion) -> Expansion:
+    """Rewrite an additive continued fraction as a subtractive one.
+
+    r + 1/(a_1 + 1/(a_2 + ...)) equals r + [a_1, -a_2, a_3, -a_4, ...].
+    """
+    coeffs = tuple(c if i % 2 == 0 else -c for i, c in enumerate(a.coefficients))
+    return Expansion(a.integer_part, coeffs)
+
+
+def reverse_expansion(e: Expansion) -> Expansion:
+    """Reverse the coefficients of an expansion of a fraction in (0, 1).
+
+    If e evaluates to p/q, the reversal evaluates to p'/q with
+    p * p' = 1 (mod q).
+    """
+    if e.integer_part != 0:
+        raise DomainError("reversal requires integer part 0")
+    v = eval_expansion(e)
+    if v.is_infinite or not 0 < v.numerator < v.denominator:
+        raise DomainError(f"reversal requires a value strictly between 0 and 1, got {v}")
+    return Expansion(0, tuple(reversed(e.coefficients)))
+
+
+def mirror(k: KnotId) -> KnotId:
+    """The mirror image S(q,-p)."""
+    if k.q == 1:
+        return k
+    return KnotId(k.q, -k.p % k.q)
 
 
 def seed_expansion(x: ExtendedRational) -> Expansion:

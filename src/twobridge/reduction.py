@@ -15,11 +15,10 @@ records nothing.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 
-from .core import Expansion, _format_int, format_expansion, partial_quotients
+from .core import Expansion, _format_int, _set_field, _Value, format_expansion, partial_quotients
 from .errors import InternalError, PatternMatchError
 
 __all__ = [
@@ -39,8 +38,7 @@ class Rule(Enum):
     REMOVE_BLOCK = "RemoveBlock"
 
 
-@dataclass(frozen=True)
-class ReductionStep:
+class ReductionStep(_Value):
     """One rule application site.
 
     position is the 1-based index of the removed coefficient (for blocks,
@@ -48,14 +46,16 @@ class ReductionStep:
     has one, block_length the total block size m >= 2.
     """
 
-    rule: Rule
-    position: int
-    epsilon: int = 0
-    block_length: int = 0
+    __slots__ = ("rule", "position", "epsilon", "block_length")
+
+    def __init__(self, rule: Rule, position: int, epsilon: int = 0, block_length: int = 0):
+        _set_field(self, "rule", rule)
+        _set_field(self, "position", position)
+        _set_field(self, "epsilon", epsilon)
+        _set_field(self, "block_length", block_length)
 
 
-@dataclass(frozen=True)
-class ReductionTrace:
+class ReductionTrace(_Value):
     """Replayable record of a reduction run: the start, each step, the fixpoint.
 
     `steps` pairs each move with the expansion it produced.  It is rebuilt
@@ -63,9 +63,12 @@ class ReductionTrace:
     is never read keeps no intermediate expansions.
     """
 
-    initial: Expansion
-    moves: tuple[ReductionStep, ...]
-    final: Expansion
+    _FIELDS = ("initial", "moves", "final")
+
+    def __init__(self, initial: Expansion, moves: tuple[ReductionStep, ...], final: Expansion):
+        _set_field(self, "initial", initial)
+        _set_field(self, "moves", moves)
+        _set_field(self, "final", final)
 
     def lengths(self) -> Iterator[int]:
         """The length of the expansion after each move, read off the rules without replaying them.

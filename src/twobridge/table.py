@@ -9,16 +9,17 @@ end-to-end regression suite.
 
 from __future__ import annotations
 
+import os
 from collections.abc import Callable
-from dataclasses import dataclass, field
 from functools import cache
-from importlib import resources
 from math import gcd
 
 from .core import (
     Expansion,
     ExtendedRational,
     KnotId,
+    _set_field,
+    _Value,
     canonical_form,
     eval_expansion,
     knot_from_fraction,
@@ -30,25 +31,25 @@ from .reduction import reduce_expansion
 
 __all__ = ["KnotRecord", "TableReport", "load_table", "verify_table", "resolve", "lookup", "find_record"]
 
-_DATA = "data/table.tsv"
+# Read as a file next to this module, where the package data installs it.
+# In an interpreter without `site` hooks, importing `importlib.resources`
+# takes longer than the whole package does (`pkgutil` imports `typing`).
+_DATA = os.path.join(os.path.dirname(__file__), "data", "table.tsv")
 
 
-@dataclass(frozen=True)
-class KnotRecord:
-    name: str
-    fraction: ExtendedRational
-    gamma: int
-    expansion: Expansion
-    starred: bool
+class KnotRecord(_Value):
+    __slots__ = ("name", "fraction", "gamma", "expansion", "starred")
+
+    def __init__(self, name: str, fraction: ExtendedRational, gamma: int, expansion: Expansion, starred: bool):
+        _set_field(self, "name", name)
+        _set_field(self, "fraction", fraction)
+        _set_field(self, "gamma", gamma)
+        _set_field(self, "expansion", expansion)
+        _set_field(self, "starred", starred)
 
 
-@dataclass
 class TableReport:
     """Outcome of the five table checks, with one failure entry per offense."""
-
-    total: int = 0
-    passed: dict[str, int] = field(default_factory=dict)
-    failures: list[tuple[str, str, str]] = field(default_factory=list)
 
     CHECKS = {
         "a_eval": "expansion evaluates to p/q",
@@ -57,6 +58,11 @@ class TableReport:
         "d_starred": "starred exactly when crosscap = 2*genus + 1 (even type, no +-2)",
         "e_distinct": "all canonical forms distinct",
     }
+
+    def __init__(self, total: int = 0):
+        self.total = total
+        self.passed: dict[str, int] = {}
+        self.failures: list[tuple[str, str, str]] = []
 
     @property
     def ok(self) -> bool:
@@ -79,16 +85,25 @@ class TableReport:
         return out
 
 
-@dataclass(frozen=True)
-class _Table:
-    records: list[KnotRecord]
-    by_name: dict[str, KnotRecord]
-    by_canonical: dict[KnotId, KnotRecord]
-    max_q: int
+class _Table(_Value):
+    __slots__ = ("records", "by_name", "by_canonical", "max_q")
+
+    def __init__(
+        self,
+        records: list[KnotRecord],
+        by_name: dict[str, KnotRecord],
+        by_canonical: dict[KnotId, KnotRecord],
+        max_q: int,
+    ):
+        _set_field(self, "records", records)
+        _set_field(self, "by_name", by_name)
+        _set_field(self, "by_canonical", by_canonical)
+        _set_field(self, "max_q", max_q)
 
 
 def _read_rows() -> list[tuple[int, list[str]]]:
-    text = resources.files(__package__).joinpath(_DATA).read_text(encoding="ascii")
+    with open(_DATA, encoding="ascii") as f:
+        text = f.read()
     rows = []
     for i, line in enumerate(text.splitlines(), start=1):
         if not line or line.startswith("#"):

@@ -30,12 +30,13 @@ from twobridge import (
     verify_table,
 )
 from twobridge.conway import ConwayDiagram, odd_shortest_expansion
-from twobridge.core import division_expansion, mirror
+from twobridge.core import division_expansion
 from twobridge.diagram import rectangle_move, rectangle_positions
 from twobridge.invariants import even_expansion, family_k_mn, gamma_equals_2g_plus_1, plumbing_surface
 from twobridge.oracles import (
     brute_force_min_length,
     check_trace,
+    mirror,
     odd_type_among_shortest,
     reduce_with_strategy,
 )

@@ -343,12 +343,19 @@ class TestDispatcher:
         assert code == 2 and not out and err.startswith("error:")
 
 def test_cli_import_leaves_oracles_unloaded():
-    # nor argparse: the command table is the only parser
+    # The cold start: the command table is the only parser, the values need no
+    # class generator, json waits for --json and the table is read as a file.
+    # -S runs no site hook, which could load any of these first.
     src = os.path.dirname(os.path.dirname(twobridge.__file__))
-    code = "import sys, twobridge.cli; print('twobridge.oracles' in sys.modules, 'argparse' in sys.modules)"
+    unloaded = ["dataclasses", "inspect", "json", "importlib.resources", "typing", "argparse", "twobridge.oracles"]
+    code = (
+        "import sys, twobridge.cli, twobridge.table; twobridge.table.load_table();"
+        f" print(sorted(set({unloaded!r}) & set(sys.modules)))"
+    )
     env = dict(os.environ, PYTHONPATH=src)
-    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert result.stdout.strip() == "False False"
+    command = [sys.executable, "-S", "-c", code]
+    result = subprocess.run(command, env=env, capture_output=True, text=True, check=True, timeout=60)
+    assert result.stdout.strip() == "[]"
 
 
 def test_entry_point_help():

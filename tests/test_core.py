@@ -22,21 +22,23 @@ from twobridge import (
     parse_fraction,
 )
 from twobridge.core import (
-    AdditiveExpansion,
-    INFINITY,
-    alternating_sign_convert,
     canonical_form,
     division_expansion,
-    eval_additive,
-    mirror,
     partial_quotients,
-    reverse_expansion,
     same_knot,
 )
 from twobridge.diagram import rectangle_move
 from twobridge.errors import PatternMatchError
 from twobridge.invariants import family_k_mn
-from twobridge.oracles import seed_expansion
+from twobridge.oracles import (
+    INFINITY,
+    AdditiveExpansion,
+    alternating_sign_convert,
+    eval_additive,
+    mirror,
+    reverse_expansion,
+    seed_expansion,
+)
 from twobridge.reduction import ReductionStep, Rule, apply_rule
 
 coefficients = st.lists(

@@ -18,15 +18,18 @@ from twobridge import (
     parse_expansion,
     reduce_expansion,
 )
-from twobridge.core import INFINITY, AdditiveExpansion, division_expansion, eval_additive
+from twobridge.core import division_expansion
 from twobridge.diagram import rectangle_move, rectangle_positions
 from twobridge.errors import PatternMatchError
 from twobridge.oracles import (
+    INFINITY,
+    AdditiveExpansion,
     applicable_steps,
     brute_force_min_length,
     closure_by_rectangle_moves,
     depth_by_mediant_walk,
     depth_by_parents,
+    eval_additive,
     farey_parents,
     is_shortest,
     seed_expansion,

@@ -32,11 +32,8 @@ from twobridge import (
 )
 from twobridge.conway import conway_diagram, verify_diagram
 from twobridge.core import (
-    AdditiveExpansion,
     division_expansion,
-    eval_additive,
     fraction_of,
-    mirror,
     partial_quotients,
 )
 from twobridge.diagram import depth
@@ -46,7 +43,7 @@ from twobridge.invariants import (
     gamma_equals_2g_plus_1,
     plumbing_surface,
 )
-from twobridge.oracles import alexander_genus, odd_type_among_shortest
+from twobridge.oracles import AdditiveExpansion, alexander_genus, eval_additive, mirror, odd_type_among_shortest
 
 
 def odd_knots_up_to(limit):

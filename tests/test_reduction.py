@@ -7,10 +7,18 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from twobridge import Expansion, ExtendedRational, eval_expansion, parse_expansion, reduce_expansion
-from twobridge.core import AdditiveExpansion, division_expansion, eval_additive, format_expansion, partial_quotients
+from twobridge.core import division_expansion, format_expansion, partial_quotients
 from twobridge.diagram import depth
 from twobridge.errors import DomainError, PatternMatchError
-from twobridge.oracles import applicable_steps, check_trace, reduce_by_scanning, reduce_with_strategy, seed_expansion
+from twobridge.oracles import (
+    AdditiveExpansion,
+    applicable_steps,
+    check_trace,
+    eval_additive,
+    reduce_by_scanning,
+    reduce_with_strategy,
+    seed_expansion,
+)
 from twobridge.reduction import (
     ReductionStep,
     Rule,

@@ -1,6 +1,5 @@
 import hashlib
 from collections import Counter
-from dataclasses import replace
 from functools import cache
 from importlib import resources
 
@@ -108,7 +107,10 @@ class TestVerify:
             "6_1": {"expansion": parse_expansion("[5,3,1]")},  # right value, not shortest
             "7_4": {"starred": False},
         }
-        records = [replace(rec, **changed.get(rec.name, {})) for rec in table.records]
+        fields = ("name", "fraction", "gamma", "expansion", "starred")
+        records = [
+            KnotRecord(**{**{f: getattr(rec, f) for f in fields}, **changed.get(rec.name, {})}) for rec in table.records
+        ]
         records.append(KnotRecord("6_1'", parse_fraction("5/9"), 2, parse_expansion("[2,5]"), False))
         corrupted = _Table(records, {rec.name: rec for rec in records}, table.by_canonical, table.max_q)
         monkeypatch.setattr(twobridge.table, "_table", lambda: corrupted)
