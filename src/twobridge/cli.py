@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import sys
 from collections.abc import Callable, Iterator
-from types import SimpleNamespace
 
 from .conway import conway_diagram, format_diagram, verify_diagram
 from .core import (
@@ -49,14 +48,14 @@ def _check_output_size(at_least: int, command: str) -> None:
         raise DomainError(f"{command} would print more than {_MAX_OUTPUT} characters")
 
 
-def _cmd_eval(args) -> int:
-    print(format_fraction(eval_expansion(parse_expansion(args.expansion))))
+def _cmd_eval(expansion: str, _flagged: bool) -> int:
+    print(format_fraction(eval_expansion(parse_expansion(expansion))))
     return 0
 
 
-def _cmd_reduce(args) -> int:
-    reduced, trace = reduce_expansion(parse_expansion(args.expansion))
-    if args.trace and trace.moves:
+def _cmd_reduce(expansion: str, trace_steps: bool) -> int:
+    reduced, trace = reduce_expansion(parse_expansion(expansion))
+    if trace_steps and trace.moves:
         # each line ends in the expansion that its move left, of L coefficients: at least 2*L + 1 characters
         _check_output_size(sum(2 * n + 1 for n in trace.lengths()), "reduce --trace")
         print(format_trace(trace))
@@ -64,14 +63,14 @@ def _cmd_reduce(args) -> int:
     return 0
 
 
-def _cmd_depth(args) -> int:
-    print(depth(parse_fraction(args.fraction)))
+def _cmd_depth(fraction: str, _flagged: bool) -> int:
+    print(depth(parse_fraction(fraction)))
     return 0
 
 
-def _cmd_shortest(args) -> int:
-    shortest = all_shortest_expansions(parse_fraction(args.fraction))
-    if args.all:
+def _cmd_shortest(fraction: str, every: bool) -> int:
+    shortest = all_shortest_expansions(parse_fraction(fraction))
+    if every:
         # every member has len(T) coefficients, each with its "," or "]", after a "["
         _check_output_size(shortest.size * (2 * len(shortest.reduced) + 1), "shortest --all")
         print("\n".join(shortest.sorted_text()))
@@ -80,12 +79,12 @@ def _cmd_shortest(args) -> int:
     return 0
 
 
-def _cmd_invariants(args) -> int:
-    knot, record = resolve(args.knot)
+def _cmd_invariants(knot_text: str, as_json: bool) -> int:
+    knot, record = resolve(knot_text)
     report = invariant_report(knot)
     # the even expansion has 2*genus coefficients, each with its "," or "]"
     _check_output_size(4 * report.genus, "invariants")
-    if args.json:
+    if as_json:
         import json  # only here: the other commands do not pay its import
 
         payload = report.to_dict()
@@ -102,8 +101,8 @@ def _cmd_invariants(args) -> int:
     return 0
 
 
-def _cmd_conway(args) -> int:
-    knot, _ = resolve(args.knot)
+def _cmd_conway(knot_text: str, _flagged: bool) -> int:
+    knot, _ = resolve(knot_text)
     diagram = conway_diagram(knot)
     ok = verify_diagram(diagram, knot)
     print(format_diagram(diagram))
@@ -111,15 +110,15 @@ def _cmd_conway(args) -> int:
     return 0 if ok else 1
 
 
-def _cmd_table_verify(_args) -> int:
+def _cmd_table_verify(_operand: None, _flagged: bool) -> int:
     report = verify_table()
     for line in report.lines():
         print(line)
     return 0 if report.ok else 1
 
 
-def _cmd_table_lookup(args) -> int:
-    rec = find_record(args.name)
+def _cmd_table_lookup(name: str, _flagged: bool) -> int:
+    rec = find_record(name)
     print(
         f"name={rec.name} fraction={format_fraction(rec.fraction)} gamma={rec.gamma}"
         f" expansion={format_expansion(rec.expansion)} starred={str(rec.starred).lower()}"
@@ -128,13 +127,17 @@ def _cmd_table_lookup(args) -> int:
 
 
 class _Command(_Value):
-    """One command: its handler, its operand and its flag (None when it has none), and their help."""
+    """One command: its handler, its operand and its flag (None when it has none), and their help.
+
+    `run(operand, flagged)` gets the operand's text (None for a command
+    without one) and whether the flag was given.
+    """
 
     __slots__ = ("run", "operand", "flag", "help", "operand_help", "flag_help")
 
     def __init__(
         self,
-        run: Callable[[SimpleNamespace], int],
+        run: Callable[[str | None, bool], int],
         operand: str | None,
         flag: str | None,
         help: str,
@@ -256,8 +259,8 @@ def _find_command(argv: list[str]) -> tuple[str, _Command, list[str]]:
     return prog, entry, rest
 
 
-def _read_arguments(prog: str, command: _Command, tokens: list[str]) -> SimpleNamespace:
-    """The operand and flag of one call, as the attributes that the handler reads.
+def _read_arguments(prog: str, command: _Command, tokens: list[str]) -> tuple[str | None, bool]:
+    """The operand of one call (None for a command without one) and whether its flag was given.
 
     A token that starts with '-' and then a non-digit, before '--', is a
     flag; every other token is an operand.
@@ -281,21 +284,16 @@ def _read_arguments(prog: str, command: _Command, tokens: list[str]) -> SimpleNa
         _usage_error(_command_usage(prog, command), f"the operand {command.operand} is required")
     if len(operands) > wanted:
         _usage_error(_command_usage(prog, command), f"unexpected operand {operands[wanted]!r}")
-    args = SimpleNamespace()
-    if command.operand:
-        setattr(args, command.operand, operands[0])
-    if command.flag:
-        setattr(args, command.flag[2:], flagged)
-    return args
+    return (operands[0] if operands else None), flagged
 
 
 def main(argv: list[str] | None = None) -> int:
     """Run one command; usage errors and help leave by `SystemExit`, with code 2 and 0."""
     argv = sys.argv[1:] if argv is None else list(argv)
     prog, command, rest = _find_command(argv)
-    args = _read_arguments(prog, command, rest)
+    operand, flagged = _read_arguments(prog, command, rest)
     try:
-        return command.run(args)
+        return command.run(operand, flagged)
     except TwoBridgeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

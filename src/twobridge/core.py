@@ -99,7 +99,8 @@ class ExtendedRational(_Value):
     """A fraction in lowest terms with non-negative denominator.
 
     The pair (1, 0) is the unique representation of infinity; the sign
-    is always carried on the numerator.
+    is always carried on the numerator.  The class carries no arithmetic:
+    callers write `//`, `%` and translated fractions on the two fields.
     """
 
     __slots__ = ("numerator", "denominator")
@@ -125,34 +126,6 @@ class ExtendedRational(_Value):
     @property
     def is_integer(self) -> bool:
         return self.denominator == 1
-
-    def floor(self) -> int:
-        if self.is_infinite:
-            raise DomainError("floor of 1/0 is undefined")
-        return self.numerator // self.denominator
-
-    def mod_one(self) -> "ExtendedRational":
-        """Translate into [0, 1) by subtracting the floor."""
-        if self.is_infinite:
-            raise DomainError("cannot reduce 1/0 mod 1")
-        return ExtendedRational(self.numerator % self.denominator, self.denominator)
-
-    def __neg__(self) -> "ExtendedRational":
-        if self.is_infinite:
-            return self
-        return ExtendedRational(-self.numerator, self.denominator)
-
-    def __add__(self, other: int) -> "ExtendedRational":
-        if not isinstance(other, int):
-            return NotImplemented
-        if self.is_infinite:
-            return self
-        return ExtendedRational(self.numerator + other * self.denominator, self.denominator)
-
-    def __sub__(self, other: int) -> "ExtendedRational":
-        if not isinstance(other, int):
-            return NotImplemented
-        return self + (-other)
 
     def __str__(self) -> str:
         return format_fraction(self)
@@ -210,17 +183,16 @@ def eval_expansion(e: Expansion) -> ExtendedRational:
 def division_expansion(x: ExtendedRational) -> Expansion:
     """Expand a finite fraction by repeated division.
 
-    Splits off the floor as the integer part, then applies ceiling
-    quotients, which yields coefficients that are all >= 2.  Its length
-    is about the sum of the partial quotients, so no serving code runs
-    it: the pipeline reduces in one pass over the partial quotients
+    Splits off floor(p/q) as the integer part, then applies ceiling
+    quotients to q over the remainder p mod q, which yields coefficients
+    that are all >= 2.  Its length is about the sum of the partial
+    quotients, so no serving code runs it: the pipeline reduces in one pass over the partial quotients
     (`reduction.reduced_from_quotients`), and the tests hold that result
     to the fixpoint this expansion reduces to.
     """
     if x.is_infinite:
         raise DomainError("cannot expand 1/0")
-    r = x.floor()
-    rem = x.numerator - r * x.denominator
+    r, rem = divmod(x.numerator, x.denominator)
     if rem == 0:
         return Expansion(r, ())
     coeffs = []

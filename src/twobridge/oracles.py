@@ -166,8 +166,8 @@ def depth_by_parents(x: ExtendedRational, memo: dict[tuple[int, int], int] | Non
     """
     if x.is_infinite:
         return 0
-    y = x.mod_one()
-    if y.numerator == 0:
+    p, q = x.numerator % x.denominator, x.denominator  # translated into [0, 1)
+    if p == 0:
         return 0
     if memo is None:
         memo = {}
@@ -177,7 +177,7 @@ def depth_by_parents(x: ExtendedRational, memo: dict[tuple[int, int], int] | Non
     def lookup(a: int, b: int) -> int | None:
         return 0 if b == 1 else memo.get((a, b))
 
-    stack = [(y.numerator, y.denominator)]
+    stack = [(p, q)]
     while stack:
         pp, qq = stack[-1]
         if (pp, qq) in memo:
@@ -195,7 +195,7 @@ def depth_by_parents(x: ExtendedRational, memo: dict[tuple[int, int], int] | Non
             continue
         memo[(pp, qq)] = min(d1, d2) + 1
         stack.pop()
-    return memo[(y.numerator, y.denominator)]
+    return memo[(p, q)]
 
 
 def depth_by_mediant_walk(x: ExtendedRational) -> int:
@@ -209,8 +209,7 @@ def depth_by_mediant_walk(x: ExtendedRational) -> int:
     """
     if x.is_infinite:
         return 0
-    y = x.mod_one()
-    p, q = y.numerator, y.denominator
+    p, q = x.numerator % x.denominator, x.denominator  # translated into [0, 1)
     if p == 0:
         return 0
     a, b, c, d = 0, 1, 1, 1
@@ -311,11 +310,10 @@ def brute_force_min_length(
     if x.is_infinite:
         raise DomainError("1/0 is outside the brute-force domain")
     table = _brute_table(max_len, coeff_bound)
-    base = x.floor()
+    base = x.numerator // x.denominator
     best = None
     for r in range(base - r_window, base + r_window + 1):
-        tail = x - r
-        n = table.get((tail.numerator, tail.denominator))
+        n = table.get((x.numerator - r * x.denominator, x.denominator))  # the fraction x - r
         if n is not None and (best is None or n < best):
             best = n
     return best

@@ -175,25 +175,17 @@ def _blocks_from(c, j: int):
         j = k
 
 
-def _block_search_start(c, b: int) -> int:
-    """Leftmost index a block can start at, given that every block starting left of b covers b.
+def _opening(c, end: int, two: int) -> int:
+    """Index j of a `two` (+-2) with c[j+1:end] all 3e, e the sign of `two`; else -1.
 
-    Such a block is a +-2 followed by a run of 3s of its sign that reaches
-    b, so only the run just left of b needs a look.
+    A block two, 3e, ..., 3e, two whose last entry is c[end] opens at j.
+    The scan passes the 3e run once, back to front.
     """
-    if b >= len(c):
-        return b
-    v = c[b]
-    if v in (3, 2):
-        three, two = 3, 2
-    elif v in (-3, -2):
-        three, two = -3, -2
-    else:
-        return b
-    t = b
-    while t > 0 and c[t - 1] == three:
-        t -= 1
-    return t - 1 if t > 0 and c[t - 1] == two else b
+    three = two + two // 2
+    j = end - 1
+    while j >= 0 and c[j] == three:
+        j -= 1
+    return j if j >= 0 and c[j] == two else -1
 
 
 class _Sites:
@@ -226,7 +218,12 @@ class _Sites:
                     pass
             self.unit_from = i
             return ReductionStep(Rule.REMOVE_UNIT, i + 1, epsilon=c[i])
-        block = next(_blocks_from(c, _block_search_start(c, self.block_from)), None)
+        # A block starting left of b covers c[b], a 2e or 3e, so it opens at the 2e before the
+        # 3e run that ends there.  If c[b] is neither, none does, and a start found costs a rescan.
+        b = self.block_from
+        if b < len(c) and (j := _opening(c, b, 2 if c[b] > 0 else -2)) >= 0:
+            b = j
+        block = next(_blocks_from(c, b), None)
         if block is None:
             return None
         j, m = block
@@ -278,34 +275,21 @@ def reduce_expansion(e: Expansion) -> tuple[Expansion, ReductionTrace]:
     return final, ReductionTrace(e, tuple(moves), final)
 
 
-def _block_start(c: list[int]) -> int:
-    """Index of the 2e that opens a block 2e,3e,...,3e,2e ending at the top of c, else -1.
-
-    The top is +-2; the scan passes the 3e run below it once.
-    """
-    t = c[-1]
-    three = t + t // 2
-    j = len(c) - 2
-    while j >= 0 and c[j] == three:
-        j -= 1
-    return j if j >= 0 and c[j] == t else -1
-
-
 def _settle(c: list[int], todo: list[int]) -> int:
-    """Push the values of todo, last first, onto c; returns the change in the integer part.
+    """Pop the values of todo onto c, its last value first; returns the change in the integer part.
 
-    c has no site of the three rules except at its top: a top of 0 or +-1,
-    or a +-2 that closes a block, waits for the right neighbour that the
-    interior form needs.  A push supplies it, so that rule applies, and
-    the pushed value, edited by the rule, is pushed onto what is left;
-    a block leaves its body -3e,...,-3e to push first.  The head forms
-    apply where the site starts at c[0].
+    todo ends empty.  c has no site of the three rules except at its
+    top: a top of 0 or +-1, or a +-2 that closes a block, waits for the
+    right neighbour that the interior form needs.  A push supplies it,
+    so that rule applies, and the pushed value, edited by the rule, is
+    pushed onto what is left; a block puts its body -3e,...,-3e back on
+    todo, to be pushed first.  The head forms apply where the site
+    starts at c[0].
     """
     dr = 0
     while todo:
         v = todo.pop()
-        while c:
-            t = c[-1]
+        while c and -3 < (t := c[-1]) < 3:
             if t == 0:  # [..., a, 0, v] = [..., a + v]; [0, v, ...] = -v + [...]
                 c.pop()
                 if not c:
@@ -319,7 +303,7 @@ def _settle(c: list[int], todo: list[int]) -> int:
                     c[-1] -= t
                 else:
                     dr += t
-            elif (t == 2 or t == -2) and (j := _block_start(c)) >= 0:
+            elif (j := _opening(c, len(c) - 1, t)) >= 0:  # t is 2e
                 # [..., a, 2e, 3e, ..., 3e, 2e, v] = [..., a - e, -3e, ..., -3e, v - e]
                 eps = t // 2
                 body = len(c) - j - 1
@@ -342,8 +326,7 @@ def _settle(c: list[int], todo: list[int]) -> int:
 def _close(c: list[int]) -> int:
     """Apply the tail forms of the rules at the top of c until none applies; returns the change in r."""
     dr = 0
-    while c:
-        t = c[-1]
+    while c and -3 < (t := c[-1]) < 3:
         if t == 0:  # [..., a, 0] = [...]
             if len(c) == 1:
                 raise InternalError("a lone [0] is the value 1/0, which no fraction reduces to")
@@ -354,7 +337,7 @@ def _close(c: list[int]) -> int:
                 c[-1] -= t
             else:
                 dr += t
-        elif (t == 2 or t == -2) and (j := _block_start(c)) >= 0:
+        elif (j := _opening(c, len(c) - 1, t)) >= 0:  # t is 2e
             # [..., a, 2e, 3e, ..., 3e, 2e] = [..., a - e, -3e, ..., -3e]
             eps = t // 2
             body = len(c) - j - 1
@@ -370,41 +353,36 @@ def _close(c: list[int]) -> int:
 
 
 def reduced_from_quotients(p: int, q: int) -> Expansion:
-    """The reduced expansion of p/q, in one pass over its partial quotients a_0; a_1, ..., a_n.
+    """The reduced expansion of p/q, from its partial quotients a_0; a_1, ..., a_n.
 
-    The pass forms the seed (`oracles.seed_expansion`) inline: an
-    odd-position a_i gives a_i, an even-position a_i >= 3 gives -a_i, an
-    even-position 1 raises both neighbours, and an even-position 2 raises
-    both and gives 2.  Each coefficient is pushed onto a list kept a
-    fixpoint of the three rules but at its top, so that the rules apply
-    as the list grows and the tail forms once at the end.  A push onto a
-    top of absolute value 3 or more, or onto a +-2 whose left neighbour
-    is neither 2e nor 3e, is one append, with no call; the rest go
-    through `_settle`.  The result equals the fixpoint that
-    `reduce_expansion` reaches from the seed, the one shortest
-    expansion with no -2 (held to it in the tests), without building the
-    seed, the steps or the trace.
+    One loop over the quotients forms the seed (`oracles.seed_expansion`):
+    an odd-position a_i gives a_i, raised by 1 for each even-position
+    neighbour of 1 or 2; an even-position a_i >= 3 gives -a_i, a 2 gives
+    2 and a 1 nothing.  One `_settle` call pushes the seed onto an empty
+    list, first coefficient first, applying the rules as the list grows,
+    and `_close` applies the tail forms at the end.  The seed is built
+    first to last and reversed once: a loop over the quotients last
+    first measured slower on perfbench's inputs, since it slices and
+    reverses both quotient lists.
+
+    The result equals the fixpoint that `reduce_expansion` reaches from
+    the seed, the one shortest expansion with no -2 (held to it in the
+    tests), without building the steps or the trace.
     """
     cf = partial_quotients(p, q)
-    r = cf[0]
-    c: list[int] = []
     odd, even = cf[1::2], cf[2::2]
+    seed = []
     bump = 0  # true after an even-position 1 or 2, which raises the next odd-position term by 1
     for a, b in zip(odd, even):
-        v = a + bump if b > 2 else a + bump + 1  # an even-position 1 or 2 raises its left neighbour too
-        if c and -3 < (t := c[-1]) < 3 and (-2 < t < 2 or len(c) > 1 and c[-2] in (t, t + t // 2)):
-            r += _settle(c, [v])
-        else:
-            c.append(v)
+        seed.append(a + bump if b > 2 else a + bump + 1)  # an even-position 1 or 2 raises its left neighbour too
         if b != 1:
-            v = -b if b > 2 else 2
-            if c and -3 < (t := c[-1]) < 3 and (-2 < t < 2 or len(c) > 1 and c[-2] in (t, t + t // 2)):
-                r += _settle(c, [v])
-            else:
-                c.append(v)
+            seed.append(-b if b > 2 else 2)
         bump = b < 3
     if len(odd) > len(even):
-        r += _settle(c, [odd[-1] + bump])
+        seed.append(odd[-1] + bump)
+    seed.reverse()  # `_settle` pops the first coefficient first
+    c: list[int] = []
+    r = cf[0] + _settle(c, seed)
     r += _close(c)
     return Expansion(r, tuple(c))
 

@@ -26,7 +26,7 @@ from .core import (
     parse_fraction,
 )
 from .errors import TableDataError, UnknownNameError
-from .invariants import InvariantReport, _no_two, invariant_report
+from .invariants import InvariantReport, _no_two, _odd_shortest_exists, invariant_report
 from .reduction import reduce_expansion
 
 __all__ = ["KnotRecord", "TableReport", "load_table", "verify_table", "resolve", "lookup", "find_record"]
@@ -168,7 +168,7 @@ def verify_table() -> TableReport:
 
         attains_bound = gamma == 2 * invariants.genus + 1
         even_no_two = _no_two(invariants.even_runs)
-        unique_even_shortest = not rec.expansion.odd_type and not any(abs(c) == 2 for c in rec.expansion.coefficients)
+        unique_even_shortest = not _odd_shortest_exists(rec.expansion)
         consistent = rec.starred == attains_bound == even_no_two == unique_even_shortest
         report.record("d_starred", consistent, rec.name, lambda: f"starred={rec.starred}, gamma=2g+1 is {attains_bound}, even expansion {invariants.even_expansion}")
 

@@ -77,8 +77,8 @@ class TestDepth:
     def test_translation_and_reflection_symmetries(self):
         for x in fractions_up_to(300):
             d = depth(x)
-            assert depth(x + 1) == d
-            assert depth(x - 3) == d
+            assert depth(ExtendedRational(x.numerator + x.denominator, x.denominator)) == d
+            assert depth(ExtendedRational(x.numerator - 3 * x.denominator, x.denominator)) == d
             assert depth(ExtendedRational(x.denominator - x.numerator, x.denominator)) == d
 
     def test_adjacent_vertices_differ_by_at_most_one(self):

@@ -303,6 +303,10 @@ class TestReducedFromQuotients:
         c, r = [], e.integer_part
         for v in e.coefficients:
             r += _settle(c, [v])
+        # one call on the whole expansion, last coefficient first, does the same pushes
+        whole, todo = [], list(reversed(e.coefficients))
+        assert _settle(whole, todo) == r - e.integer_part
+        assert whole == c and todo == []
         r += _close(c)
         pushed = Expansion(r, tuple(c))
         assert eval_expansion(pushed) == eval_expansion(e)
@@ -313,13 +317,15 @@ class TestReducedFromQuotients:
         with pytest.raises(DomainError):
             reduced_from_quotients(1, 0)
 
-    @pytest.mark.parametrize("kind", ["ones", "twos", "ones_and_twos"])
+    @pytest.mark.parametrize("kind", ["ones", "twos", "ones_and_twos", "one_to_four"])
     def test_long_quotient_lists_in_bounded_time(self, kind):
         rng = random.Random(20000)
         quotients = {
             "ones": [1] * 20000,
             "twos": [2] * 20000,
             "ones_and_twos": [rng.choice((1, 2)) for _ in range(20000)],
+            # the shape of perfbench's random fractions: even-position 3s and 4s give -3 and -4
+            "one_to_four": [rng.randint(1, 4) for _ in range(20000)],
         }[kind]
         x = value_of_quotients(0, quotients)
         partial_quotients(x.numerator, x.denominator)  # time the pass over the quotients, not the Euclid pass
