@@ -14,16 +14,7 @@ fraction, to the same value as C.
 
 from __future__ import annotations
 
-from .core import (
-    Expansion,
-    KnotId,
-    _join_ints,
-    _set_field,
-    _Value,
-    eval_expansion,
-    knot_from_fraction,
-    same_knot,
-)
+from .core import Expansion, KnotId, _join_ints, _same_p, _set_field, _Value
 from .diagram import rectangle_move, rectangle_positions
 from .errors import DomainError, InternalError
 from .invariants import invariant_report
@@ -79,14 +70,13 @@ def odd_shortest_expansion(k: KnotId) -> Expansion:
 
 
 def _interleave(c: tuple[int, ...]) -> list[int]:
-    out = [c[0] - 1, -1]
-    last = len(c) - 1
-    for i in range(1, len(c)):
-        if i == last and len(c) % 2 == 1:
-            out.append(c[i] + 1)
-        else:
-            out.append(c[i])
-            out.append(1 if i % 2 == 1 else -1)
+    """[c_1 - 1, -1, c_2, 1, c_3, -1, ...], ending c_k + 1 for odd length k >= 2."""
+    n = len(c)
+    out = ([0, -1, 0, 1] * ((n + 1) // 2))[: 2 * n - n % 2]
+    out[::2] = c
+    out[0] -= 1
+    if n % 2:
+        out[-1] += 1
     return out
 
 
@@ -105,7 +95,7 @@ def diagram_from_expansion(source: Expansion) -> ConwayDiagram:
         raise DomainError("cannot build a diagram from an empty expansion")
     if 0 in c:
         raise DomainError(f"{source} has a zero coefficient")
-    if sum(1 for v in c if abs(v) == 1) > 1:
+    if c.count(1) + c.count(-1) > 1:
         raise DomainError(f"{source} has more than one unit coefficient")
     if len(c) == 1:
         return ConwayDiagram((c[0],), source)
@@ -138,19 +128,29 @@ def verify_diagram(d: ConwayDiagram, k: KnotId) -> bool:
     equivalence).  Also checks that no region is zero and that the region
     count is 2*gamma - 1 for odd gamma and 2*gamma for even gamma, where
     gamma is the crosscap number of k, read off the knot's memoized report.
+
+    The value is w/u, with (u, w) the first column of the product of the
+    matrices [[b, -1], [1, 0]] over the regions b.  Each has determinant
+    1, so the product does too, and u and w are coprime: w/u is in lowest
+    terms as it stands, and needs no gcd.  With the sign on w, it names
+    S(q, p) iff u = q and w mod q is p or p^-1, the rule `core._same_p`
+    states once for `same_knot` and for this check.
     """
     regions = d.twist_regions
     if not regions or 0 in regions:
         return False
-    value = eval_expansion(Expansion(0, regions))
-    if k.q == 1:
-        return value.is_integer
+    u, w = 1, 0
+    for b in reversed(regions):
+        u, w = b * u - w, u
+    if u < 0:
+        u, w = -u, -w
+    q = k.q
+    if q == 1:
+        return u == 1
     gamma = invariant_report(k).crosscap
     if len(regions) != (2 * gamma - 1 if gamma % 2 == 1 else 2 * gamma):
         return False
-    if value.is_infinite or value.is_integer or value.denominator % 2 == 0:
-        return False
-    return same_knot(knot_from_fraction(value), k)
+    return u == q and _same_p(w % q, k.p, q)
 
 
 def format_diagram(d: ConwayDiagram) -> str:

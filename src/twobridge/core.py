@@ -160,7 +160,7 @@ class Expansion(_Value):
     @property
     def odd_type(self) -> bool:
         """True when some coefficient is odd; otherwise the expansion is even type."""
-        return any(c % 2 != 0 for c in self.coefficients)
+        return any(map((1).__and__, self.coefficients))  # c & 1 is c % 2, scanned in C
 
     def __str__(self) -> str:
         return format_expansion(self)
@@ -266,14 +266,19 @@ class KnotId(_Value):
         return f"S({_format_int(self.q)},{_format_int(self.p)})"
 
 
-def same_knot(k1: KnotId, k2: KnotId) -> bool:
-    """S(q,p) and S(q',p') name the same knot iff q'=q and p' = p or p^-1 mod q.
+def _same_p(p1: int, p2: int, q: int) -> bool:
+    """Whether p2 = p1 or p1^-1 mod q, for p1 and p2 reduced mod q.
 
-    p' = p^-1 is tested as p*p' = 1 mod q, which needs no inverse.
+    The one statement of the rule S(q,p1) = S(q,p2): `same_knot` and
+    `conway.verify_diagram` call it.  p2 = p1^-1 is tested as
+    p1*p2 = 1 mod q, which needs no inverse.
     """
-    if k1.q != k2.q:
-        return False
-    return k2.p == k1.p or k1.p * k2.p % k1.q == 1
+    return p1 == p2 or p1 * p2 % q == 1
+
+
+def same_knot(k1: KnotId, k2: KnotId) -> bool:
+    """S(q,p) and S(q',p') name the same knot iff q'=q and p' = p or p^-1 mod q (`_same_p`)."""
+    return k1.q == k2.q and _same_p(k1.p, k2.p, k1.q)
 
 
 def canonical_form(k: KnotId) -> KnotId:

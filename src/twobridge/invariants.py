@@ -189,7 +189,8 @@ def _odd_shortest_exists(reduced: Expansion) -> bool:
     Then the crosscap number is the reduced length n and the surface is
     boundary-incompressible; otherwise n+1 and compressible.
     """
-    return any(c % 2 != 0 or abs(c) == 2 for c in reduced.coefficients)
+    c = reduced.coefficients
+    return reduced.odd_type or 2 in c or -2 in c
 
 
 def crosscap(k: KnotId) -> int:
@@ -249,10 +250,10 @@ def invariant_report(k: KnotId) -> InvariantReport:
     odd = _odd_shortest_exists(reduced)
     runs = _even_runs(k)
     return InvariantReport(
-        knot=k,
-        crosscap=len(reduced) if odd else len(reduced) + 1,
-        genus=sum(m for _, m in runs[1]) // 2,
-        reduced=reduced,
-        even_runs=runs,
-        boundary=Boundary.INCOMPRESSIBLE if odd else Boundary.COMPRESSIBLE,
+        k,
+        len(reduced) if odd else len(reduced) + 1,
+        sum(m for _, m in runs[1]) // 2,
+        reduced,
+        runs,
+        Boundary.INCOMPRESSIBLE if odd else Boundary.COMPRESSIBLE,
     )

@@ -23,11 +23,14 @@ from .core import (
     division_expansion,
     eval_expansion,
     fraction_of,
+    knot_from_fraction,
     partial_quotients,
+    same_knot,
 )
+from .conway import ConwayDiagram
 from .diagram import depth, rectangle_move, rectangle_positions
 from .errors import DomainError
-from .invariants import _require_knot
+from .invariants import _require_knot, invariant_report
 from .reduction import ReductionStep, ReductionTrace, Rule, apply_rule, reduce_expansion
 
 __all__ = [
@@ -46,6 +49,7 @@ __all__ = [
     "brute_force_min_length",
     "closure_by_rectangle_moves",
     "odd_type_among_shortest",
+    "verify_diagram_by_value",
     "applicable_steps",
     "reduce_with_strategy",
     "reduce_by_scanning",
@@ -351,6 +355,29 @@ def odd_type_among_shortest(k: KnotId) -> bool:
     """
     _require_knot(k)
     return any(e.odd_type for e in closure_by_rectangle_moves(fraction_of(k)))
+
+
+def verify_diagram_by_value(d: ConwayDiagram, k: KnotId) -> bool:
+    """Value route to `conway.verify_diagram`: evaluate, name the knot, compare.
+
+    The regions are evaluated as an expansion into a fraction in lowest
+    terms, which must be finite, non-integral and of odd denominator
+    (the unknot asks for an integer), and the knot it names must equal
+    k under `same_knot`; the region count is checked against the
+    crosscap number as in the serving check.
+    """
+    regions = d.twist_regions
+    if not regions or 0 in regions:
+        return False
+    value = eval_expansion(Expansion(0, regions))
+    if k.q == 1:
+        return value.is_integer
+    gamma = invariant_report(k).crosscap
+    if len(regions) != (2 * gamma - 1 if gamma % 2 == 1 else 2 * gamma):
+        return False
+    if value.is_infinite or value.is_integer or value.denominator % 2 == 0:
+        return False
+    return same_knot(knot_from_fraction(value), k)
 
 
 def _steps(c: tuple[int, ...]) -> Iterator[ReductionStep]:

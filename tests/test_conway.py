@@ -1,7 +1,10 @@
+import random
 import sys
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twobridge import (
     DomainError,
@@ -16,11 +19,38 @@ from twobridge import (
 )
 from twobridge.conway import (
     ConwayDiagram,
+    _interleave,
     diagram_from_expansion,
     format_diagram,
     odd_shortest_expansion,
 )
 from twobridge.core import same_knot
+from twobridge.oracles import verify_diagram_by_value
+
+
+def interleave_by_loop(c):
+    """The element-by-element loop that `_interleave` replaced, kept as its reference."""
+    out = [c[0] - 1, -1]
+    last = len(c) - 1
+    for i in range(1, len(c)):
+        if i == last and len(c) % 2 == 1:
+            out.append(c[i] + 1)
+        else:
+            out.append(c[i])
+            out.append(1 if i % 2 == 1 else -1)
+    return out
+
+
+def a_wrong_knot(k):
+    """The knot S(q, p') with the least p' that is not k itself (k has q > 1)."""
+    return next(KnotId(k.q, p) for p in range(1, k.q) if gcd(p, k.q) == 1 and not same_knot(KnotId(k.q, p), k))
+
+
+# twist regions with 0, +-1, negative and past-64-bit entries
+regions_of = st.lists(
+    st.integers(-4, 4) | st.integers(-(2**70), 2**70) | st.sampled_from([0, 1, -1, 2**64 + 1, -(2**65)]),
+    max_size=12,
+).map(tuple)
 
 
 class TestOddShortest:
@@ -82,6 +112,15 @@ class TestConstruction:
         assert d.mirrored and 0 not in d.twist_regions
         assert eval_expansion(Expansion(0, d.twist_regions)) == eval_expansion(source)
 
+    def test_interleave_matches_the_loop(self):
+        rng = random.Random(19)
+        for n in range(2, 41):
+            for _ in range(20):
+                c = tuple(
+                    rng.choice((-1, 1)) * rng.choice((rng.randint(1, 9), rng.getrandbits(70) + 1)) for _ in range(n)
+                )
+                assert _interleave(c) == interleave_by_loop(c), c
+
     def test_rejects_bad_sources(self):
         with pytest.raises(DomainError):
             diagram_from_expansion(Expansion(0, ()))
@@ -135,6 +174,41 @@ class TestVerification:
         assert not verify_diagram(ConwayDiagram((2, 1, 5, -1)), k)  # wrong count
         assert not verify_diagram(ConwayDiagram(()), k)
         assert not verify_diagram(ConwayDiagram((1, 1)), k)  # value 1/0
+
+    def test_unknot_asks_for_an_integer_value(self):
+        unknot = KnotId(1, 0)
+        assert verify_diagram(ConwayDiagram((1,)), unknot)  # value 1
+        assert verify_diagram(ConwayDiagram((-1,)), unknot)  # value -1
+        assert not verify_diagram(ConwayDiagram((1, 1)), unknot)  # value 1/0
+        assert not verify_diagram(ConwayDiagram((2,)), unknot)  # value 1/2
+
+    @settings(deadline=None)
+    @given(regions_of, st.data())
+    def test_matches_the_value_route(self, regions, data):
+        # the knot the regions name (when they name one), a wrong knot of
+        # the same denominator, a fixed knot or the unknot
+        knots = [KnotId(15, 4), KnotId(1, 0)]
+        v = eval_expansion(Expansion(0, regions))
+        if not v.is_infinite and v.denominator % 2 == 1:
+            named = knot_from_fraction(v)
+            knots[:0] = [named, a_wrong_knot(named)] if named.q > 1 else [named]
+        k = data.draw(st.sampled_from(knots))
+        d = ConwayDiagram(regions)
+        assert verify_diagram(d, k) == verify_diagram_by_value(d, k)
+
+    def test_matches_the_value_route_on_every_diagram_and_its_unit_perturbations(self):
+        for q in range(3, 152, 2):
+            for p in range(1, q):
+                if gcd(p, q) != 1:
+                    continue
+                k = KnotId(q, p)
+                d = conway_diagram(k)
+                assert verify_diagram(d, k) and verify_diagram_by_value(d, k)
+                t = d.twist_regions
+                for i in range(len(t)):
+                    for step in (1, -1):
+                        moved = ConwayDiagram(t[:i] + (t[i] + step,) + t[i + 1 :])
+                        assert verify_diagram(moved, k) == verify_diagram_by_value(moved, k), (moved, k)
 
     def test_serialization(self):
         assert format_diagram(conway_diagram(KnotId(15, 4))) == "C(3,-1,5,1,2)"

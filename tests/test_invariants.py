@@ -39,6 +39,7 @@ from twobridge.core import (
 from twobridge.diagram import depth
 from twobridge.invariants import (
     _even_runs,
+    _odd_shortest_exists,
     family_k_mn,
     gamma_equals_2g_plus_1,
     plumbing_surface,
@@ -235,6 +236,19 @@ class TestBoundCharacterization:
         for k in odd_knots_up_to(99):
             syntactic = boundary_classification(k) == Boundary.INCOMPRESSIBLE
             assert syntactic == odd_type_among_shortest(k)
+
+    @given(
+        st.lists(
+            st.integers(-6, 6) | st.integers(-(2**80), 2**80) | st.sampled_from([2**64, -(2**64) - 1, 2, -2]),
+            max_size=20,
+        )
+    )
+    def test_rule_scans_match_their_definitions(self, coeffs):
+        # odd_type and the rule scan in C; their per-coefficient definitions
+        # hold on negative and past-64-bit coefficients too
+        e = Expansion(0, coeffs)
+        assert e.odd_type == any(c % 2 != 0 for c in coeffs)
+        assert _odd_shortest_exists(e) == any(c % 2 != 0 or abs(c) == 2 for c in coeffs)
 
     def test_unknot_domain(self):
         with pytest.raises(DomainError):
