@@ -6,9 +6,10 @@ three-rule rewrite system, whose fixpoints have the minimal expansion
 length; the crosscap number, genus, boundary classification and a
 crosscap-realizing Conway diagram are read off that reduced expansion.
 `reduce_expansion` applies the same rules to any expansion and records
-each step.  The Farey-diagram depth provides an independent check of
-minimal lengths, and the bundled table of the 362 two-bridge knots
-through 12 crossings is verified end to end.
+each step.  The Farey-diagram depth, computed apart from the rewrite
+rules in `twobridge.oracles`, checks the minimal lengths, and the
+bundled table of the 362 two-bridge knots through 12 crossings is
+verified end to end.
 
 This namespace holds the serving API; the rest lives in the submodules,
 and the slow verification oracles in `twobridge.oracles`.

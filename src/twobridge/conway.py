@@ -14,10 +14,11 @@ fraction, to the same value as C.
 
 from __future__ import annotations
 
-from .core import Expansion, KnotId, _join_ints, _same_p, _set_field, _Value
+from .core import Expansion, KnotId, _join_ints, _set_field, _Value
 from .diagram import rectangle_move, rectangle_positions
 from .errors import DomainError, InternalError
-from .invariants import invariant_report
+from .invariants import _crosscap_boundary
+from .reduction import reduce_fraction
 
 __all__ = [
     "ConwayDiagram",
@@ -56,7 +57,7 @@ def odd_shortest_expansion(k: KnotId) -> Expansion:
     """
     if k.q == 1:
         raise DomainError("the unknot has no odd-type expansion")
-    reduced = invariant_report(k).reduced
+    reduced = reduce_fraction(k.p, k.q)[1]
     if reduced.odd_type:
         return reduced
     positions = rectangle_positions(reduced)
@@ -112,7 +113,7 @@ def diagram_from_expansion(source: Expansion) -> ConwayDiagram:
 def conway_diagram(k: KnotId) -> ConwayDiagram:
     """Diagram of k carrying a minimal-genus non-orientable checkerboard surface.
 
-    Built from the reduced expansion of the knot's memoized report.
+    Built from the knot's memoized reduced expansion (`reduce_fraction`).
     """
     if k.q == 1:
         raise DomainError("the unknot has no crosscap-realizing diagram")
@@ -127,14 +128,15 @@ def verify_diagram(d: ConwayDiagram, k: KnotId) -> bool:
     integer part and p <-> p^-1 ambiguities are absorbed by knot
     equivalence).  Also checks that no region is zero and that the region
     count is 2*gamma - 1 for odd gamma and 2*gamma for even gamma, where
-    gamma is the crosscap number of k, read off the knot's memoized report.
+    gamma is the crosscap number of k, which `_crosscap_boundary` reads off
+    the knot's memoized reduced expansion.
 
     The value is w/u, with (u, w) the first column of the product of the
     matrices [[b, -1], [1, 0]] over the regions b.  Each has determinant
     1, so the product does too, and u and w are coprime: w/u is in lowest
     terms as it stands, and needs no gcd.  With the sign on w, it names
-    S(q, p) iff u = q and w mod q is p or p^-1, the rule `core._same_p`
-    states once for `same_knot` and for this check.
+    S(q, p) iff u = q and w mod q is p or p^-1; p^-1 is tested as
+    w * p = 1 mod q, which needs no inverse.
     """
     regions = d.twist_regions
     if not regions or 0 in regions:
@@ -147,10 +149,11 @@ def verify_diagram(d: ConwayDiagram, k: KnotId) -> bool:
     q = k.q
     if q == 1:
         return u == 1
-    gamma = invariant_report(k).crosscap
+    gamma = _crosscap_boundary(reduce_fraction(k.p, q)[1])[0]
     if len(regions) != (2 * gamma - 1 if gamma % 2 == 1 else 2 * gamma):
         return False
-    return u == q and _same_p(w % q, k.p, q)
+    w %= q
+    return u == q and (w == k.p or w * k.p % q == 1)
 
 
 def format_diagram(d: ConwayDiagram) -> str:

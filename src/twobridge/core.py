@@ -7,14 +7,13 @@ A subtractive continued fraction
 is evaluated projectively, over Q together with the single point at
 infinity 1/0, so intermediate divisions by zero are ordinary values
 rather than errors.  This module also houses the Schubert parameters
-(q, p) of a 2-bridge knot S(q,p) and their equivalence predicates.
+(q, p) of a 2-bridge knot S(q,p) and their canonical form.
 """
 
 from __future__ import annotations
 
 import re
 from collections.abc import Sequence
-from functools import lru_cache
 from math import gcd
 from operator import attrgetter
 
@@ -27,7 +26,6 @@ __all__ = [
     "eval_expansion",
     "division_expansion",
     "partial_quotients",
-    "same_knot",
     "canonical_form",
     "knot_from_fraction",
     "fraction_of",
@@ -144,16 +142,6 @@ class Expansion(_Value):
         _set_field(self, "integer_part", integer_part)
         _set_field(self, "coefficients", tuple(coefficients))
 
-    # Equality and hash spelled out: shortest sets keep expansions in a
-    # frozenset, and this is about twice as fast as the base's field tuples.
-    def __eq__(self, other):
-        if other.__class__ is Expansion:
-            return self.integer_part == other.integer_part and self.coefficients == other.coefficients
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.integer_part, self.coefficients))
-
     def __len__(self) -> int:
         return len(self.coefficients)
 
@@ -204,18 +192,15 @@ def division_expansion(x: ExtendedRational) -> Expansion:
     return Expansion(r, tuple(coeffs))
 
 
-@lru_cache(maxsize=1)
 def partial_quotients(p: int, q: int) -> tuple[int, ...]:
     """Regular continued fraction (a_0, a_1, ..., a_n) of p/q, by one Euclid pass.
 
     p/q = a_0 + 1/(a_1 + 1/(... + 1/a_n)) with a_0 = floor(p/q), every
     later quotient >= 1 and the last one >= 2 when n >= 1.
 
-    This is the only big-integer pass on the serving path.  The last
-    fraction's quotients are kept in a one-slot memo, so the invariant
-    report and the depth of one knot share a single pass; the tuple is
-    immutable, so callers on several threads may share it.
-    `partial_quotients.__wrapped__` is the unmemoized call.
+    This is the only big-integer pass on the serving path.  The pipeline
+    calls it through `reduction.reduce_fraction`, whose one-slot memo
+    keeps the last fraction's quotients beside its reduced expansion.
     """
     if q <= 0:
         raise DomainError(f"partial quotients need a positive denominator, got {_format_int(p)}/{_format_int(q)}")
@@ -252,33 +237,8 @@ class KnotId(_Value):
         _set_field(self, "q", q)
         _set_field(self, "p", normalized)
 
-    # Equality and hash spelled out: the memos key on KnotId, and this is
-    # about twice as fast as the base's field tuples.
-    def __eq__(self, other):
-        if other.__class__ is KnotId:
-            return self.q == other.q and self.p == other.p
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.q, self.p))
-
     def __str__(self) -> str:
         return f"S({_format_int(self.q)},{_format_int(self.p)})"
-
-
-def _same_p(p1: int, p2: int, q: int) -> bool:
-    """Whether p2 = p1 or p1^-1 mod q, for p1 and p2 reduced mod q.
-
-    The one statement of the rule S(q,p1) = S(q,p2): `same_knot` and
-    `conway.verify_diagram` call it.  p2 = p1^-1 is tested as
-    p1*p2 = 1 mod q, which needs no inverse.
-    """
-    return p1 == p2 or p1 * p2 % q == 1
-
-
-def same_knot(k1: KnotId, k2: KnotId) -> bool:
-    """S(q,p) and S(q',p') name the same knot iff q'=q and p' = p or p^-1 mod q (`_same_p`)."""
-    return k1.q == k2.q and _same_p(k1.p, k2.p, k1.q)
 
 
 def canonical_form(k: KnotId) -> KnotId:

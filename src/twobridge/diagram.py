@@ -4,10 +4,11 @@ Vertices of the diagram are Q together with 1/0; two fractions a/b, c/d
 are joined by an edge iff |ad - bc| = 1, and each edge spans a triangle
 with the mediant (a+c)/(b+d).  Depth is 0 on Z and 1/0 and one more than
 the shallower Farey parent elsewhere; it equals the minimal length of a
-subtractive continued fraction expansion of the vertex, which makes it
-an oracle for the rewrite system that is computed along a completely
-independent route: the edge path read off the partial quotients of the
-regular continued fraction, with no rewriting at all.
+subtractive continued fraction expansion of the vertex, so `depth` is
+the length of the reduced expansion that the memo
+`reduction.reduce_fraction` keeps.  The Farey routes that hold it to
+that equality, the parent recursion and the mediant walk, are in
+`twobridge.oracles`.
 """
 
 from __future__ import annotations
@@ -15,10 +16,10 @@ from __future__ import annotations
 from collections.abc import Iterator
 from functools import cached_property
 
-from .core import Expansion, ExtendedRational, _format_int, _set_field, _Value, partial_quotients
+from .core import Expansion, ExtendedRational, _format_int, _set_field, _Value
 from .errors import DomainError, PatternMatchError
 from .invariants import _odd_shortest_exists
-from .reduction import reduced_from_quotients
+from .reduction import reduce_fraction
 
 __all__ = [
     "depth",
@@ -32,36 +33,15 @@ __all__ = [
 def depth(x: ExtendedRational) -> int:
     """Depth of a vertex: 0 on Z and 1/0, min(parents) + 1 elsewhere.
 
-    Read off the regular continued fraction a_0 + [0; a_1, ..., a_n] of
-    x.  The walk down the diagram from the interval 0/1 < x - a_0 < 1/1
-    makes runs of a_1-1, a_2, ..., a_(n-1), a_n-1 mediant steps (a_1-2
-    for n = 1); odd runs move the right end of the Farey interval, even
-    runs the left end.  A run of k >= 1 steps leaves its end at depth
-    min(depth(other end) + 1, depth(it) + k), and the two ends are
-    neighbours whose depths differ by at most 1, so for k >= 2 that is
-    the other end's depth plus 1, and for k = 1 the shallower end's.  The
-    answer is one more than the shallower end.  The quotients come from
-    the memoized Euclid pass that the knot's report made, so after the
-    report depth makes no pass of its own.
+    It equals the minimal expansion length, so it is 0 for 1/0 and the
+    length of the memoized reduced expansion otherwise; after the knot's
+    report it makes no pass of its own.  `oracles.depth_by_parents` and
+    `oracles.depth_by_mediant_walk` are the Farey routes to the same
+    number.
     """
     if x.is_infinite:
         return 0
-    quotients = partial_quotients(x.numerator, x.denominator)
-    if len(quotients) == 1:
-        return 0
-    runs = list(quotients[1:])
-    runs[0] -= 1
-    runs[-1] -= 1
-    left = right = 0
-    odd = True
-    for k in runs:
-        if k:
-            if odd:
-                right = left + 1 if k > 1 or left <= right else right + 1
-            else:
-                left = right + 1 if k > 1 or right <= left else left + 1
-        odd = not odd
-    return min(left, right) + 1
+    return len(reduce_fraction(x.numerator, x.denominator)[1])
 
 
 def rectangle_move(e: Expansion, position: int) -> Expansion:
@@ -231,7 +211,7 @@ class ShortestSet(_Value):
 def all_shortest_expansions(x: ExtendedRational) -> ShortestSet:
     """The shortest expansions of x, read off its reduced expansion.
 
-    T comes from `reduced_from_quotients`, one pass over the partial
+    T comes from the memo `reduce_fraction`, one pass over the partial
     quotients of x.  The automaton behind the class has at most 12
     states per position, so `size`, `least()` and `has_odd_type` cost
     O(len T) and the walks O(len T) per member.  `oracles` keeps the breadth-first closure under
@@ -239,4 +219,4 @@ def all_shortest_expansions(x: ExtendedRational) -> ShortestSet:
     """
     if x.is_infinite or x.is_integer:
         raise DomainError(f"shortest expansions are defined for non-integer finite values, got {x}")
-    return ShortestSet(x, reduced_from_quotients(x.numerator, x.denominator))
+    return ShortestSet(x, reduce_fraction(x.numerator, x.denominator)[1])

@@ -8,16 +8,17 @@ expansion.  A minimal-genus non-orientable spanning surface is
 boundary-incompressible exactly when an odd-type shortest expansion
 exists.
 
-`invariant_report` derives all of them at once and keeps the last
-knot's report in a one-slot memo; `crosscap`, `genus`,
-`boundary_classification`, `gamma_equals_2g_plus_1` and the Conway
-diagram read its fields.
+Every view reads the knot's partial quotients and reduced expansion
+from the one memo, `reduction.reduce_fraction`.  `_crosscap_boundary`
+applies the rule to the reduced expansion for `crosscap`,
+`boundary_classification`, `invariant_report` and
+`conway.verify_diagram`, so only the report and the genus views read
+the even runs.  `invariant_report` keeps no memo of its own.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from functools import lru_cache
 from itertools import chain, islice
 
 from .core import (
@@ -30,10 +31,9 @@ from .core import (
     fraction_of,
     format_expansion,
     knot_from_fraction,
-    partial_quotients,
 )
 from .errors import DomainError, InternalError
-from .reduction import reduced_from_quotients
+from .reduction import reduce_fraction
 
 __all__ = [
     "Boundary",
@@ -119,7 +119,7 @@ def _require_knot(k: KnotId):
         raise DomainError("operation is undefined for the unknot")
 
 
-def _even_runs(k: KnotId) -> tuple[int, tuple[tuple[int, int], ...]]:
+def _even_runs(k: KnotId, cf: tuple[int, ...]) -> tuple[int, tuple[tuple[int, int], ...]]:
     """The all-even expansion of k as its integer part and (coef, count) runs.
 
     With p' = p or p - q, whichever is even, and s its sign, read the
@@ -129,16 +129,15 @@ def _even_runs(k: KnotId) -> tuple[int, tuple[tuple[int, int], ...]]:
     next value is s*[1; a_(i+1) - 1, a_(i+2), ...].  So the runs cost
     O(len CF), although T(2,q) has q - 1 coefficients.
 
-    The quotients of q/|p'| come from those of p/q = [0; a_1, ..., a_n],
-    the same memoized Euclid pass as the reduced expansion: for even p
-    they are a_1, ..., a_n; for odd p, q/(q - p) = [1; a_1 - 1, a_2, ...],
-    or [a_2 + 1; a_3, ...] when a_1 = 1 (then n >= 2, as p < q).
+    The quotients of q/|p'| come from cf, those of p/q = [0; a_1, ..., a_n]
+    that the reduced expansion was read off: for even p they are a_1,
+    ..., a_n; for odd p, q/(q - p) = [1; a_1 - 1, a_2, ...], or
+    [a_2 + 1; a_3, ...] when a_1 = 1 (then n >= 2, as p < q).
     """
     if k.q == 1:
         return 0, ()
     r, tail = (1, k.p - k.q) if k.p % 2 else (0, k.p)
     s = 1 if tail > 0 else -1
-    cf = partial_quotients(k.p, k.q)
     if tail > 0:
         head, rest = (), 1
     elif cf[1] > 1:
@@ -174,7 +173,7 @@ def _spell(r: int, runs) -> Expansion:
 
 def even_expansion(k: KnotId) -> Expansion:
     """The unique expansion of k with all coefficients even, spelled out from `_even_runs`."""
-    return _spell(*_even_runs(k))
+    return _spell(*_even_runs(k, reduce_fraction(k.p, k.q)[0]))
 
 
 def genus(k: KnotId) -> int:
@@ -193,9 +192,23 @@ def _odd_shortest_exists(reduced: Expansion) -> bool:
     return reduced.odd_type or 2 in c or -2 in c
 
 
+def _crosscap_boundary(reduced: Expansion) -> tuple[int, Boundary]:
+    """The crosscap number and boundary class of the knot whose reduced expansion this is.
+
+    With n the reduced length: n and boundary-incompressible when an
+    odd-type shortest expansion exists (`_odd_shortest_exists`), else
+    n+1 and compressible.
+    """
+    if _odd_shortest_exists(reduced):
+        return len(reduced), Boundary.INCOMPRESSIBLE
+    return len(reduced) + 1, Boundary.COMPRESSIBLE
+
+
 def crosscap(k: KnotId) -> int:
     """Minimal first Betti number of a non-orientable spanning surface; 0 for the unknot."""
-    return invariant_report(k).crosscap
+    if k.q == 1:
+        return 0
+    return _crosscap_boundary(reduce_fraction(k.p, k.q)[1])[0]
 
 
 def _no_two(even_runs: tuple[int, tuple[tuple[int, int], ...]]) -> bool:
@@ -212,7 +225,7 @@ def gamma_equals_2g_plus_1(k: KnotId) -> bool:
 def boundary_classification(k: KnotId) -> Boundary:
     """Whether minimal-genus non-orientable spanning surfaces of k are boundary-incompressible."""
     _require_knot(k)
-    return invariant_report(k).boundary
+    return _crosscap_boundary(reduce_fraction(k.p, k.q)[1])[1]
 
 
 def plumbing_surface(e: Expansion) -> PlumbingSurface:
@@ -230,30 +243,19 @@ def family_k_mn(m: int, n: int) -> KnotId:
     return knot_from_fraction(value)
 
 
-@lru_cache(maxsize=1)
 def invariant_report(k: KnotId) -> InvariantReport:
     """Every invariant of one knot, in O(len CF) after the Euclid pass.
 
-    The reduced expansion comes from `reduced_from_quotients`, one pass
-    over the partial quotients whose cost grows with len CF, not with q;
-    the crosscap and boundary from `_odd_shortest_exists` on it; the
-    genus from the summed run counts of `_even_runs`, which the report
-    keeps in place of the spelled-out even expansion.
-
-    The last knot's report is kept in a one-slot memo, so the per-knot
-    views and the Conway diagram and its verification of one knot share
-    it.  `invariant_report.__wrapped__` is the unmemoized call.
+    The partial quotients and the reduced expansion come from the memo
+    `reduce_fraction`, whose one reduction pass costs O(len CF), not
+    O(q); the crosscap and boundary from `_crosscap_boundary` on the
+    reduced expansion; the genus from the summed run counts of
+    `_even_runs` over the same quotients, which the report keeps in
+    place of the spelled-out even expansion.
     """
     if k.q == 1:
         return InvariantReport(k, 0, 0, Expansion(0, ()), (0, ()), Boundary.TRIVIAL)
-    reduced = reduced_from_quotients(k.p, k.q)
-    odd = _odd_shortest_exists(reduced)
-    runs = _even_runs(k)
-    return InvariantReport(
-        k,
-        len(reduced) if odd else len(reduced) + 1,
-        sum(m for _, m in runs[1]) // 2,
-        reduced,
-        runs,
-        Boundary.INCOMPRESSIBLE if odd else Boundary.COMPRESSIBLE,
-    )
+    cf, reduced = reduce_fraction(k.p, k.q)
+    gamma, boundary = _crosscap_boundary(reduced)
+    runs = _even_runs(k, cf)
+    return InvariantReport(k, gamma, sum(m for _, m in runs[1]) // 2, reduced, runs, boundary)

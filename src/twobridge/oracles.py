@@ -25,12 +25,11 @@ from .core import (
     fraction_of,
     knot_from_fraction,
     partial_quotients,
-    same_knot,
 )
 from .conway import ConwayDiagram
-from .diagram import depth, rectangle_move, rectangle_positions
+from .diagram import rectangle_move, rectangle_positions
 from .errors import DomainError
-from .invariants import _require_knot, invariant_report
+from .invariants import _require_knot
 from .reduction import ReductionStep, ReductionTrace, Rule, apply_rule, reduce_expansion
 
 __all__ = [
@@ -40,6 +39,7 @@ __all__ = [
     "alternating_sign_convert",
     "reverse_expansion",
     "mirror",
+    "same_knot",
     "seed_expansion",
     "farey_parents",
     "depth_by_parents",
@@ -109,6 +109,15 @@ def mirror(k: KnotId) -> KnotId:
     if k.q == 1:
         return k
     return KnotId(k.q, -k.p % k.q)
+
+
+def same_knot(k1: KnotId, k2: KnotId) -> bool:
+    """Schubert's rule: S(q,p) and S(q',p') are one knot iff q' = q and p' = p or p^-1 mod q.
+
+    Written from the definition, with the inverse from `pow`, apart from
+    the check in `conway.verify_diagram`, which tests p * p' = 1 mod q.
+    """
+    return k1.q == k2.q and k2.p in (k1.p, pow(k1.p, -1, k1.q))
 
 
 def seed_expansion(x: ExtendedRational) -> Expansion:
@@ -256,12 +265,16 @@ def alexander_genus(k: KnotId) -> int:
 
 
 def is_shortest(e: Expansion) -> bool:
-    """Shortest-path criterion: the i-th partial value must have depth i."""
+    """Shortest-path criterion: the i-th partial value must have depth i.
+
+    The depth is the mediant walk's, apart from the rewrite rules behind
+    `diagram.depth`.
+    """
     v = eval_expansion(e)
     if v.is_infinite or v.is_integer:
         raise DomainError(f"shortestness is defined for non-integer finite values, got {v}")
     for i in range(len(e) + 1):
-        if depth(eval_expansion(Expansion(e.integer_part, e.coefficients[:i]))) != i:
+        if depth_by_mediant_walk(eval_expansion(Expansion(e.integer_part, e.coefficients[:i]))) != i:
             return False
     return True
 
@@ -334,7 +347,11 @@ def closure_by_rectangle_moves(x: ExtendedRational) -> frozenset[Expansion]:
     """
     if x.is_infinite or x.is_integer:
         raise DomainError(f"shortest expansions are defined for non-integer finite values, got {x}")
-    start, _ = reduce_expansion(division_expansion(x))
+    return _closure_from(reduce_expansion(division_expansion(x))[0])
+
+
+def _closure_from(start: Expansion) -> frozenset[Expansion]:
+    """Every expansion that rectangle moves reach from start, breadth first."""
     seen = {start}
     frontier = deque([start])
     while frontier:
@@ -350,21 +367,29 @@ def closure_by_rectangle_moves(x: ExtendedRational) -> frozenset[Expansion]:
 def odd_type_among_shortest(k: KnotId) -> bool:
     """Enumeration route to the same dichotomy: scan the rectangle-move closure.
 
-    Slower than the syntactic test on the reduced expansion; kept as an
-    independent cross-check.
+    The closure starts from the fixpoint that `reduce_expansion` reaches
+    from `seed_expansion`: the seed has at most len CF coefficients, where
+    the division expansion has about the sum of the quotients, so a huge
+    quotient costs no more than the closure.  Slower than the syntactic
+    test on the reduced expansion; kept as an independent cross-check.
     """
     _require_knot(k)
-    return any(e.odd_type for e in closure_by_rectangle_moves(fraction_of(k)))
+    start, _ = reduce_expansion(seed_expansion(fraction_of(k)))
+    return any(e.odd_type for e in _closure_from(start))
 
 
 def verify_diagram_by_value(d: ConwayDiagram, k: KnotId) -> bool:
-    """Value route to `conway.verify_diagram`: evaluate, name the knot, compare.
+    """Value route to `conway.verify_diagram`: evaluate, name the knot, compare, count.
 
     The regions are evaluated as an expansion into a fraction in lowest
     terms, which must be finite, non-integral and of odd denominator
     (the unknot asks for an integer), and the knot it names must equal
-    k under `same_knot`; the region count is checked against the
-    crosscap number as in the serving check.
+    k under `same_knot`.  The region count, 2*gamma - 1 for odd gamma
+    and 2*gamma for even gamma, is checked against a crosscap number
+    found apart from the serving rule: the Farey depth n
+    (`depth_by_mediant_walk`), plus 1 unless the rectangle-move closure
+    has an odd-type member (`odd_type_among_shortest`).  The value is
+    checked first, so only a diagram of k pays for the closure.
     """
     regions = d.twist_regions
     if not regions or 0 in regions:
@@ -372,12 +397,12 @@ def verify_diagram_by_value(d: ConwayDiagram, k: KnotId) -> bool:
     value = eval_expansion(Expansion(0, regions))
     if k.q == 1:
         return value.is_integer
-    gamma = invariant_report(k).crosscap
-    if len(regions) != (2 * gamma - 1 if gamma % 2 == 1 else 2 * gamma):
-        return False
     if value.is_infinite or value.is_integer or value.denominator % 2 == 0:
         return False
-    return same_knot(knot_from_fraction(value), k)
+    if not same_knot(knot_from_fraction(value), k):
+        return False
+    gamma = depth_by_mediant_walk(fraction_of(k)) + (0 if odd_type_among_shortest(k) else 1)
+    return len(regions) == (2 * gamma - 1 if gamma % 2 == 1 else 2 * gamma)
 
 
 def _steps(c: tuple[int, ...]) -> Iterator[ReductionStep]:

@@ -10,13 +10,18 @@ length is the minimal expansion length of the value.
 first and records each step; `reduced_from_quotients` reaches the
 fixpoint of a fraction's seed in one pass over its partial quotients and
 records nothing.
+
+`reduce_fraction` is the package's one memo per fraction: it keeps the
+last fraction's partial quotients and reduced expansion, the two values
+that the invariant report, the Conway diagram and its verification,
+`depth` and the shortest expansions read.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .core import Expansion, _format_int, _set_field, _Value, format_expansion, partial_quotients
 from .errors import InternalError, PatternMatchError
@@ -28,6 +33,7 @@ __all__ = [
     "apply_rule",
     "reduce_expansion",
     "reduced_from_quotients",
+    "reduce_fraction",
     "format_trace",
 ]
 
@@ -352,8 +358,8 @@ def _close(c: list[int]) -> int:
     return dr
 
 
-def reduced_from_quotients(p: int, q: int) -> Expansion:
-    """The reduced expansion of p/q, from its partial quotients a_0; a_1, ..., a_n.
+def reduced_from_quotients(cf: tuple[int, ...]) -> Expansion:
+    """The reduced expansion of a fraction, from its partial quotients cf = (a_0, a_1, ..., a_n).
 
     One loop over the quotients forms the seed (`oracles.seed_expansion`):
     an odd-position a_i gives a_i, raised by 1 for each even-position
@@ -369,7 +375,6 @@ def reduced_from_quotients(p: int, q: int) -> Expansion:
     the seed, the one shortest expansion with no -2 (held to it in the
     tests), without building the steps or the trace.
     """
-    cf = partial_quotients(p, q)
     odd, even = cf[1::2], cf[2::2]
     seed = []
     bump = 0  # true after an even-position 1 or 2, which raises the next odd-position term by 1
@@ -385,6 +390,20 @@ def reduced_from_quotients(p: int, q: int) -> Expansion:
     r = cf[0] + _settle(c, seed)
     r += _close(c)
     return Expansion(r, tuple(c))
+
+
+@lru_cache(maxsize=1)
+def reduce_fraction(p: int, q: int) -> tuple[tuple[int, ...], Expansion]:
+    """The partial quotients of p/q and its reduced expansion: one Euclid pass, one reduction.
+
+    The last fraction's pair is kept in a one-slot memo, so the invariant
+    report, the Conway diagram and its verification, `depth` and the
+    shortest expansions of one fraction share a single pass of each.
+    Both values are immutable, so callers on several threads may share
+    them.  `reduce_fraction.__wrapped__` is the unmemoized call.
+    """
+    cf = partial_quotients(p, q)
+    return cf, reduced_from_quotients(cf)
 
 
 def format_trace(trace: ReductionTrace) -> str:

@@ -20,7 +20,6 @@ from twobridge import (
     boundary_classification,
     conway_diagram,
     crosscap,
-    depth,
     eval_expansion,
     genus,
     knot_from_fraction,
@@ -36,6 +35,7 @@ from twobridge.invariants import even_expansion, family_k_mn, gamma_equals_2g_pl
 from twobridge.oracles import (
     brute_force_min_length,
     check_trace,
+    depth_by_mediant_walk,
     mirror,
     odd_type_among_shortest,
     reduce_with_strategy,
@@ -76,7 +76,7 @@ def test_criterion_2_oracle_equivalence():
     for p, q in coprime_fractions(2, 300):
         x = ExtendedRational(p, q)
         reduced, _ = reduce_expansion(division_expansion(x))
-        if len(reduced) != depth(x):
+        if len(reduced) != depth_by_mediant_walk(x):
             report(2, False, f"reduce/depth disagree at {x}")
         checked += 1
 
@@ -87,7 +87,7 @@ def test_criterion_2_oracle_equivalence():
     agreements = in_domain = 0
     for p, q in coprime_fractions(2, 60):
         x = ExtendedRational(p, q)
-        d = depth(x)
+        d = depth_by_mediant_walk(x)
         b = brute_force_min_length(x, max_len=4, coeff_bound=8)
         if b is not None and b < d:
             report(2, False, f"brute force beat the depth oracle at {x}")

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import twobridge.conway
 from twobridge import (
     DomainError,
     Expansion,
@@ -24,8 +25,7 @@ from twobridge.conway import (
     format_diagram,
     odd_shortest_expansion,
 )
-from twobridge.core import same_knot
-from twobridge.oracles import verify_diagram_by_value
+from twobridge.oracles import same_knot, verify_diagram_by_value
 
 
 def interleave_by_loop(c):
@@ -209,6 +209,20 @@ class TestVerification:
                     for step in (1, -1):
                         moved = ConwayDiagram(t[:i] + (t[i] + step,) + t[i + 1 :])
                         assert verify_diagram(moved, k) == verify_diagram_by_value(moved, k), (moved, k)
+
+    def test_count_check_is_apart_from_the_serving_rule(self, monkeypatch):
+        # with the serving crosscap off by one, verify rejects the diagrams the oracle accepts
+        serving = twobridge.conway._crosscap_boundary
+
+        def off_by_one(reduced):
+            gamma, boundary = serving(reduced)
+            return gamma + 1, boundary
+
+        knots = [KnotId(3, 1), KnotId(15, 4), KnotId(9, 2), KnotId(55, 21)]
+        diagrams = [conway_diagram(k) for k in knots]
+        monkeypatch.setattr(twobridge.conway, "_crosscap_boundary", off_by_one)
+        for d, k in zip(diagrams, knots):
+            assert verify_diagram_by_value(d, k) and not verify_diagram(d, k)
 
     def test_serialization(self):
         assert format_diagram(conway_diagram(KnotId(15, 4))) == "C(3,-1,5,1,2)"

@@ -25,7 +25,6 @@ from twobridge.core import (
     canonical_form,
     division_expansion,
     partial_quotients,
-    same_knot,
 )
 from twobridge.diagram import rectangle_move
 from twobridge.errors import PatternMatchError
@@ -37,6 +36,7 @@ from twobridge.oracles import (
     eval_additive,
     mirror,
     reverse_expansion,
+    same_knot,
     seed_expansion,
 )
 from twobridge.reduction import ReductionStep, Rule, apply_rule

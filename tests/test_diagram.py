@@ -200,7 +200,7 @@ class TestShortestSets:
         for x in [ExtendedRational(2, 5), ExtendedRational(12, 29), ExtendedRational(29, 70), ExtendedRational(5, 8)]:
             s = all_shortest_expansions(x)
             lengths = {len(e) for e in s.expansions}
-            assert lengths == {depth(x)}
+            assert lengths == {depth_by_mediant_walk(x)}
             for e in s.expansions:
                 assert eval_expansion(e) == x
                 assert is_shortest(e)
@@ -318,7 +318,7 @@ class TestShortestStructure:
         size, least = s.size, s.least()
         assert time.perf_counter() - started < 1
         assert size > 2**100
-        assert eval_expansion(least) == x and len(least) == depth(x)
+        assert eval_expansion(least) == x and len(least) == depth_by_mediant_walk(x)
         assert not applicable_steps(least)
         # every rectangle move leads to another member, whose text is greater
         for pos in rectangle_positions(least):
@@ -350,14 +350,14 @@ class TestOracleAgreement:
         if v.is_infinite or v.is_integer:
             return
         reduced, _ = reduce_expansion(e)
-        assert len(reduced) == depth(v)
+        assert len(reduced) == depth_by_mediant_walk(v)
 
     @given(random_expansions)
     def test_is_shortest_iff_length_equals_depth(self, e):
         v = eval_expansion(e)
         if v.is_infinite or v.is_integer:
             return
-        assert is_shortest(e) == (len(e) == depth(v))
+        assert is_shortest(e) == (len(e) == depth_by_mediant_walk(v))
 
 
 class TestBruteForce:

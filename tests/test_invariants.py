@@ -11,8 +11,8 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import twobridge
-import twobridge.core
 import twobridge.invariants
+import twobridge.reduction
 import twobridge.table
 
 from twobridge import (
@@ -36,7 +36,7 @@ from twobridge.core import (
     fraction_of,
     partial_quotients,
 )
-from twobridge.diagram import depth
+from twobridge.diagram import all_shortest_expansions, depth
 from twobridge.invariants import (
     _even_runs,
     _odd_shortest_exists,
@@ -44,7 +44,15 @@ from twobridge.invariants import (
     gamma_equals_2g_plus_1,
     plumbing_surface,
 )
-from twobridge.oracles import AdditiveExpansion, alexander_genus, eval_additive, mirror, odd_type_among_shortest
+from twobridge.oracles import (
+    AdditiveExpansion,
+    alexander_genus,
+    depth_by_mediant_walk,
+    eval_additive,
+    mirror,
+    odd_type_among_shortest,
+)
+from twobridge.reduction import reduce_fraction
 
 
 def odd_knots_up_to(limit):
@@ -121,7 +129,7 @@ def even_runs_by_second_pass(k):
         return 0, ()
     r, tail = (1, k.p - k.q) if k.p % 2 else (0, k.p)
     s = 1 if tail > 0 else -1
-    quotients = iter(partial_quotients.__wrapped__(k.q, abs(tail)))
+    quotients = iter(partial_quotients(k.q, abs(tail)))
     runs = []
     carry = 0
     for a in quotients:
@@ -144,7 +152,7 @@ class TestEvenRunsFromTheSeedPass:
 
     def test_every_knot_up_to_q_301(self):
         for k in odd_knots_up_to(301):
-            assert _even_runs(k) == even_runs_by_second_pass(k)
+            assert _even_runs(k, partial_quotients(k.p, k.q)) == even_runs_by_second_pass(k)
 
     @given(
         st.integers(1, 4),
@@ -159,12 +167,12 @@ class TestEvenRunsFromTheSeedPass:
         x = eval_additive(AdditiveExpansion(0, quotients))
         assume(x.denominator % 2 == 1)
         p, q = x.numerator, x.denominator
-        assert partial_quotients.__wrapped__(p, q) == (0, *quotients)
+        assert partial_quotients(p, q) == (0, *quotients)
         for k in (KnotId(q, p), KnotId(q, q - p)):
-            assert _even_runs(k) == even_runs_by_second_pass(k)
+            assert _even_runs(k, partial_quotients(k.p, k.q)) == even_runs_by_second_pass(k)
 
     def test_unknot(self):
-        assert _even_runs(KnotId(1, 0)) == (0, ())
+        assert _even_runs(KnotId(1, 0), (0,)) == (0, ())
 
 
 class TestGenusAndCrosscap:
@@ -293,7 +301,9 @@ class TestReport:
             r = invariant_report(k)
             assert r.crosscap == crosscap(k)
             assert r.genus == genus(k)
-            assert r.reduced == invariant_report.__wrapped__(k).reduced
+            assert r.boundary is boundary_classification(k)
+            assert r.reduced == reduce_fraction.__wrapped__(k.p, k.q)[1]
+            assert r.even_runs == _even_runs(k, partial_quotients(k.p, k.q))
             assert r.even_expansion == even_expansion(k)
             assert r.crosscap <= 2 * r.genus + 1
             assert (r.boundary == Boundary.INCOMPRESSIBLE) == r.odd_shortest_exists
@@ -317,84 +327,6 @@ class TestReport:
         assert parse_expansion(payload["reduced"]) == Expansion(0, ((q + 1) // 2, 2))
 
 
-@pytest.fixture
-def counted(monkeypatch):
-    """Counts of reductions, even-run readings and spellings in `twobridge.invariants`, memos cleared."""
-    counts = Counter()
-
-    def counting(name):
-        fn = getattr(twobridge.invariants, name)
-
-        def wrapper(*args):
-            counts[name] += 1
-            return fn(*args)
-
-        monkeypatch.setattr(twobridge.invariants, name, wrapper)
-
-    counting("reduced_from_quotients")
-    counting("_even_runs")
-    counting("_spell")
-    invariant_report.cache_clear()
-    partial_quotients.cache_clear()
-    yield counts
-    invariant_report.cache_clear()
-    partial_quotients.cache_clear()
-
-
-class TestReductionMemo:
-    def test_report_diagram_verify_reduce_once(self, counted):
-        k = KnotId(55, 21)
-        report = invariant_report(k)
-        assert verify_diagram(conway_diagram(k), k)
-        assert report.crosscap == 4
-        # the report keeps the runs and spells out no even expansion
-        assert counted == {"reduced_from_quotients": 1, "_even_runs": 1}
-
-    def test_crosscap_boundary_diagram_skip_the_even_expansion(self, counted):
-        # they read the report, which reads the runs once and spells nothing
-        k = KnotId(15, 4)
-        assert crosscap(k) == 3
-        assert boundary_classification(k) == Boundary.COMPRESSIBLE
-        assert verify_diagram(conway_diagram(k), k)
-        assert counted == {"reduced_from_quotients": 1, "_even_runs": 1}
-
-    def test_every_view_of_one_cold_knot_shares_one_report(self, counted):
-        k = KnotId(55, 21)
-        report = invariant_report(k)
-        assert verify_diagram(conway_diagram(k), k)
-        assert depth(fraction_of(k)) == len(report.reduced)
-        assert crosscap(k) == report.crosscap
-        assert genus(k) == report.genus
-        assert boundary_classification(k) is report.boundary
-        assert gamma_equals_2g_plus_1(k) is False
-        assert counted == {"reduced_from_quotients": 1, "_even_runs": 1}
-        assert partial_quotients.cache_info().misses == 1
-        assert invariant_report.cache_info().misses == 1
-
-    def test_one_slot(self, counted):
-        a, b = KnotId(9, 2), KnotId(15, 4)
-        for k in (a, a, b, b, a):
-            invariant_report(k)
-        assert counted["reduced_from_quotients"] == 3
-        assert invariant_report.cache_info().misses == 3
-        assert invariant_report.cache_info().currsize == 1
-
-    def test_memo_is_transparent(self):
-        knots = list(odd_knots_up_to(151))
-        random.Random(151).shuffle(knots)
-        seen = set()
-        for a, b in zip(knots[::2], knots[1::2]):
-            for k in (a, b, a):
-                seen.add(k)
-                fresh = invariant_report.__wrapped__(k)
-                assert invariant_report(k) == fresh
-                assert crosscap(k) == fresh.crosscap
-                assert genus(k) == fresh.genus
-                assert boundary_classification(k) is fresh.boundary
-                assert gamma_equals_2g_plus_1(k) == (fresh.crosscap == 2 * fresh.genus + 1)
-        assert seen == set(knots)
-
-
 class TestModuleCaches:
     def test_the_only_module_level_caches(self):
         # a new module-level cache is shared state; it comes with a benchmark that shows it pays
@@ -403,36 +335,63 @@ class TestModuleCaches:
             module = importlib.import_module(f"twobridge.{info.name}")
             caches |= {value for value in vars(module).values() if hasattr(value, "cache_info")}
         caches |= {value for value in vars(twobridge).values() if hasattr(value, "cache_info")}
-        assert caches == {twobridge.core.partial_quotients, twobridge.invariants.invariant_report, twobridge.table._table}
+        assert caches == {twobridge.reduction.reduce_fraction, twobridge.table._table}
 
 
 class TestEuclidMemo:
-    """One Euclid pass per knot: the seed, the even runs and depth share `partial_quotients`."""
+    """One Euclid pass and one reduction per fraction: every view reads the memo `reduce_fraction`."""
 
     @pytest.fixture(autouse=True)
-    def cold(self):
-        invariant_report.cache_clear()
-        partial_quotients.cache_clear()
-        yield
-        partial_quotients.cache_clear()
+    def counted(self, monkeypatch):
+        """Counts of Euclid passes, reductions, even-run readings and spellings, from a cold memo."""
+        counts = Counter()
 
-    def test_every_invariant_of_one_knot(self):
+        def counting(module, name):
+            fn = getattr(module, name)
+
+            def wrapper(*args):
+                counts[name] += 1
+                return fn(*args)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counting(twobridge.reduction, "partial_quotients")
+        counting(twobridge.reduction, "reduced_from_quotients")
+        counting(twobridge.invariants, "_even_runs")
+        counting(twobridge.invariants, "_spell")
+        reduce_fraction.cache_clear()
+        yield counts
+        reduce_fraction.cache_clear()
+
+    def test_every_invariant_of_one_knot(self, counted):
         k = KnotId(55, 21)
+        x = fraction_of(k)
         report = invariant_report(k)
         assert verify_diagram(conway_diagram(k), k)
-        assert depth(fraction_of(k)) == len(report.reduced) == 4
-        assert genus(k) == report.genus
-        assert gamma_equals_2g_plus_1(k) is False
-        assert partial_quotients.cache_info().misses == 1
+        assert depth(x) == len(report.reduced) == 4
+        assert crosscap(k) == report.crosscap == 4
+        assert boundary_classification(k) is report.boundary
+        shortest = all_shortest_expansions(x)
+        assert shortest.reduced == report.reduced and len(shortest.least()) == 4
+        # the report reads the runs once and spells no even expansion
+        assert counted == {"partial_quotients": 1, "reduced_from_quotients": 1, "_even_runs": 1}
+        assert reduce_fraction.cache_info().misses == 1
 
-    def test_torus_knot_of_3_to_the_40(self):
+    def test_crosscap_boundary_diagram_read_no_even_runs(self, counted):
+        k = KnotId(15, 4)
+        assert verify_diagram(conway_diagram(k), k)
+        assert crosscap(k) == 3
+        assert boundary_classification(k) == Boundary.COMPRESSIBLE
+        assert counted == {"partial_quotients": 1, "reduced_from_quotients": 1}
+
+    def test_torus_knot_of_3_to_the_40(self, counted):
         k = KnotId(3**40, 1)
         assert crosscap(k) == 1
         assert genus(k) == (3**40 - 1) // 2
         assert depth(fraction_of(k)) == 1
-        assert partial_quotients.cache_info().misses == 1
+        assert counted["partial_quotients"] == counted["reduced_from_quotients"] == 1
 
-    def test_knot_of_2000_random_quotients(self):
+    def test_knot_of_2000_random_quotients(self, counted):
         rng = random.Random(2000)
         quotients = [rng.randint(1, 4) for _ in range(1999)] + [rng.randint(2, 4)]
         x = eval_additive(AdditiveExpansion(0, tuple(quotients)))
@@ -441,26 +400,29 @@ class TestEuclidMemo:
         k = KnotId(x.denominator, x.numerator)
         report = invariant_report(k)
         assert verify_diagram(conway_diagram(k), k)
-        assert depth(fraction_of(k)) == len(report.reduced)
+        assert depth(fraction_of(k)) == len(report.reduced) == depth_by_mediant_walk(x)
         assert genus(k) == report.genus
-        assert partial_quotients.cache_info().misses == 1
+        assert counted["partial_quotients"] == counted["reduced_from_quotients"] == 1
 
-    def test_one_slot(self):
-        for p, q in ((2, 9), (2, 9), (4, 15), (2, 9)):
-            partial_quotients(p, q)
-        assert partial_quotients.cache_info().misses == 3
-        assert partial_quotients.cache_info().currsize == 1
+    def test_one_slot(self, counted):
+        a, b = KnotId(9, 2), KnotId(15, 4)
+        for k in (a, a, b, b, a):
+            invariant_report(k)
+            crosscap(k)
+        assert counted["partial_quotients"] == counted["reduced_from_quotients"] == 3
+        assert reduce_fraction.cache_info().misses == 3
+        assert reduce_fraction.cache_info().currsize == 1
 
     def test_threads_share_the_memos(self):
         # 8 threads switching every microsecond, so calls on
-        # different knots interleave between a memo's lookup and its store
+        # different knots interleave between the memo's lookup and its store
         from concurrent.futures import ThreadPoolExecutor
 
         knots = list(odd_knots_up_to(45))
         random.Random(45).shuffle(knots)
 
         def numbers(k):
-            return invariant_report(k), depth(fraction_of(k)), genus(k)
+            return invariant_report(k), depth(fraction_of(k)), crosscap(k), genus(k)
 
         serial = [numbers(k) for k in knots]
         saved = sys.getswitchinterval()
@@ -474,12 +436,15 @@ class TestEuclidMemo:
         assert parallel == serial
 
     def test_memo_is_transparent(self):
-        pairs = [(x.numerator, x.denominator) for x in map(fraction_of, odd_knots_up_to(101))]
-        pairs += [(-p, q) for p, q in pairs[::7]] + [(q, p) for p, q in pairs[::5]]
-        random.Random(101).shuffle(pairs)
+        # every p/q with q <= 60 and p in [-q, 2q]: negative p, p > q and even q
+        pairs = [(p, q) for q in range(1, 61) for p in range(-q, 2 * q + 1) if gcd(p, q) == 1]
+        random.Random(60).shuffle(pairs)
         for a, b in zip(pairs[::2], pairs[1::2]):
             for p, q in (a, b, a, a):
-                assert partial_quotients(p, q) == partial_quotients.__wrapped__(p, q)
+                assert reduce_fraction(p, q) == reduce_fraction.__wrapped__(p, q)
+                if q % 2:
+                    k = KnotId(q, p)
+                    assert crosscap(k) == invariant_report(k).crosscap
 
 
 class TestBoundedCost:

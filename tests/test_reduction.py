@@ -8,12 +8,12 @@ from hypothesis import strategies as st
 
 from twobridge import Expansion, ExtendedRational, eval_expansion, parse_expansion, reduce_expansion
 from twobridge.core import division_expansion, format_expansion, partial_quotients
-from twobridge.diagram import depth
 from twobridge.errors import DomainError, PatternMatchError
 from twobridge.oracles import (
     AdditiveExpansion,
     applicable_steps,
     check_trace,
+    depth_by_mediant_walk,
     eval_additive,
     reduce_by_scanning,
     reduce_with_strategy,
@@ -26,6 +26,7 @@ from twobridge.reduction import (
     _settle,
     apply_rule,
     format_trace,
+    reduce_fraction,
     reduced_from_quotients,
 )
 
@@ -254,11 +255,11 @@ class TestSeedAgainstDivision:
 
 
 def assert_matches_the_seed_fixpoint(x):
-    """reduced_from_quotients(x) is the seed's leftmost-first fixpoint: shortest, no -2, value x."""
-    reduced = reduced_from_quotients(x.numerator, x.denominator)
+    """The reduced expansion of x is the seed's leftmost-first fixpoint: shortest, no -2, value x."""
+    reduced = reduced_from_quotients(partial_quotients(x.numerator, x.denominator))
     assert reduced == reduce_expansion(seed_expansion(x))[0]
     assert -2 not in reduced.coefficients
-    assert len(reduced) == depth(x)
+    assert len(reduced) == depth_by_mediant_walk(x)
     assert eval_expansion(reduced) == x
 
 
@@ -276,7 +277,10 @@ class TestReducedFromQuotients:
          ("39/53", "1+[-4,-5,-3]")],
     )
     def test_examples(self, fraction, reduced):
-        assert format_expansion(reduced_from_quotients(*map(int, fraction.split("/")))) == reduced
+        p, q = map(int, fraction.split("/"))
+        cf = partial_quotients(p, q)
+        assert format_expansion(reduced_from_quotients(cf)) == reduced
+        assert reduce_fraction.__wrapped__(p, q) == (cf, reduced_from_quotients(cf))
 
     def test_every_fraction_up_to_150(self):
         for q in range(1, 151):
@@ -315,7 +319,7 @@ class TestReducedFromQuotients:
 
     def test_rejects_a_zero_denominator(self):
         with pytest.raises(DomainError):
-            reduced_from_quotients(1, 0)
+            reduce_fraction(1, 0)
 
     @pytest.mark.parametrize("kind", ["ones", "twos", "ones_and_twos", "one_to_four"])
     def test_long_quotient_lists_in_bounded_time(self, kind):
@@ -328,8 +332,8 @@ class TestReducedFromQuotients:
             "one_to_four": [rng.randint(1, 4) for _ in range(20000)],
         }[kind]
         x = value_of_quotients(0, quotients)
-        partial_quotients(x.numerator, x.denominator)  # time the pass over the quotients, not the Euclid pass
+        cf = partial_quotients(x.numerator, x.denominator)  # time the pass over the quotients, not the Euclid pass
         started = time.perf_counter()
-        reduced = reduced_from_quotients(x.numerator, x.denominator)
+        reduced = reduced_from_quotients(cf)
         assert time.perf_counter() - started < 0.5
         assert reduced == reduce_expansion(seed_expansion(x))[0]

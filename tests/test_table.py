@@ -91,9 +91,9 @@ class TestVerify:
         calls = Counter()
         even_runs = twobridge.invariants._even_runs
 
-        def counting(k):
+        def counting(k, cf):
             calls[k] += 1
-            return even_runs(k)
+            return even_runs(k, cf)
 
         monkeypatch.setattr(twobridge.invariants, "_even_runs", counting)
         assert verify_table().ok

@@ -43,7 +43,7 @@ VALUES = [
     (lambda: KnotId(15, 19), "KnotId(q=15, p=4)", True),
     (lambda: PlumbingSurface((3, 2), 2, False), "PlumbingSurface(bands=(3, 2), first_betti=2, orientable=False)", True),
     (
-        lambda: invariant_report.__wrapped__(KnotId(15, 4)),
+        lambda: invariant_report(KnotId(15, 4)),
         "InvariantReport(knot=KnotId(q=15, p=4), crosscap=3, genus=1,"
         " reduced=Expansion(integer_part=0, coefficients=(4, 4)), even_runs=(0, ((4, 1), (4, 1))),"
         " boundary=<Boundary.COMPRESSIBLE: 'BoundaryCompressible'>)",
