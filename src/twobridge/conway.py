@@ -9,7 +9,9 @@ length gamma, the twist regions
 describe a diagram of the same knot with 2*gamma - 1 or 2*gamma regions.
 The interleaving inserts unit twists that cancel under the unit-removal
 rewrite, so the region list evaluates, as a subtractive continued
-fraction, to the same value as C.
+fraction, to the same value as C.  A diagram is written C(t1,...,tk);
+a source whose interleaving has a zero region is refused, and the
+source `conway_diagram` picks never has one.
 """
 
 from __future__ import annotations
@@ -37,14 +39,11 @@ class ConwayDiagram(_Value):
     built from an expansion.
     """
 
-    __slots__ = ("twist_regions", "source_expansion", "mirrored")
+    __slots__ = ("twist_regions", "source_expansion")
 
-    def __init__(
-        self, twist_regions: tuple[int, ...], source_expansion: Expansion | None = None, mirrored: bool = False
-    ):
+    def __init__(self, twist_regions: tuple[int, ...], source_expansion: Expansion | None = None):
         _set_field(self, "twist_regions", twist_regions)
         _set_field(self, "source_expansion", source_expansion)
-        _set_field(self, "mirrored", mirrored)
 
 
 def odd_shortest_expansion(k: KnotId) -> Expansion:
@@ -85,11 +84,10 @@ def diagram_from_expansion(source: Expansion) -> ConwayDiagram:
     """Build the checkerboard diagram of a shortest odd-type expansion.
 
     The source must have nonzero coefficients, at most one of them +-1.
-    A single twist region suffices for length 1.  If the interleaved form
-    would contain a zero region (first entry a_1 - 1 or, for odd length,
-    final entry a_k + 1), the construction is applied to the mirror image
-    and mirrored back; the source has at most one unit coefficient, so
-    the fallback cannot hit a zero itself.
+    A single twist region suffices for length 1.  A source whose
+    interleaved form has a zero region (first entry a_1 - 1 with a_1 = 1
+    or, for odd length, final entry a_k + 1 with a_k = -1) is refused
+    with `DomainError`, naming the region's position.
     """
     c = source.coefficients
     if not c:
@@ -101,19 +99,25 @@ def diagram_from_expansion(source: Expansion) -> ConwayDiagram:
     if len(c) == 1:
         return ConwayDiagram((c[0],), source)
     regions = _interleave(c)
-    mirrored = False
     if 0 in regions:
-        regions = [-t for t in _interleave(tuple(-v for v in c))]
-        mirrored = True
-    if 0 in regions:
-        raise InternalError(f"the diagram of {source} has a zero twist region")
-    return ConwayDiagram(tuple(regions), source, mirrored)
+        raise DomainError(f"the diagram of {source} has a zero twist region at position {regions.index(0) + 1}")
+    return ConwayDiagram(tuple(regions), source)
 
 
 def conway_diagram(k: KnotId) -> ConwayDiagram:
     """Diagram of k carrying a minimal-genus non-orientable checkerboard surface.
 
     Built from the knot's memoized reduced expansion (`reduce_fraction`).
+    The source never gives a zero region, which needs a first coefficient
+    1 or, at odd length, a last coefficient -1.  `odd_shortest_expansion`
+    returns one of three things:
+
+    - T, the reduced expansion itself, which has no 0 and no +-1;
+    - T after one rectangle move at its rightmost 2 (T has no -2): only
+      the two neighbours change, each by -1, and one that became +-1
+      was a 2 (T has no 0), so T would hold the block 2,2;
+    - T with its last coefficient a split into (a+1, 1): the first
+      coefficient is T's or a+1, neither of them 1, and the last is +1.
     """
     if k.q == 1:
         raise DomainError("the unknot has no crosscap-realizing diagram")
@@ -157,5 +161,5 @@ def verify_diagram(d: ConwayDiagram, k: KnotId) -> bool:
 
 
 def format_diagram(d: ConwayDiagram) -> str:
-    """Serialize as C(t1,...,tk), with suffix !m when the mirror fallback fired."""
-    return f"C({_join_ints(d.twist_regions)})" + ("!m" if d.mirrored else "")
+    """Serialize as C(t1,...,tk)."""
+    return f"C({_join_ints(d.twist_regions)})"

@@ -285,17 +285,22 @@ def _parse_int(text: str) -> int:
 
 
 def parse_fraction(text: str) -> ExtendedRational:
-    """Parse `int "/" posint`; the only legal zero denominator is the literal 1/0."""
+    """Parse `int "/" posint`; the only legal zero denominator is the literal 1/0.
+
+    Whitespace may stand before and after, not inside; error positions
+    index text as given.
+    """
     s = text.strip()
+    lead = len(text) - len(text.lstrip())
     m = _FRACTION_RE.match(s)
     if not m:
         for i, ch in enumerate(s):
             if not (ch.isdigit() or (ch == "-" and i == 0) or ch == "/"):
-                raise ParseError("unexpected character in fraction", text, i)
-        raise ParseError("expected <int>/<posint>", text, 0)
+                raise ParseError("unexpected character in fraction", text, lead + i)
+        raise ParseError("expected <int>/<posint>", text, lead)
     num, den = _parse_int(m.group(1)), _parse_int(m.group(2))
     if den == 0 and (num, den) != (1, 0):
-        raise ParseError("zero denominator (only the literal 1/0 is allowed)", text, s.index("/") + 1)
+        raise ParseError("zero denominator (only the literal 1/0 is allowed)", text, lead + m.start(2))
     return ExtendedRational(num, den)
 
 
@@ -324,48 +329,57 @@ def format_fraction(x: ExtendedRational) -> str:
         return f"{_format_int(x.numerator)}/{_format_int(x.denominator)}"
 
 
-_INT_RE = re.compile(r"-?\d+")
+_INT_RE = re.compile(r"\s*(-?\d+)\s*")  # one integer token and the whitespace around it
+
+
+def _skip_space(text: str, i: int) -> int:
+    """The position of the first non-whitespace character at or after i, or len(text)."""
+    return len(text) - len(text[i:].lstrip())
 
 
 def parse_expansion(text: str) -> Expansion:
-    """Parse `[ int "+" ] "[" [ int ("," int)* ] "]"`; whitespace is ignored."""
-    s = "".join(text.split())
+    """Parse `[ int "+" ] "[" [ int ("," int)* ] "]"`.
+
+    Whitespace may stand between tokens, and an integer -?\\d+ is one
+    token, so "[3 2]" is refused.  Text is scanned as given, and an error
+    names the position of the first token it could not read.
+    """
 
     def fail(msg: str, pos: int):
-        raise ParseError(msg, text, pos)
+        raise ParseError(msg, text, _skip_space(text, pos))
 
-    i = 0
+    i = _skip_space(text, 0)
     integer_part = 0
-    if not s.startswith("["):
-        m = _INT_RE.match(s)
+    if not text.startswith("[", i):
+        m = _INT_RE.match(text, i)
         if not m:
-            fail("expected integer part or '['", 0)
-        integer_part = _parse_int(m.group(0))
+            fail("expected integer part or '['", i)
+        integer_part = _parse_int(m.group(1))
         i = m.end()
-        if i >= len(s) or s[i] != "+":
+        if not text.startswith("+", i):
             fail("expected '+' after integer part", i)
-        i += 1
-    if i >= len(s) or s[i] != "[":
+        i = _skip_space(text, i + 1)
+    if not text.startswith("[", i):
         fail("expected '['", i)
-    i += 1
+    i = _skip_space(text, i + 1)
     coeffs = []
-    if i < len(s) and s[i] == "]":
+    if text.startswith("]", i):
         i += 1
     else:
         while True:
-            m = _INT_RE.match(s, i)
+            m = _INT_RE.match(text, i)
             if not m:
                 fail("expected integer coefficient", i)
-            coeffs.append(_parse_int(m.group(0)))
+            coeffs.append(_parse_int(m.group(1)))
             i = m.end()
-            if i < len(s) and s[i] == ",":
+            if text.startswith(",", i):
                 i += 1
                 continue
-            if i < len(s) and s[i] == "]":
+            if text.startswith("]", i):
                 i += 1
                 break
             fail("expected ',' or ']'", i)
-    if i != len(s):
+    if _skip_space(text, i) != len(text):
         fail("trailing text after expansion", i)
     return Expansion(integer_part, tuple(coeffs))
 

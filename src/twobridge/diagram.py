@@ -9,6 +9,10 @@ the length of the reduced expansion that the memo
 `reduction.reduce_fraction` keeps.  The Farey routes that hold it to
 that equality, the parent recursion and the mediant walk, are in
 `twobridge.oracles`.
+
+`ShortestSet` keeps only T, the reduced expansion, and reads every
+shortest expansion off it.  The paper's odd-type rule over such a set
+is a cross-check kept in `twobridge.oracles`, not a serving view.
 """
 
 from __future__ import annotations
@@ -18,7 +22,6 @@ from functools import cached_property
 
 from .core import Expansion, ExtendedRational, _format_int, _set_field, _Value
 from .errors import DomainError, PatternMatchError
-from .invariants import _odd_shortest_exists
 from .reduction import reduce_fraction
 
 __all__ = [
@@ -82,8 +85,13 @@ class ShortestSet(_Value):
     the integer part is r + x_1: a rectangle move at j toggles x_j.  x is
     0 where T_j is not in {2, 3, 4}, and T - A x is a member iff it is a
     fixpoint of the three rewrite rules: no 0, no +-1 and no block
-    2e,3e,...,3e,2e (checked against the breadth-first closure in the
-    tests, not proved).  The automaton reads T from the left.  Before
+    2e,3e,...,3e,2e.  The edges at j depend on T_j only through its
+    letter in {2, 3, 4, 5, >=6, -3, <=-4}, and the tests check every T of
+    length 1 to 5 over one value per letter, {-4, -3, 2, 3, 4, 5, 6},
+    against the breadth-first closure under rectangle moves: the set,
+    its size and its text order agree.  Not proved: runs of 3e longer
+    than that window, which a pumping argument over `open` would
+    cover.  The automaton reads T from the left.  Before
     position j its state is (x_(j-1), x_j, open), where open is the sign
     e of an unfinished 2e,3e,...,3e ending at j-1, or 0; choosing x_(j+1)
     fixes c_j = T_j - 4 x_j - x_(j-1) - x_(j+1), and the edge is rejected
@@ -96,14 +104,13 @@ class ShortestSet(_Value):
     another and every member has as many, so text order is token order,
     and each state keeps its edges in the order of their tokens.
 
-    A copy or a pickle holds the two fields only, as the base makes it: the
+    A copy or a pickle holds the one field only, as the base makes it: the
     cached automaton nests as deep as T is long, too deep for pickle.
     """
 
-    _FIELDS = ("value", "reduced")
+    _FIELDS = ("reduced",)
 
-    def __init__(self, value: ExtendedRational, reduced: Expansion):
-        _set_field(self, "value", value)
+    def __init__(self, reduced: Expansion):
         _set_field(self, "reduced", reduced)
 
     @cached_property
@@ -158,15 +165,6 @@ class ShortestSet(_Value):
     def size(self) -> int:
         return self._automaton[0]
 
-    @property
-    def has_odd_type(self) -> bool:
-        """Whether some member has an odd coefficient, by the paper's rule on T.
-
-        The rule holds on every class but that of r + 1/2, whose two
-        members r + [2] and r+1 + [-2] are both even.
-        """
-        return self.reduced.coefficients != (2,) and _odd_shortest_exists(self.reduced)
-
     def _paths(self, field: int) -> Iterator[list]:
         """Field 0 (labels) or 1 (tokens) of the edges along each path, in token order.
 
@@ -213,10 +211,10 @@ def all_shortest_expansions(x: ExtendedRational) -> ShortestSet:
 
     T comes from the memo `reduce_fraction`, one pass over the partial
     quotients of x.  The automaton behind the class has at most 12
-    states per position, so `size`, `least()` and `has_odd_type` cost
-    O(len T) and the walks O(len T) per member.  `oracles` keeps the breadth-first closure under
-    rectangle moves as the reference.
+    states per position, so `size` and `least()` cost O(len T) and the
+    walks O(len T) per member.  `oracles` keeps the breadth-first closure
+    under rectangle moves as the reference.
     """
     if x.is_infinite or x.is_integer:
         raise DomainError(f"shortest expansions are defined for non-integer finite values, got {x}")
-    return ShortestSet(x, reduce_fraction(x.numerator, x.denominator)[1])
+    return ShortestSet(reduce_fraction(x.numerator, x.denominator)[1])

@@ -42,7 +42,6 @@ __all__ = [
     "even_expansion",
     "genus",
     "crosscap",
-    "gamma_equals_2g_plus_1",
     "boundary_classification",
     "plumbing_surface",
     "family_k_mn",
@@ -214,12 +213,6 @@ def crosscap(k: KnotId) -> int:
 def _no_two(even_runs: tuple[int, tuple[tuple[int, int], ...]]) -> bool:
     """Whether the all-even expansion with these `_even_runs` has no +-2 coefficient."""
     return all(abs(c) != 2 for c, _ in even_runs[1])
-
-
-def gamma_equals_2g_plus_1(k: KnotId) -> bool:
-    """Whether the crosscap number attains the bound 2*genus + 1: the even expansion has no +-2."""
-    _require_knot(k)
-    return _no_two(invariant_report(k).even_runs)
 
 
 def boundary_classification(k: KnotId) -> Boundary:

@@ -27,9 +27,9 @@ from .core import (
     partial_quotients,
 )
 from .conway import ConwayDiagram
-from .diagram import rectangle_move, rectangle_positions
+from .diagram import ShortestSet, rectangle_move, rectangle_positions
 from .errors import DomainError
-from .invariants import _require_knot
+from .invariants import _no_two, _odd_shortest_exists, _require_knot, invariant_report
 from .reduction import ReductionStep, ReductionTrace, Rule, apply_rule, reduce_expansion
 
 __all__ = [
@@ -49,6 +49,8 @@ __all__ = [
     "brute_force_min_length",
     "closure_by_rectangle_moves",
     "odd_type_among_shortest",
+    "shortest_set_has_odd_type",
+    "gamma_equals_2g_plus_1",
     "verify_diagram_by_value",
     "applicable_steps",
     "reduce_with_strategy",
@@ -376,6 +378,27 @@ def odd_type_among_shortest(k: KnotId) -> bool:
     _require_knot(k)
     start, _ = reduce_expansion(seed_expansion(fraction_of(k)))
     return any(e.odd_type for e in _closure_from(start))
+
+
+def shortest_set_has_odd_type(s: ShortestSet) -> bool:
+    """Whether some member of s has an odd coefficient, by the paper's rule on T.
+
+    The rule holds on every class but that of r + 1/2, whose two
+    members r + [2] and r+1 + [-2] are both even.  Held in the tests to
+    a scan of the closure under rectangle moves.
+    """
+    return s.reduced.coefficients != (2,) and _odd_shortest_exists(s.reduced)
+
+
+def gamma_equals_2g_plus_1(k: KnotId) -> bool:
+    """Whether the crosscap number attains the bound 2*genus + 1: the even expansion has no +-2.
+
+    Read off the report's even runs, apart from the rule on the reduced
+    expansion that gives the crosscap number, so the tests can hold the
+    two to gamma = 2g + 1.
+    """
+    _require_knot(k)
+    return _no_two(invariant_report(k).even_runs)
 
 
 def verify_diagram_by_value(d: ConwayDiagram, k: KnotId) -> bool:

@@ -31,11 +31,12 @@ from twobridge import (
 from twobridge.conway import ConwayDiagram, odd_shortest_expansion
 from twobridge.core import division_expansion
 from twobridge.diagram import rectangle_move, rectangle_positions
-from twobridge.invariants import even_expansion, family_k_mn, gamma_equals_2g_plus_1, plumbing_surface
+from twobridge.invariants import even_expansion, family_k_mn, plumbing_surface
 from twobridge.oracles import (
     brute_force_min_length,
     check_trace,
     depth_by_mediant_walk,
+    gamma_equals_2g_plus_1,
     mirror,
     odd_type_among_shortest,
     reduce_with_strategy,

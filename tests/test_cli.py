@@ -393,6 +393,10 @@ class TestExitCodes:
         code, out, err = run(capsys, "eval", "[3,2")
         assert code == 2 and not out and "error:" in err
 
+    def test_whitespace_inside_an_integer_is_2(self, capsys):
+        code, out, err = run(capsys, "eval", "[3 2]")
+        assert code == 2 and not out and "at position 3 in '[3 2]'" in err
+
     def test_domain_error_is_2(self, capsys):
         code, _, err = run(capsys, "invariants", "1/2")
         assert code == 2 and "link" in err

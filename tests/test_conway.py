@@ -3,7 +3,7 @@ import sys
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import twobridge.conway
@@ -25,7 +25,7 @@ from twobridge.conway import (
     format_diagram,
     odd_shortest_expansion,
 )
-from twobridge.oracles import same_knot, verify_diagram_by_value
+from twobridge.oracles import AdditiveExpansion, eval_additive, same_knot, verify_diagram_by_value
 
 
 def interleave_by_loop(c):
@@ -95,22 +95,38 @@ class TestConstruction:
                 assert sum(1 for v in c.coefficients if abs(v) == 1) <= 1
                 d = conway_diagram(k)
                 assert 0 not in d.twist_regions
-                assert not d.mirrored  # see mirror-path test for the fallback
 
-    def test_mirror_fallback_path(self):
-        # synthetic source starting with 1: the direct interleave would
-        # open with a zero region, so the construction mirrors
-        source = Expansion(0, (1, 3, 2))
-        d = diagram_from_expansion(source)
-        assert d.mirrored
+    def test_refuses_a_zero_region(self):
+        # a source starting with 1, or ending with -1 at odd length, would
+        # give a zero region; the message names its position
+        with pytest.raises(DomainError, match="zero twist region at position 1$"):
+            diagram_from_expansion(Expansion(0, (1, 3, 2)))
+        with pytest.raises(DomainError, match="zero twist region at position 5$"):
+            diagram_from_expansion(Expansion(0, (3, 4, -1)))
+        # at even length the last region is the literal 1, so a trailing -1 is fine
+        d = diagram_from_expansion(Expansion(0, (3, -1)))
+        assert d.twist_regions == (2, -1, -1, 1)
+        assert eval_expansion(Expansion(0, d.twist_regions)) == eval_expansion(d.source_expansion)
+
+    @settings(deadline=None)
+    @given(
+        st.lists(st.integers(1, 4), min_size=1, max_size=30)
+        | st.lists(st.integers(1, 3) | st.integers(1, 10**12), min_size=1, max_size=12),
+        st.booleans(),
+    )
+    def test_source_never_gives_a_zero_region(self, quotients, flip):
+        # the three cases of `conway_diagram`'s docstring: the source never
+        # starts with 1 and never ends with -1 at odd length
+        x = eval_additive(AdditiveExpansion(0, tuple(quotients)))
+        q = x.denominator
+        assume(q % 2 == 1 and q > 1)
+        k = KnotId(q, q - x.numerator if flip else x.numerator)
+        d = conway_diagram(k)
+        c = d.source_expansion.coefficients
+        assert c[0] != 1
+        assert not (len(c) % 2 == 1 and c[-1] == -1)
         assert 0 not in d.twist_regions
-        assert d.twist_regions == (2, 1, 3, -1, 1)
-        assert eval_expansion(Expansion(0, d.twist_regions)) == eval_expansion(source)
-        # and a trailing -1 triggers it for odd length too
-        source = Expansion(0, (3, 4, -1))
-        d = diagram_from_expansion(source)
-        assert d.mirrored and 0 not in d.twist_regions
-        assert eval_expansion(Expansion(0, d.twist_regions)) == eval_expansion(source)
+        assert verify_diagram(d, k)
 
     def test_interleave_matches_the_loop(self):
         rng = random.Random(19)
@@ -157,15 +173,6 @@ class TestVerification:
             return acc
 
         assert additive(regions) != 15 / 4 and additive(regions[::-1]) != 15 / 4
-
-    def test_mirror_fallback_verifies_without_mirror_allowance(self):
-        # the fallback double-negates, so its diagram still evaluates to
-        # the original value: knot equivalence needs no mirror special case
-        source = Expansion(0, (1, 3, 2))  # value 5/3, the knot S(3,2)
-        d = diagram_from_expansion(source)
-        k = knot_from_fraction(eval_expansion(source))
-        v = eval_expansion(Expansion(0, d.twist_regions))
-        assert same_knot(knot_from_fraction(v), k)
 
     def test_rejections(self):
         k = KnotId(15, 4)
@@ -226,8 +233,7 @@ class TestVerification:
 
     def test_serialization(self):
         assert format_diagram(conway_diagram(KnotId(15, 4))) == "C(3,-1,5,1,2)"
-        d = diagram_from_expansion(Expansion(0, (1, 3, 2)))
-        assert format_diagram(d) == "C(2,1,3,-1,1)!m"
+        assert format_diagram(ConwayDiagram((2, -1, 2, 1))) == "C(2,-1,2,1)"
 
     def test_serialization_under_the_default_limit(self):
         # a twist region past the int-string limit is written like core's numbers

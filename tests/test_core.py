@@ -386,6 +386,36 @@ class TestParsing:
             parse_expansion("[3,?]")
         assert exc.value.position == 3
 
+    def test_whitespace_stands_only_between_tokens(self):
+        assert parse_expansion(" 5 + [ 3 , -2 ] ") == Expansion(5, (3, -2))
+        assert parse_expansion("\t[\n]\n") == Expansion(0, ())
+        assert parse_fraction("\t-3/7\n") == ExtendedRational(-3, 7)
+
+    @pytest.mark.parametrize(
+        "bad,position",
+        [
+            ("[3 2]", 3),  # whitespace splits no integer
+            ("1 0+[3]", 2),
+            ("[- 3]", 1),
+            ("  [4,x]", 5),  # positions index the text as given
+            ("  [4, x]", 6),
+            ("  x", 2),
+            ("[3]  x", 5),
+            ("[3,2 ", 5),
+        ],
+    )
+    def test_expansion_error_positions(self, bad, position):
+        with pytest.raises(ParseError) as exc:
+            parse_expansion(bad)
+        assert exc.value.position == position and exc.value.text == bad
+        assert f"at position {position} in {bad!r}" in str(exc.value)
+
+    @pytest.mark.parametrize("bad,position", [("  x/3", 2), ("2 /3", 1), (" 3/0", 3), ("  2/9 x", 5)])
+    def test_fraction_error_positions(self, bad, position):
+        with pytest.raises(ParseError) as exc:
+            parse_fraction(bad)
+        assert exc.value.position == position and exc.value.text == bad
+
     @given(st.integers(-9, 9), coefficients)
     def test_expansion_round_trip(self, r, coeffs):
         e = Expansion(r, tuple(coeffs))

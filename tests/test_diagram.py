@@ -1,6 +1,8 @@
 import copy
+import itertools
 import pickle
 import random
+import re
 import time
 from math import gcd
 
@@ -33,6 +35,7 @@ from twobridge.oracles import (
     farey_parents,
     is_shortest,
     seed_expansion,
+    shortest_set_has_odd_type,
 )
 
 
@@ -245,7 +248,7 @@ def assert_matches_closure(x, full_list):
     assert s.expansions == closure, x
     assert s.size == len(closure), x
     assert str(s.least()) == min(map(str, closure)), x
-    assert s.has_odd_type == any(e.odd_type for e in closure), x
+    assert shortest_set_has_odd_type(s) == any(e.odd_type for e in closure), x
     if full_list:
         assert s.sorted_text() == sorted(map(str, closure)), x
 
@@ -279,6 +282,26 @@ class TestShortestStructure:
             quotients[-1] = 2
         assert_matches_closure(eval_additive(AdditiveExpansion(a0, tuple(quotients))), full_list=True)
 
+    def test_automaton_is_complete_on_every_short_word(self):
+        # the edges at a position depend on T_j only through its letter in
+        # {2, 3, 4, 5, >=6, -3, <=-4}; every reduced T of length 1-5 over
+        # one value per letter (no 0, +-1, -2 or block 2,3,...,3,2)
+        letters = (-4, -3, 2, 3, 4, 5, 6)
+        block = re.compile(r"2(,3)*,2")
+        words = 0
+        for n in range(1, 6):
+            for t in itertools.product(letters, repeat=n):
+                if block.search(",".join(map(str, t))):
+                    continue
+                words += 1
+                x = eval_expansion(Expansion(0, t))
+                s = all_shortest_expansions(x)
+                closure = closure_by_rectangle_moves(x)
+                assert s.reduced == Expansion(0, t), t
+                assert s.expansions == closure and s.size == len(closure), t
+                assert s.sorted_text() == sorted(map(str, closure)), t
+        assert words == 18095
+
     def test_interacting_run(self):
         s = all_shortest_expansions(ExtendedRational(7, 12))
         assert str(s.reduced) == "[2,4,2]"
@@ -288,14 +311,14 @@ class TestShortestStructure:
     def test_half_integers_are_even_type(self):
         # the one class the paper's rule on the reduced expansion does not describe
         for x in (ExtendedRational(1, 2), ExtendedRational(-7, 2)):
-            assert not all_shortest_expansions(x).has_odd_type
+            assert not shortest_set_has_odd_type(all_shortest_expansions(x))
 
     def test_class_of_2_to_the_40_answers_without_enumerating(self):
         x = eval_expansion(Expansion(0, (5,) + (2, 5) * 40))
         started = time.perf_counter()
         s = all_shortest_expansions(x)
         assert s.size == 2**40
-        assert s.has_odd_type
+        assert shortest_set_has_odd_type(s)
         assert str(s.least()) == "[4," + "-2,3," * 39 + "-2,4]"
         # the closure has 2**40 members; an enumeration would not finish
         assert time.perf_counter() - started < 5

@@ -41,7 +41,6 @@ from twobridge.invariants import (
     _even_runs,
     _odd_shortest_exists,
     family_k_mn,
-    gamma_equals_2g_plus_1,
     plumbing_surface,
 )
 from twobridge.oracles import (
@@ -49,6 +48,7 @@ from twobridge.oracles import (
     alexander_genus,
     depth_by_mediant_walk,
     eval_additive,
+    gamma_equals_2g_plus_1,
     mirror,
     odd_type_among_shortest,
 )
