@@ -1,10 +1,13 @@
 """Three-rule rewrite system that shortens subtractive continued fractions.
 
 The rules remove a zero coefficient, a +-1 coefficient, or a run
-2e,3e,...,3e,2e of total length m >= 2 (e = +-1), in every interior and
-boundary form.  Each application preserves the exact value and strictly
-shortens the coefficient list, so iteration reaches a fixpoint whose
-length is the minimal expansion length of the value.
+2e,3e,...,3e,2e of total length m >= 2 (e = +-1).  Each is written once,
+in its interior form, which edits the site's two neighbours: at the head
+-r stands left of the coefficients, since r + [b_1, ...] = -[-r, b_1, ...],
+and at the tail a dummy stands right, which no rule reads.  Each
+application preserves the exact value and strictly shortens the
+coefficient list, so iteration reaches a fixpoint whose length is the
+minimal expansion length of the value.
 
 `reduce_expansion` drives any expansion to its fixpoint leftmost site
 first and records each step; `reduced_from_quotients` reaches the
@@ -110,6 +113,12 @@ def _splice(c, r: int, s: ReductionStep) -> tuple[int, int, tuple[int, ...], int
 
     Returns (lo, hi, new, r2): applying s replaces c[lo:hi] by new and the
     integer part by r2.  c is a tuple or a list and is left unchanged.
+
+    The edit is the rule's interior form on the site's left neighbour,
+    c[j-1] or -r at the head, and its right neighbour, c[end] or a dummy
+    at the tail.  The ends are then trimmed: at the head the new first
+    entry, negated, is the integer part, and at the tail the dummy's
+    entry is dropped.
     """
     n = len(c)
     j = s.position - 1
@@ -118,25 +127,13 @@ def _splice(c, r: int, s: ReductionStep) -> tuple[int, int, tuple[int, ...], int
     if s.rule is Rule.REMOVE_ZERO:
         _require(c[j] == 0, s, c, r, "coefficient is not 0")
         _require(n >= 2, s, c, r, "a lone [0] is the value 1/0 and cannot be removed")
-        if 0 < j < n - 1:
-            return j - 1, j + 2, (c[j - 1] + c[j + 1],), r
-        if j == n - 1:
-            return n - 2, n, (), r
-        return 0, 2, (), r - c[1]
-
-    if s.rule is Rule.REMOVE_UNIT:
+        end = j + 1
+    elif s.rule is Rule.REMOVE_UNIT:
         eps = s.epsilon
         _require(eps in (1, -1), s, c, r, "epsilon must be +-1")
         _require(c[j] == eps, s, c, r, f"coefficient is not {eps}")
-        if n == 1:
-            return 0, 1, (), r + eps
-        if 0 < j < n - 1:
-            return j - 1, j + 2, (c[j - 1] - eps, c[j + 1] - eps), r
-        if j == n - 1:
-            return j - 1, n, (c[j - 1] - eps,), r
-        return 0, 2, (c[1] - eps,), r + eps
-
-    if s.rule is Rule.REMOVE_BLOCK:
+        end = j + 1
+    elif s.rule is Rule.REMOVE_BLOCK:
         eps, m = s.epsilon, s.block_length
         _require(eps in (1, -1), s, c, r, "epsilon must be +-1")
         _require(m >= 2, s, c, r, "block length must be at least 2")
@@ -144,16 +141,21 @@ def _splice(c, r: int, s: ReductionStep) -> tuple[int, int, tuple[int, ...], int
         _require(end <= n, s, c, r, "block overruns the coefficients")
         expected = (2 * eps,) + (3 * eps,) * (m - 2) + (2 * eps,)
         _require(tuple(c[j:end]) == expected, s, c, r, f"coefficients are not {expected}")
-        body = (-3 * eps,) * (m - 1)
-        if j > 0 and end < n:
-            return j - 1, end + 1, (c[j - 1] - eps,) + body + (c[end] - eps,), r
-        if j > 0:
-            return j - 1, n, (c[j - 1] - eps,) + body, r
-        if end < n:
-            return 0, end + 1, body + (c[end] - eps,), r + eps
-        return 0, n, body, r + eps
+    else:
+        raise PatternMatchError(f"unknown rule {s.rule!r}")
 
-    raise PatternMatchError(f"unknown rule {s.rule!r}")
+    left = c[j - 1] if j else -r
+    right = c[end] if end < n else 0
+    if s.rule is Rule.REMOVE_ZERO:  # [a, 0, b] = [a + b]
+        new = (left + right,)
+    else:  # [a, e, b] = [a - e, b - e]; [a, 2e, 3e, ..., 3e, 2e, b] = [a - e, -3e, ..., -3e, b - e]
+        new = (left - eps,) + (-3 * eps,) * (end - j - 1) + (right - eps,)
+    lo, hi, r2 = j - 1, end + 1, r
+    if j == 0:
+        lo, r2, new = 0, -new[0], new[1:]
+    if end == n:
+        hi, new = n, new[:-1]
+    return lo, hi, new, r2
 
 
 def apply_rule(e: Expansion, s: ReductionStep) -> Expansion:
@@ -290,7 +292,8 @@ def _settle(c: list[int], todo: list[int]) -> int:
     so that rule applies, and the pushed value, edited by the rule, is
     pushed onto what is left; a block puts its body -3e,...,-3e back on
     todo, to be pushed first.  The head forms apply where the site
-    starts at c[0].
+    starts at c[0].  A dummy pushed last applies the tail forms: each is
+    the interior form with a right neighbour that no rule reads.
     """
     dr = 0
     while todo:
@@ -329,35 +332,6 @@ def _settle(c: list[int], todo: list[int]) -> int:
     return dr
 
 
-def _close(c: list[int]) -> int:
-    """Apply the tail forms of the rules at the top of c until none applies; returns the change in r."""
-    dr = 0
-    while c and -3 < (t := c[-1]) < 3:
-        if t == 0:  # [..., a, 0] = [...]
-            if len(c) == 1:
-                raise InternalError("a lone [0] is the value 1/0, which no fraction reduces to")
-            del c[-2:]
-        elif t == 1 or t == -1:  # [..., a, e] = [..., a - e]; [e] = e + []
-            c.pop()
-            if c:
-                c[-1] -= t
-            else:
-                dr += t
-        elif (j := _opening(c, len(c) - 1, t)) >= 0:  # t is 2e
-            # [..., a, 2e, 3e, ..., 3e, 2e] = [..., a - e, -3e, ..., -3e]
-            eps = t // 2
-            body = len(c) - j - 1
-            del c[j:]
-            if c:
-                c[-1] -= eps
-            else:
-                dr += eps
-            dr += _settle(c, [-3 * eps] * body)
-        else:
-            break
-    return dr
-
-
 def reduced_from_quotients(cf: tuple[int, ...]) -> Expansion:
     """The reduced expansion of a fraction, from its partial quotients cf = (a_0, a_1, ..., a_n).
 
@@ -366,10 +340,11 @@ def reduced_from_quotients(cf: tuple[int, ...]) -> Expansion:
     neighbour of 1 or 2; an even-position a_i >= 3 gives -a_i, a 2 gives
     2 and a 1 nothing.  One `_settle` call pushes the seed onto an empty
     list, first coefficient first, applying the rules as the list grows,
-    and `_close` applies the tail forms at the end.  The seed is built
-    first to last and reversed once: a loop over the quotients last
-    first measured slower on perfbench's inputs, since it slices and
-    reverses both quotient lists.
+    and then a dummy as the last coefficient's right neighbour, whose
+    push applies the tail forms; the dummy is then dropped.  The seed is
+    built first to last and reversed once: a loop over the quotients
+    last first measured slower on perfbench's inputs, since it slices
+    and reverses both quotient lists.
 
     The result equals the fixpoint that `reduce_expansion` reaches from
     the seed, the one shortest expansion with no -2 (held to it in the
@@ -385,10 +360,15 @@ def reduced_from_quotients(cf: tuple[int, ...]) -> Expansion:
         bump = b < 3
     if len(odd) > len(even):
         seed.append(odd[-1] + bump)
+    # A dummy right neighbour for the last coefficient: each tail form is the interior
+    # form with a right neighbour, and any integer serves, as the rules read only c.
+    seed.append(0)
     seed.reverse()  # `_settle` pops the first coefficient first
     c: list[int] = []
     r = cf[0] + _settle(c, seed)
-    r += _close(c)
+    if not c:  # the head form of a zero took the dummy: the value is 1/0
+        raise InternalError("a lone [0] is the value 1/0, which no fraction reduces to")
+    c.pop()
     return Expansion(r, tuple(c))
 
 

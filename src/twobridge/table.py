@@ -193,11 +193,10 @@ def resolve(text: str) -> tuple[KnotId, KnotRecord | None]:
     up to knot equivalence, not just the printed fraction).  Computes no
     invariant, and no inverse mod q when q is past every q in the table.
     """
-    s = text.strip()
-    if "/" not in s:
-        rec = find_record(s)
+    if "/" not in text:
+        rec = find_record(text.strip())
         return knot_from_fraction(rec.fraction), rec
-    k = knot_from_fraction(parse_fraction(s))
+    k = knot_from_fraction(parse_fraction(text))
     table = _table()
     if k.q > table.max_q:
         return k, None

@@ -397,6 +397,11 @@ class TestExitCodes:
         code, out, err = run(capsys, "eval", "[3 2]")
         assert code == 2 and not out and "at position 3 in '[3 2]'" in err
 
+    def test_leading_whitespace_is_indexed_alike(self, capsys):
+        # every command quotes the fraction text as given and counts its position there
+        results = {command: run(capsys, command, "  x/3") for command in ("invariants", "conway", "depth")}
+        assert set(results.values()) == {(2, "", "error: unexpected character in fraction (at position 2 in '  x/3')\n")}
+
     def test_domain_error_is_2(self, capsys):
         code, _, err = run(capsys, "invariants", "1/2")
         assert code == 2 and "link" in err

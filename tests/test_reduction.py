@@ -1,5 +1,6 @@
 import random
 import time
+from itertools import product
 from math import gcd
 
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from twobridge import Expansion, ExtendedRational, eval_expansion, parse_expansion, reduce_expansion
 from twobridge.core import division_expansion, format_expansion, partial_quotients
-from twobridge.errors import DomainError, PatternMatchError
+from twobridge.errors import DomainError, InternalError, PatternMatchError
 from twobridge.oracles import (
     AdditiveExpansion,
     applicable_steps,
@@ -22,7 +23,6 @@ from twobridge.oracles import (
 from twobridge.reduction import (
     ReductionStep,
     Rule,
-    _close,
     _settle,
     apply_rule,
     format_trace,
@@ -311,11 +311,25 @@ class TestReducedFromQuotients:
         whole, todo = [], list(reversed(e.coefficients))
         assert _settle(whole, todo) == r - e.integer_part
         assert whole == c and todo == []
-        r += _close(c)
+        # a dummy right neighbour applies the tail forms; then it is dropped
+        r += _settle(c, [0])
+        c.pop()
         pushed = Expansion(r, tuple(c))
         assert eval_expansion(pushed) == eval_expansion(e)
         assert not applicable_steps(pushed)
         assert len(pushed) == len(reduce_expansion(e)[0])
+
+    def test_quotients_of_one_over_zero_are_refused(self):
+        # (0; 0) is the continued fraction of 1/0: the dummy's push leaves nothing to drop
+        with pytest.raises(InternalError):
+            reduced_from_quotients((0, 0))
+
+    def test_the_dummy_push_empties_the_list_exactly_at_one_over_zero(self):
+        for n in range(7):
+            for coefficients in product(range(-3, 4), repeat=n):
+                c = []
+                _settle(c, [0, *reversed(coefficients)])
+                assert (not c) == eval_expansion(Expansion(0, coefficients)).is_infinite, coefficients
 
     def test_rejects_a_zero_denominator(self):
         with pytest.raises(DomainError):
