@@ -12,15 +12,18 @@ rewrite, so the region list evaluates, as a subtractive continued
 fraction, to the same value as C.  A diagram is written C(t1,...,tk);
 a source whose interleaving has a zero region is refused, and the
 source `conway_diagram` picks never has one.
+
+Both the source and the verification read the coefficient that fires
+the crosscap rule from the memo `invariants.analyze`, which applied the
+rule once, when it missed; neither scans the reduced expansion for it.
 """
 
 from __future__ import annotations
 
 from .core import Expansion, KnotId, _join_ints, _set_field, _Value
-from .diagram import rectangle_move, rectangle_positions
+from .diagram import rectangle_move
 from .errors import DomainError, InternalError
-from .invariants import _crosscap_boundary
-from .reduction import reduce_fraction
+from .invariants import analyze
 
 __all__ = [
     "ConwayDiagram",
@@ -49,24 +52,25 @@ class ConwayDiagram(_Value):
 def odd_shortest_expansion(k: KnotId) -> Expansion:
     """An odd-type expansion of minimal odd-type length (= the crosscap number).
 
-    If the reduced expansion is odd type it is returned as is; if it is
-    even type with a +-2, one rectangle move at the rightmost +-2 makes
-    it odd; otherwise a tail coefficient is split as [...,a] = [...,a+1,1],
-    giving length n+1.
+    It branches on the coefficient that fired the rule (`analyze`).  If
+    that is odd, the reduced expansion T is odd type and returned as is.
+    If it is T's rightmost +-2 (T is even type), one rectangle move there
+    makes T odd: its neighbours change by -+1, and T has at least two
+    coefficients, since [2] is r + 1/2, which names no knot.  If the
+    rule did not fire, the last coefficient is split as
+    [...,a] = [...,a+1,1], giving length n+1.
     """
     if k.q == 1:
         raise DomainError("the unknot has no odd-type expansion")
-    reduced = reduce_fraction(k.p, k.q)[1]
-    if reduced.odd_type:
-        return reduced
-    positions = rectangle_positions(reduced)
-    if positions:
-        moved = rectangle_move(reduced, positions[-1])
-        if not moved.odd_type:
-            raise InternalError(f"rectangle move of {reduced} at a +-2 gave even-type {moved}")
-        return moved
+    _, reduced, fired = analyze(k.p, k.q)
     c = reduced.coefficients
-    return Expansion(reduced.integer_part, c[:-1] + (c[-1] + 1, 1))
+    if fired is None:
+        return Expansion(reduced.integer_part, c[:-1] + (c[-1] + 1, 1))
+    if c[fired] & 1:
+        return reduced
+    if len(c) == 1:
+        raise InternalError(f"{reduced} is r + 1/2, whose rectangle move gives no odd type")
+    return rectangle_move(reduced, fired + 1)
 
 
 def _interleave(c: tuple[int, ...]) -> list[int]:
@@ -107,7 +111,7 @@ def diagram_from_expansion(source: Expansion) -> ConwayDiagram:
 def conway_diagram(k: KnotId) -> ConwayDiagram:
     """Diagram of k carrying a minimal-genus non-orientable checkerboard surface.
 
-    Built from the knot's memoized reduced expansion (`reduce_fraction`).
+    Built from the knot's memoized reduced expansion (`analyze`).
     The source never gives a zero region, which needs a first coefficient
     1 or, at odd length, a last coefficient -1.  `odd_shortest_expansion`
     returns one of three things:
@@ -132,8 +136,8 @@ def verify_diagram(d: ConwayDiagram, k: KnotId) -> bool:
     integer part and p <-> p^-1 ambiguities are absorbed by knot
     equivalence).  Also checks that no region is zero and that the region
     count is 2*gamma - 1 for odd gamma and 2*gamma for even gamma, where
-    gamma is the crosscap number of k, which `_crosscap_boundary` reads off
-    the knot's memoized reduced expansion.
+    gamma is the crosscap number of k: the reduced length, plus 1 when
+    the rule did not fire, as the memo `analyze` keeps them.
 
     The value is w/u, with (u, w) the first column of the product of the
     matrices [[b, -1], [1, 0]] over the regions b.  Each has determinant
@@ -153,7 +157,8 @@ def verify_diagram(d: ConwayDiagram, k: KnotId) -> bool:
     q = k.q
     if q == 1:
         return u == 1
-    gamma = _crosscap_boundary(reduce_fraction(k.p, q)[1])[0]
+    _, reduced, fired = analyze(k.p, q)
+    gamma = len(reduced) + (fired is None)
     if len(regions) != (2 * gamma - 1 if gamma % 2 == 1 else 2 * gamma):
         return False
     w %= q

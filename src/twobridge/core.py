@@ -199,8 +199,9 @@ def partial_quotients(p: int, q: int) -> tuple[int, ...]:
     later quotient >= 1 and the last one >= 2 when n >= 1.
 
     This is the only big-integer pass on the serving path.  The pipeline
-    calls it through `reduction.reduce_fraction`, whose one-slot memo
-    keeps the last fraction's quotients beside its reduced expansion.
+    calls it through `invariants.analyze`, whose one-slot memo keeps the
+    last fraction's quotients beside its reduced expansion and the
+    coefficient that fires the crosscap rule.
     """
     if q <= 0:
         raise DomainError(f"partial quotients need a positive denominator, got {_format_int(p)}/{_format_int(q)}")

@@ -5,14 +5,15 @@ are joined by an edge iff |ad - bc| = 1, and each edge spans a triangle
 with the mediant (a+c)/(b+d).  Depth is 0 on Z and 1/0 and one more than
 the shallower Farey parent elsewhere; it equals the minimal length of a
 subtractive continued fraction expansion of the vertex, so `depth` is
-the length of the reduced expansion that the memo
-`reduction.reduce_fraction` keeps.  The Farey routes that hold it to
-that equality, the parent recursion and the mediant walk, are in
-`twobridge.oracles`.
+the length of the reduced expansion that the memo `invariants.analyze`
+keeps.  The Farey routes that hold it to that equality, the parent
+recursion and the mediant walk, are in `twobridge.oracles`.
 
 `ShortestSet` keeps only T, the reduced expansion, and reads every
 shortest expansion off it.  The paper's odd-type rule over such a set
-is a cross-check kept in `twobridge.oracles`, not a serving view.
+is a cross-check kept in `twobridge.oracles`, not a serving view, as is
+the list of a member's +-2 positions (`oracles.rectangle_positions`)
+that the breadth-first closure under rectangle moves walks.
 """
 
 from __future__ import annotations
@@ -22,12 +23,11 @@ from functools import cached_property
 
 from .core import Expansion, ExtendedRational, _format_int, _set_field, _Value
 from .errors import DomainError, PatternMatchError
-from .reduction import reduce_fraction
+from .invariants import analyze
 
 __all__ = [
     "depth",
     "rectangle_move",
-    "rectangle_positions",
     "ShortestSet",
     "all_shortest_expansions",
 ]
@@ -44,7 +44,7 @@ def depth(x: ExtendedRational) -> int:
     """
     if x.is_infinite:
         return 0
-    return len(reduce_fraction(x.numerator, x.denominator)[1])
+    return len(analyze(x.numerator, x.denominator)[1])
 
 
 def rectangle_move(e: Expansion, position: int) -> Expansion:
@@ -70,11 +70,6 @@ def rectangle_move(e: Expansion, position: int) -> Expansion:
     if j == n - 1:
         return Expansion(r, c[: j - 1] + (c[j - 1] - eps, -2 * eps))
     return Expansion(r, c[: j - 1] + (c[j - 1] - eps, -2 * eps, c[j + 1] - eps) + c[j + 2 :])
-
-
-def rectangle_positions(e: Expansion) -> list[int]:
-    """1-based positions carrying a +-2 coefficient."""
-    return [i + 1 for i, v in enumerate(e.coefficients) if abs(v) == 2]
 
 
 class ShortestSet(_Value):
@@ -209,7 +204,7 @@ class ShortestSet(_Value):
 def all_shortest_expansions(x: ExtendedRational) -> ShortestSet:
     """The shortest expansions of x, read off its reduced expansion.
 
-    T comes from the memo `reduce_fraction`, one pass over the partial
+    T comes from the memo `invariants.analyze`, one pass over the partial
     quotients of x.  The automaton behind the class has at most 12
     states per position, so `size` and `least()` cost O(len T) and the
     walks O(len T) per member.  `oracles` keeps the breadth-first closure
@@ -217,4 +212,4 @@ def all_shortest_expansions(x: ExtendedRational) -> ShortestSet:
     """
     if x.is_infinite or x.is_integer:
         raise DomainError(f"shortest expansions are defined for non-integer finite values, got {x}")
-    return ShortestSet(reduce_fraction(x.numerator, x.denominator)[1])
+    return ShortestSet(analyze(x.numerator, x.denominator)[1])

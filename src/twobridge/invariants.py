@@ -8,17 +8,21 @@ expansion.  A minimal-genus non-orientable spanning surface is
 boundary-incompressible exactly when an odd-type shortest expansion
 exists.
 
-Every view reads the knot's partial quotients and reduced expansion
-from the one memo, `reduction.reduce_fraction`.  `_crosscap_boundary`
-applies the rule to the reduced expansion for `crosscap`,
-`boundary_classification`, `invariant_report` and
-`conway.verify_diagram`, so only the report and the genus views read
-the even runs.  `invariant_report` keeps no memo of its own.
+`analyze` is the package's one memo per fraction: it keeps the last
+fraction's partial quotients, its reduced expansion and the index of
+the coefficient that fires the rule (`_fired`), or None.  The rule is
+applied once, when the memo misses; `crosscap`,
+`boundary_classification`, `invariant_report`, `conway.verify_diagram`
+and `conway.odd_shortest_expansion` read its index, and `diagram.depth`
+and `diagram.all_shortest_expansions` the reduced expansion.  Only the
+report and the genus views read the even runs, which the memo does not
+keep.  `invariant_report` keeps no memo of its own.
 """
 
 from __future__ import annotations
 
 from enum import Enum
+from functools import lru_cache
 from itertools import chain, islice
 
 from .core import (
@@ -31,9 +35,10 @@ from .core import (
     fraction_of,
     format_expansion,
     knot_from_fraction,
+    partial_quotients,
 )
 from .errors import DomainError, InternalError
-from .reduction import reduce_fraction
+from .reduction import reduced_from_quotients
 
 __all__ = [
     "Boundary",
@@ -46,6 +51,7 @@ __all__ = [
     "plumbing_surface",
     "family_k_mn",
     "invariant_report",
+    "analyze",
 ]
 
 
@@ -118,8 +124,8 @@ def _require_knot(k: KnotId):
         raise DomainError("operation is undefined for the unknot")
 
 
-def _even_runs(k: KnotId, cf: tuple[int, ...]) -> tuple[int, tuple[tuple[int, int], ...]]:
-    """The all-even expansion of k as its integer part and (coef, count) runs.
+def _even_runs(k: KnotId, cf: tuple[int, ...]) -> tuple[tuple[int, tuple[tuple[int, int], ...]], int]:
+    """The all-even expansion of k as its integer part and (coef, count) runs, and its length.
 
     With p' = p or p - q, whichever is even, and s its sign, read the
     partial quotients a_1, a_2, ... of q/|p'|.  An even a_i gives s*a_i and
@@ -132,9 +138,12 @@ def _even_runs(k: KnotId, cf: tuple[int, ...]) -> tuple[int, tuple[tuple[int, in
     that the reduced expansion was read off: for even p they are a_1,
     ..., a_n; for odd p, q/(q - p) = [1; a_1 - 1, a_2, ...], or
     [a_2 + 1; a_3, ...] when a_1 = 1 (then n >= 2, as p < q).
+
+    The length is counted as the runs are emitted, so the genus needs no
+    second walk over them.
     """
     if k.q == 1:
-        return 0, ()
+        return (0, ()), 0
     r, tail = (1, k.p - k.q) if k.p % 2 else (0, k.p)
     s = 1 if tail > 0 else -1
     if tail > 0:
@@ -145,12 +154,13 @@ def _even_runs(k: KnotId, cf: tuple[int, ...]) -> tuple[int, tuple[tuple[int, in
         head, rest = (cf[2] + 1,), 3
     quotients = chain(head, islice(cf, rest, None))
     runs = []
-    carry = 0
+    carry = length = 0
     for a in quotients:
         a += carry
         if a % 2 == 0:
             runs.append((s * a, 1))
             s, carry = -s, 0
+            length += 1
             continue
         twos = next(quotients, None)
         if twos is None:
@@ -159,7 +169,8 @@ def _even_runs(k: KnotId, cf: tuple[int, ...]) -> tuple[int, tuple[tuple[int, in
         if twos > 1:
             runs.append((2 * s, twos - 1))
         carry = 1
-    return r, tuple(runs)
+        length += twos
+    return (r, tuple(runs)), length
 
 
 def _spell(r: int, runs) -> Expansion:
@@ -172,7 +183,7 @@ def _spell(r: int, runs) -> Expansion:
 
 def even_expansion(k: KnotId) -> Expansion:
     """The unique expansion of k with all coefficients even, spelled out from `_even_runs`."""
-    return _spell(*_even_runs(k, reduce_fraction(k.p, k.q)[0]))
+    return _spell(*_even_runs(k, analyze(k.p, k.q)[0])[0])
 
 
 def genus(k: KnotId) -> int:
@@ -180,34 +191,50 @@ def genus(k: KnotId) -> int:
     return invariant_report(k).genus
 
 
-def _odd_shortest_exists(reduced: Expansion) -> bool:
-    """The paper's rule: an odd-type shortest expansion exists iff the
-    reduced expansion has an odd coefficient or a +-2.
+def _fired(c: tuple[int, ...]) -> int | None:
+    """The index of the coefficient that fires the paper's rule on the expansion c, or None.
 
-    Then the crosscap number is the reduced length n and the surface is
-    boundary-incompressible; otherwise n+1 and compressible.
+    An odd-type shortest expansion exists iff the reduced expansion has
+    an odd coefficient or a +-2: then the crosscap number is the reduced
+    length n and the surface is boundary-incompressible, otherwise n+1
+    and compressible.  The index is that of the first odd coefficient,
+    else that of the rightmost +-2, where `conway.odd_shortest_expansion`
+    makes its rectangle move.
     """
-    c = reduced.coefficients
-    return reduced.odd_type or 2 in c or -2 in c
+    for i, v in enumerate(c):
+        if v & 1:
+            return i
+    for i in range(len(c) - 1, -1, -1):
+        if c[i] == 2 or c[i] == -2:
+            return i
+    return None
 
 
-def _crosscap_boundary(reduced: Expansion) -> tuple[int, Boundary]:
-    """The crosscap number and boundary class of the knot whose reduced expansion this is.
+@lru_cache(maxsize=1)
+def analyze(p: int, q: int) -> tuple[tuple[int, ...], Expansion, int | None]:
+    """The partial quotients of p/q, its reduced expansion and the index `_fired` reads off it.
 
-    With n the reduced length: n and boundary-incompressible when an
-    odd-type shortest expansion exists (`_odd_shortest_exists`), else
-    n+1 and compressible.
+    One Euclid pass, one reduction and one application of the rule.  The
+    last fraction's triple is kept in a one-slot memo, so the invariant
+    report, the Conway diagram and its verification, `depth` and the
+    shortest expansions of one fraction share a single pass of each.
+    The values are immutable, so callers on several threads may share
+    them.  `analyze.__wrapped__` is the unmemoized call.
     """
-    if _odd_shortest_exists(reduced):
-        return len(reduced), Boundary.INCOMPRESSIBLE
-    return len(reduced) + 1, Boundary.COMPRESSIBLE
+    cf = partial_quotients(p, q)
+    reduced = reduced_from_quotients(cf)
+    return cf, reduced, _fired(reduced.coefficients)
 
 
 def crosscap(k: KnotId) -> int:
-    """Minimal first Betti number of a non-orientable spanning surface; 0 for the unknot."""
+    """Minimal first Betti number of a non-orientable spanning surface; 0 for the unknot.
+
+    The reduced length n when the rule fires, else n+1.
+    """
     if k.q == 1:
         return 0
-    return _crosscap_boundary(reduce_fraction(k.p, k.q)[1])[0]
+    _, reduced, fired = analyze(k.p, k.q)
+    return len(reduced) + (fired is None)
 
 
 def _no_two(even_runs: tuple[int, tuple[tuple[int, int], ...]]) -> bool:
@@ -218,7 +245,7 @@ def _no_two(even_runs: tuple[int, tuple[tuple[int, int], ...]]) -> bool:
 def boundary_classification(k: KnotId) -> Boundary:
     """Whether minimal-genus non-orientable spanning surfaces of k are boundary-incompressible."""
     _require_knot(k)
-    return _crosscap_boundary(reduce_fraction(k.p, k.q)[1])[1]
+    return Boundary.COMPRESSIBLE if analyze(k.p, k.q)[2] is None else Boundary.INCOMPRESSIBLE
 
 
 def plumbing_surface(e: Expansion) -> PlumbingSurface:
@@ -239,16 +266,17 @@ def family_k_mn(m: int, n: int) -> KnotId:
 def invariant_report(k: KnotId) -> InvariantReport:
     """Every invariant of one knot, in O(len CF) after the Euclid pass.
 
-    The partial quotients and the reduced expansion come from the memo
-    `reduce_fraction`, whose one reduction pass costs O(len CF), not
-    O(q); the crosscap and boundary from `_crosscap_boundary` on the
-    reduced expansion; the genus from the summed run counts of
-    `_even_runs` over the same quotients, which the report keeps in
-    place of the spelled-out even expansion.
+    The partial quotients, the reduced expansion and the coefficient
+    that fires the rule come from the memo `analyze`, whose one reduction
+    pass costs O(len CF), not O(q); the crosscap and boundary follow from
+    that coefficient, or its absence, as in `crosscap`; the genus is half
+    the length that `_even_runs` counts over the same quotients, and the
+    report keeps the runs in place of the spelled-out even expansion.
     """
     if k.q == 1:
         return InvariantReport(k, 0, 0, Expansion(0, ()), (0, ()), Boundary.TRIVIAL)
-    cf, reduced = reduce_fraction(k.p, k.q)
-    gamma, boundary = _crosscap_boundary(reduced)
-    runs = _even_runs(k, cf)
-    return InvariantReport(k, gamma, sum(m for _, m in runs[1]) // 2, reduced, runs, boundary)
+    cf, reduced, fired = analyze(k.p, k.q)
+    runs, length = _even_runs(k, cf)
+    if fired is None:
+        return InvariantReport(k, len(reduced) + 1, length // 2, reduced, runs, Boundary.COMPRESSIBLE)
+    return InvariantReport(k, len(reduced), length // 2, reduced, runs, Boundary.INCOMPRESSIBLE)

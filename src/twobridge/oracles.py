@@ -27,9 +27,9 @@ from .core import (
     partial_quotients,
 )
 from .conway import ConwayDiagram
-from .diagram import ShortestSet, rectangle_move, rectangle_positions
+from .diagram import ShortestSet, rectangle_move
 from .errors import DomainError
-from .invariants import _no_two, _odd_shortest_exists, _require_knot, invariant_report
+from .invariants import _fired, _no_two, _require_knot, invariant_report
 from .reduction import ReductionStep, ReductionTrace, Rule, apply_rule, reduce_expansion
 
 __all__ = [
@@ -47,6 +47,7 @@ __all__ = [
     "alexander_genus",
     "is_shortest",
     "brute_force_min_length",
+    "rectangle_positions",
     "closure_by_rectangle_moves",
     "odd_type_among_shortest",
     "shortest_set_has_odd_type",
@@ -338,6 +339,11 @@ def brute_force_min_length(
     return best
 
 
+def rectangle_positions(e: Expansion) -> list[int]:
+    """1-based positions carrying a +-2 coefficient: the sites of a rectangle move."""
+    return [i + 1 for i, v in enumerate(e.coefficients) if abs(v) == 2]
+
+
 def closure_by_rectangle_moves(x: ExtendedRational) -> frozenset[Expansion]:
     """Every shortest expansion of x, by breadth-first search over rectangle moves.
 
@@ -387,7 +393,7 @@ def shortest_set_has_odd_type(s: ShortestSet) -> bool:
     members r + [2] and r+1 + [-2] are both even.  Held in the tests to
     a scan of the closure under rectangle moves.
     """
-    return s.reduced.coefficients != (2,) and _odd_shortest_exists(s.reduced)
+    return s.reduced.coefficients != (2,) and _fired(s.reduced.coefficients) is not None
 
 
 def gamma_equals_2g_plus_1(k: KnotId) -> bool:

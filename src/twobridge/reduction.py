@@ -12,21 +12,17 @@ minimal expansion length of the value.
 `reduce_expansion` drives any expansion to its fixpoint leftmost site
 first and records each step; `reduced_from_quotients` reaches the
 fixpoint of a fraction's seed in one pass over its partial quotients and
-records nothing.
-
-`reduce_fraction` is the package's one memo per fraction: it keeps the
-last fraction's partial quotients and reduced expansion, the two values
-that the invariant report, the Conway diagram and its verification,
-`depth` and the shortest expansions read.
+records nothing.  `invariants.analyze`, the package's one memo per
+fraction, calls `reduced_from_quotients` once per fraction.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
 from enum import Enum
-from functools import cached_property, lru_cache
+from functools import cached_property
 
-from .core import Expansion, _format_int, _set_field, _Value, format_expansion, partial_quotients
+from .core import Expansion, _format_int, _set_field, _Value, format_expansion
 from .errors import InternalError, PatternMatchError
 
 __all__ = [
@@ -36,7 +32,6 @@ __all__ = [
     "apply_rule",
     "reduce_expansion",
     "reduced_from_quotients",
-    "reduce_fraction",
     "format_trace",
 ]
 
@@ -370,20 +365,6 @@ def reduced_from_quotients(cf: tuple[int, ...]) -> Expansion:
         raise InternalError("a lone [0] is the value 1/0, which no fraction reduces to")
     c.pop()
     return Expansion(r, tuple(c))
-
-
-@lru_cache(maxsize=1)
-def reduce_fraction(p: int, q: int) -> tuple[tuple[int, ...], Expansion]:
-    """The partial quotients of p/q and its reduced expansion: one Euclid pass, one reduction.
-
-    The last fraction's pair is kept in a one-slot memo, so the invariant
-    report, the Conway diagram and its verification, `depth` and the
-    shortest expansions of one fraction share a single pass of each.
-    Both values are immutable, so callers on several threads may share
-    them.  `reduce_fraction.__wrapped__` is the unmemoized call.
-    """
-    cf = partial_quotients(p, q)
-    return cf, reduced_from_quotients(cf)
 
 
 def format_trace(trace: ReductionTrace) -> str:

@@ -26,7 +26,7 @@ from .core import (
     parse_fraction,
 )
 from .errors import TableDataError, UnknownNameError
-from .invariants import InvariantReport, _no_two, _odd_shortest_exists, invariant_report
+from .invariants import InvariantReport, _fired, _no_two, invariant_report
 from .reduction import reduce_expansion
 
 __all__ = ["KnotRecord", "TableReport", "load_table", "verify_table", "resolve", "lookup", "find_record"]
@@ -168,7 +168,7 @@ def verify_table() -> TableReport:
 
         attains_bound = gamma == 2 * invariants.genus + 1
         even_no_two = _no_two(invariants.even_runs)
-        unique_even_shortest = not _odd_shortest_exists(rec.expansion)
+        unique_even_shortest = _fired(rec.expansion.coefficients) is None
         consistent = rec.starred == attains_bound == even_no_two == unique_even_shortest
         report.record("d_starred", consistent, rec.name, lambda: f"starred={rec.starred}, gamma=2g+1 is {attains_bound}, even expansion {invariants.even_expansion}")
 
@@ -180,6 +180,8 @@ def verify_table() -> TableReport:
 
 
 def find_record(name: str) -> KnotRecord:
+    """The record of a table name; whitespace around the name is ignored."""
+    name = name.strip()
     rec = _table().by_name.get(name)
     if rec is None:
         raise UnknownNameError(f"no knot named {name!r} in the table")
@@ -194,7 +196,7 @@ def resolve(text: str) -> tuple[KnotId, KnotRecord | None]:
     invariant, and no inverse mod q when q is past every q in the table.
     """
     if "/" not in text:
-        rec = find_record(text.strip())
+        rec = find_record(text)
         return knot_from_fraction(rec.fraction), rec
     k = knot_from_fraction(parse_fraction(text))
     table = _table()

@@ -30,7 +30,7 @@ from twobridge import (
 )
 from twobridge.conway import ConwayDiagram, odd_shortest_expansion
 from twobridge.core import division_expansion
-from twobridge.diagram import rectangle_move, rectangle_positions
+from twobridge.diagram import rectangle_move
 from twobridge.invariants import even_expansion, family_k_mn, plumbing_surface
 from twobridge.oracles import (
     brute_force_min_length,
@@ -39,6 +39,7 @@ from twobridge.oracles import (
     gamma_equals_2g_plus_1,
     mirror,
     odd_type_among_shortest,
+    rectangle_positions,
     reduce_with_strategy,
 )
 

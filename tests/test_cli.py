@@ -82,6 +82,14 @@ class TestCommands:
         assert code == 0
         assert out.strip() == "name=12a_1287 fraction=6/37 gamma=3 expansion=[6,-6] starred=true"
 
+    def test_names_with_surrounding_whitespace(self, capsys):
+        # `table lookup` and `invariants` read a name by one rule, in `find_record`
+        code, out, err = run(capsys, "table", "lookup", " 7_4 ")
+        assert (code, out, err) == (0, "name=7_4 fraction=4/15 gamma=3 expansion=[4,4] starred=true\n", "")
+        assert run(capsys, "invariants", " 7_4 ")[:2] == run(capsys, "invariants", "7_4")[:2]
+        assert run(capsys, "table", "lookup", " 99_99 ") == run(capsys, "invariants", " 99_99 ")
+        assert run(capsys, "invariants", " 99_99 ") == (2, "", "error: no knot named '99_99' in the table\n")
+
 
 class TestSharedParser:
     def test_calls_do_not_leak_options(self, capsys):

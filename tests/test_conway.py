@@ -16,6 +16,9 @@ from twobridge import (
     eval_expansion,
     knot_from_fraction,
     parse_expansion,
+    find_record,
+    format_expansion,
+    invariant_report,
     verify_diagram,
 )
 from twobridge.conway import (
@@ -77,6 +80,22 @@ class TestConstruction:
         d = conway_diagram(KnotId(15, 4))
         assert d.twist_regions == (3, -1, 5, 1, 2)
         assert len(d.twist_regions) == 5  # 2*gamma - 1 for gamma = 3
+
+    @pytest.mark.parametrize(
+        "name,reduced,source,regions",
+        [
+            ("3_1", "[3]", "[3]", "C(3)"),  # an odd coefficient fires: T itself
+            ("11a_119", "[2,-4,-4,2]", "[2,-4,-5,-2]", "C(1,-1,-4,1,-5,-1,-2,1)"),  # the rightmost 2: one rectangle move
+            ("7_4", "[4,4]", "[4,5,1]", "C(3,-1,5,1,2)"),  # nothing fires: the last coefficient split
+        ],
+    )
+    def test_each_branch_on_table_knots(self, name, reduced, source, regions):
+        k = knot_from_fraction(find_record(name).fraction)
+        d = conway_diagram(k)
+        assert format_expansion(invariant_report(k).reduced) == reduced
+        assert format_expansion(d.source_expansion) == source
+        assert format_diagram(d) == regions
+        assert verify_diagram(d, k)
 
     def test_region_count_parity(self):
         for q, p in [(3, 1), (5, 2), (9, 2), (15, 4), (55, 21), (29, 12)]:
@@ -218,16 +237,17 @@ class TestVerification:
                         assert verify_diagram(moved, k) == verify_diagram_by_value(moved, k), (moved, k)
 
     def test_count_check_is_apart_from_the_serving_rule(self, monkeypatch):
-        # with the serving crosscap off by one, verify rejects the diagrams the oracle accepts
-        serving = twobridge.conway._crosscap_boundary
+        # with the rule's verdict flipped in the memo that verify reads, its gamma
+        # is off by one, and verify rejects the diagrams the oracle accepts
+        serving = twobridge.conway.analyze
 
-        def off_by_one(reduced):
-            gamma, boundary = serving(reduced)
-            return gamma + 1, boundary
+        def flipped(p, q):
+            cf, reduced, fired = serving(p, q)
+            return cf, reduced, 0 if fired is None else None
 
         knots = [KnotId(3, 1), KnotId(15, 4), KnotId(9, 2), KnotId(55, 21)]
         diagrams = [conway_diagram(k) for k in knots]
-        monkeypatch.setattr(twobridge.conway, "_crosscap_boundary", off_by_one)
+        monkeypatch.setattr(twobridge.conway, "analyze", flipped)
         for d, k in zip(diagrams, knots):
             assert verify_diagram_by_value(d, k) and not verify_diagram(d, k)
 

@@ -21,7 +21,7 @@ from twobridge import (
     reduce_expansion,
 )
 from twobridge.core import division_expansion
-from twobridge.diagram import rectangle_move, rectangle_positions
+from twobridge.diagram import rectangle_move
 from twobridge.errors import PatternMatchError
 from twobridge.oracles import (
     INFINITY,
@@ -34,6 +34,7 @@ from twobridge.oracles import (
     eval_additive,
     farey_parents,
     is_shortest,
+    rectangle_positions,
     seed_expansion,
     shortest_set_has_odd_type,
 )

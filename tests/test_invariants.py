@@ -39,7 +39,8 @@ from twobridge.core import (
 from twobridge.diagram import all_shortest_expansions, depth
 from twobridge.invariants import (
     _even_runs,
-    _odd_shortest_exists,
+    _fired,
+    analyze,
     family_k_mn,
     plumbing_surface,
 )
@@ -52,7 +53,6 @@ from twobridge.oracles import (
     mirror,
     odd_type_among_shortest,
 )
-from twobridge.reduction import reduce_fraction
 
 
 def odd_knots_up_to(limit):
@@ -146,13 +146,19 @@ def even_runs_by_second_pass(k):
     return r, tuple(runs)
 
 
+def runs_and_length_by_second_pass(k):
+    """The runs of `even_runs_by_second_pass` and the length they spell, summed from the run counts."""
+    runs = even_runs_by_second_pass(k)
+    return runs, sum(m for _, m in runs[1])
+
+
 class TestEvenRunsFromTheSeedPass:
     # `_even_runs` derives the quotients of q/|p'| from those of p/q
-    # instead of running a second Euclid pass
+    # instead of running a second Euclid pass, and counts the length it emits
 
     def test_every_knot_up_to_q_301(self):
         for k in odd_knots_up_to(301):
-            assert _even_runs(k, partial_quotients(k.p, k.q)) == even_runs_by_second_pass(k)
+            assert _even_runs(k, partial_quotients(k.p, k.q)) == runs_and_length_by_second_pass(k)
 
     @given(
         st.integers(1, 4),
@@ -169,10 +175,10 @@ class TestEvenRunsFromTheSeedPass:
         p, q = x.numerator, x.denominator
         assert partial_quotients(p, q) == (0, *quotients)
         for k in (KnotId(q, p), KnotId(q, q - p)):
-            assert _even_runs(k, partial_quotients(k.p, k.q)) == even_runs_by_second_pass(k)
+            assert _even_runs(k, partial_quotients(k.p, k.q)) == runs_and_length_by_second_pass(k)
 
     def test_unknot(self):
-        assert _even_runs(KnotId(1, 0), (0,)) == (0, ())
+        assert _even_runs(KnotId(1, 0), (0,)) == ((0, ()), 0)
 
 
 class TestGenusAndCrosscap:
@@ -256,7 +262,24 @@ class TestBoundCharacterization:
         # hold on negative and past-64-bit coefficients too
         e = Expansion(0, coeffs)
         assert e.odd_type == any(c % 2 != 0 for c in coeffs)
-        assert _odd_shortest_exists(e) == any(c % 2 != 0 or abs(c) == 2 for c in coeffs)
+        assert (_fired(e.coefficients) is not None) == any(c % 2 != 0 or abs(c) == 2 for c in coeffs)
+
+    def test_the_coefficient_that_fires_the_rule(self):
+        # every p/q with q < 60 and p in [-q, 2q], and every knot with odd q <= 151
+        pairs = {(p, q) for q in range(1, 60) for p in range(-q, 2 * q + 1) if gcd(p, q) == 1}
+        pairs |= {(k.p, k.q) for k in odd_knots_up_to(151)}
+        for p, q in sorted(pairs):
+            _, reduced, fired = analyze.__wrapped__(p, q)
+            c = reduced.coefficients
+            odd = [i for i, v in enumerate(c) if v % 2]
+            twos = [i for i, v in enumerate(c) if abs(v) == 2]
+            assert -2 not in c
+            if fired is None:
+                assert not odd and not twos, (p, q)
+            elif odd:
+                assert fired == odd[0], (p, q)
+            else:
+                assert c[fired] == 2 and fired == twos[-1], (p, q)
 
     def test_unknot_domain(self):
         with pytest.raises(DomainError):
@@ -302,8 +325,8 @@ class TestReport:
             assert r.crosscap == crosscap(k)
             assert r.genus == genus(k)
             assert r.boundary is boundary_classification(k)
-            assert r.reduced == reduce_fraction.__wrapped__(k.p, k.q)[1]
-            assert r.even_runs == _even_runs(k, partial_quotients(k.p, k.q))
+            assert r.reduced == analyze.__wrapped__(k.p, k.q)[1]
+            assert (r.even_runs, 2 * r.genus) == _even_runs(k, partial_quotients(k.p, k.q))
             assert r.even_expansion == even_expansion(k)
             assert r.crosscap <= 2 * r.genus + 1
             assert (r.boundary == Boundary.INCOMPRESSIBLE) == r.odd_shortest_exists
@@ -335,15 +358,15 @@ class TestModuleCaches:
             module = importlib.import_module(f"twobridge.{info.name}")
             caches |= {value for value in vars(module).values() if hasattr(value, "cache_info")}
         caches |= {value for value in vars(twobridge).values() if hasattr(value, "cache_info")}
-        assert caches == {twobridge.reduction.reduce_fraction, twobridge.table._table}
+        assert caches == {twobridge.invariants.analyze, twobridge.table._table}
 
 
 class TestEuclidMemo:
-    """One Euclid pass and one reduction per fraction: every view reads the memo `reduce_fraction`."""
+    """One Euclid pass, one reduction and one rule scan per fraction: every view reads the memo `analyze`."""
 
     @pytest.fixture(autouse=True)
     def counted(self, monkeypatch):
-        """Counts of Euclid passes, reductions, even-run readings and spellings, from a cold memo."""
+        """Counts of Euclid passes, reductions, rule scans, even-run readings and spellings, from a cold memo."""
         counts = Counter()
 
         def counting(module, name):
@@ -355,13 +378,14 @@ class TestEuclidMemo:
 
             monkeypatch.setattr(module, name, wrapper)
 
-        counting(twobridge.reduction, "partial_quotients")
-        counting(twobridge.reduction, "reduced_from_quotients")
+        counting(twobridge.invariants, "partial_quotients")
+        counting(twobridge.invariants, "reduced_from_quotients")
+        counting(twobridge.invariants, "_fired")
         counting(twobridge.invariants, "_even_runs")
         counting(twobridge.invariants, "_spell")
-        reduce_fraction.cache_clear()
+        analyze.cache_clear()
         yield counts
-        reduce_fraction.cache_clear()
+        analyze.cache_clear()
 
     def test_every_invariant_of_one_knot(self, counted):
         k = KnotId(55, 21)
@@ -374,15 +398,31 @@ class TestEuclidMemo:
         shortest = all_shortest_expansions(x)
         assert shortest.reduced == report.reduced and len(shortest.least()) == 4
         # the report reads the runs once and spells no even expansion
-        assert counted == {"partial_quotients": 1, "reduced_from_quotients": 1, "_even_runs": 1}
-        assert reduce_fraction.cache_info().misses == 1
+        assert counted == {"partial_quotients": 1, "reduced_from_quotients": 1, "_fired": 1, "_even_runs": 1}
+        assert analyze.cache_info().misses == 1
 
-    def test_crosscap_boundary_diagram_read_no_even_runs(self, counted):
-        k = KnotId(15, 4)
-        assert verify_diagram(conway_diagram(k), k)
-        assert crosscap(k) == 3
-        assert boundary_classification(k) == Boundary.COMPRESSIBLE
-        assert counted == {"partial_quotients": 1, "reduced_from_quotients": 1}
+    def test_crosscap_boundary_diagram_read_no_even_runs(self, counted, monkeypatch):
+        # the split, one rectangle move and T itself: past the miss's one `_fired`
+        # no view scans a coefficient for the rule, not even through `odd_type`
+        odd_type = Expansion.odd_type
+
+        def counting_odd_type(e):
+            counted["odd_type"] += 1
+            return odd_type.fget(e)
+
+        monkeypatch.setattr(Expansion, "odd_type", property(counting_odd_type))
+        for q, p, gamma, boundary in [
+            (15, 4, 3, Boundary.COMPRESSIBLE),
+            (77, 34, 4, Boundary.INCOMPRESSIBLE),
+            (3, 1, 1, Boundary.INCOMPRESSIBLE),
+        ]:
+            k = KnotId(q, p)
+            analyze.cache_clear()
+            counted.clear()
+            assert verify_diagram(conway_diagram(k), k)
+            assert crosscap(k) == gamma
+            assert boundary_classification(k) == boundary
+            assert counted == {"partial_quotients": 1, "reduced_from_quotients": 1, "_fired": 1}
 
     def test_torus_knot_of_3_to_the_40(self, counted):
         k = KnotId(3**40, 1)
@@ -410,8 +450,10 @@ class TestEuclidMemo:
             invariant_report(k)
             crosscap(k)
         assert counted["partial_quotients"] == counted["reduced_from_quotients"] == 3
-        assert reduce_fraction.cache_info().misses == 3
-        assert reduce_fraction.cache_info().currsize == 1
+        # the rule is applied once per miss and never on a hit
+        assert counted["_fired"] == analyze.cache_info().misses == 3
+        assert analyze.cache_info().hits == 7
+        assert analyze.cache_info().currsize == 1
 
     def test_threads_share_the_memos(self):
         # 8 threads switching every microsecond, so calls on
@@ -441,7 +483,7 @@ class TestEuclidMemo:
         random.Random(60).shuffle(pairs)
         for a, b in zip(pairs[::2], pairs[1::2]):
             for p, q in (a, b, a, a):
-                assert reduce_fraction(p, q) == reduce_fraction.__wrapped__(p, q)
+                assert analyze(p, q) == analyze.__wrapped__(p, q)
                 if q % 2:
                     k = KnotId(q, p)
                     assert crosscap(k) == invariant_report(k).crosscap

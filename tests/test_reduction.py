@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from twobridge import Expansion, ExtendedRational, eval_expansion, parse_expansion, reduce_expansion
 from twobridge.core import division_expansion, format_expansion, partial_quotients
 from twobridge.errors import DomainError, InternalError, PatternMatchError
+from twobridge.invariants import analyze
 from twobridge.oracles import (
     AdditiveExpansion,
     applicable_steps,
@@ -26,7 +27,6 @@ from twobridge.reduction import (
     _settle,
     apply_rule,
     format_trace,
-    reduce_fraction,
     reduced_from_quotients,
 )
 
@@ -280,7 +280,7 @@ class TestReducedFromQuotients:
         p, q = map(int, fraction.split("/"))
         cf = partial_quotients(p, q)
         assert format_expansion(reduced_from_quotients(cf)) == reduced
-        assert reduce_fraction.__wrapped__(p, q) == (cf, reduced_from_quotients(cf))
+        assert analyze.__wrapped__(p, q)[:2] == (cf, reduced_from_quotients(cf))
 
     def test_every_fraction_up_to_150(self):
         for q in range(1, 151):
@@ -333,7 +333,7 @@ class TestReducedFromQuotients:
 
     def test_rejects_a_zero_denominator(self):
         with pytest.raises(DomainError):
-            reduce_fraction(1, 0)
+            analyze(1, 0)
 
     @pytest.mark.parametrize("kind", ["ones", "twos", "ones_and_twos", "one_to_four"])
     def test_long_quotient_lists_in_bounded_time(self, kind):
