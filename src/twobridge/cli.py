@@ -262,8 +262,8 @@ def _find_command(argv: list[str]) -> tuple[str, _Command, list[str]]:
 def _read_arguments(prog: str, command: _Command, tokens: list[str]) -> tuple[str | None, bool]:
     """The operand of one call (None for a command without one) and whether its flag was given.
 
-    A token that starts with '-' and then a non-digit, before '--', is a
-    flag; every other token is an operand.
+    A token that starts with '-' and then anything but an ASCII digit
+    0-9, before '--', is a flag; every other token is an operand.
     """
     operands = []
     flagged = False
@@ -271,7 +271,7 @@ def _read_arguments(prog: str, command: _Command, tokens: list[str]) -> tuple[st
         if token == "--":
             operands += tokens[i + 1 :]
             break
-        if len(token) < 2 or token[0] != "-" or token[1].isdecimal():
+        if len(token) < 2 or token[0] != "-" or token[1] in "0123456789":
             operands.append(token)
         elif token in _HELP_FLAGS:
             _show_help(_command_help(prog, command))

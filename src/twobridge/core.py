@@ -7,7 +7,7 @@ A subtractive continued fraction
 is evaluated projectively, over Q together with the single point at
 infinity 1/0, so intermediate divisions by zero are ordinary values
 rather than errors.  This module also houses the Schubert parameters
-(q, p) of a 2-bridge knot S(q,p) and their canonical form.
+(q, p) of a 2-bridge knot S(q,p).
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ __all__ = [
     "eval_expansion",
     "division_expansion",
     "partial_quotients",
-    "canonical_form",
     "knot_from_fraction",
     "fraction_of",
     "parse_fraction",
@@ -242,13 +241,6 @@ class KnotId(_Value):
         return f"S({_format_int(self.q)},{_format_int(self.p)})"
 
 
-def canonical_form(k: KnotId) -> KnotId:
-    """Least representative (q, min(p, p^-1 mod q)); a dedup key for knots."""
-    if k.q == 1:
-        return k
-    return KnotId(k.q, min(k.p, pow(k.p, -1, k.q)))
-
-
 def knot_from_fraction(x: ExtendedRational) -> KnotId:
     """The knot named by a fraction p/q (only the class of p mod q matters)."""
     if x.is_infinite:
@@ -268,7 +260,7 @@ def fraction_of(k: KnotId) -> ExtendedRational:
 # ---------------------------------------------------------------------------
 # Text forms
 
-_FRACTION_RE = re.compile(r"^(-?\d+)/(\d+)$")
+_FRACTION_RE = re.compile(r"^(-?[0-9]+)/([0-9]+)$")  # ASCII digits only: \d would take any Unicode digit
 
 
 def _parse_int(text: str) -> int:
@@ -296,7 +288,7 @@ def parse_fraction(text: str) -> ExtendedRational:
     m = _FRACTION_RE.match(s)
     if not m:
         for i, ch in enumerate(s):
-            if not (ch.isdigit() or (ch == "-" and i == 0) or ch == "/"):
+            if not (ch in "0123456789" or (ch == "-" and i == 0) or ch == "/"):
                 raise ParseError("unexpected character in fraction", text, lead + i)
         raise ParseError("expected <int>/<posint>", text, lead)
     num, den = _parse_int(m.group(1)), _parse_int(m.group(2))
@@ -330,7 +322,7 @@ def format_fraction(x: ExtendedRational) -> str:
         return f"{_format_int(x.numerator)}/{_format_int(x.denominator)}"
 
 
-_INT_RE = re.compile(r"\s*(-?\d+)\s*")  # one integer token and the whitespace around it
+_INT_RE = re.compile(r"\s*(-?[0-9]+)\s*")  # one integer token (ASCII digits) and the whitespace around it
 
 
 def _skip_space(text: str, i: int) -> int:
@@ -341,7 +333,7 @@ def _skip_space(text: str, i: int) -> int:
 def parse_expansion(text: str) -> Expansion:
     """Parse `[ int "+" ] "[" [ int ("," int)* ] "]"`.
 
-    Whitespace may stand between tokens, and an integer -?\\d+ is one
+    Whitespace may stand between tokens, and an integer -?[0-9]+ is one
     token, so "[3 2]" is refused.  Text is scanned as given, and an error
     names the position of the first token it could not read.
     """

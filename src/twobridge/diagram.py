@@ -50,26 +50,24 @@ def depth(x: ExtendedRational) -> int:
 def rectangle_move(e: Expansion, position: int) -> Expansion:
     """Flip the path across the rectangle at a +-2 coefficient.
 
-    [...,a,2e,b,...] = [...,a-e,-2e,b-e,...] and its boundary forms;
-    preserves value and length exactly and is an involution at the
-    same position.
+    [...,a,2e,b,...] = [...,a-e,-2e,b-e,...]; preserves value and length
+    exactly and is an involution at the same position.
+
+    The edit is this interior form on a padded copy, as in
+    `reduction._splice`: -r stands left of the head and a dummy right of
+    the tail, and the ends are then trimmed, the new head negated into
+    the integer part and the dummy dropped.
     """
     c = e.coefficients
-    n = len(c)
     j = position - 1
-    if not 0 <= j < n:
+    if not 0 <= j < len(c):
         raise PatternMatchError(f"rectangle move position {_format_int(position)} out of range for {e}")
     if abs(c[j]) != 2:
         raise PatternMatchError(f"rectangle move needs coefficient +-2 at position {position} in {e}")
     eps = c[j] // 2
-    r = e.integer_part
-    if n == 1:
-        return Expansion(r + eps, (-2 * eps,))
-    if j == 0:
-        return Expansion(r + eps, (-2 * eps, c[1] - eps) + c[2:])
-    if j == n - 1:
-        return Expansion(r, c[: j - 1] + (c[j - 1] - eps, -2 * eps))
-    return Expansion(r, c[: j - 1] + (c[j - 1] - eps, -2 * eps, c[j + 1] - eps) + c[j + 2 :])
+    t = (-e.integer_part,) + c + (0,)
+    t = t[:j] + (t[j] - eps, -2 * eps, t[j + 2] - eps) + t[j + 3 :]
+    return Expansion(-t[0], t[1:-1])
 
 
 class ShortestSet(_Value):

@@ -40,6 +40,7 @@ __all__ = [
     "reverse_expansion",
     "mirror",
     "same_knot",
+    "canonical_form",
     "seed_expansion",
     "farey_parents",
     "depth_by_parents",
@@ -121,6 +122,17 @@ def same_knot(k1: KnotId, k2: KnotId) -> bool:
     the check in `conway.verify_diagram`, which tests p * p' = 1 mod q.
     """
     return k1.q == k2.q and k2.p in (k1.p, pow(k1.p, -1, k1.q))
+
+
+def canonical_form(k: KnotId) -> KnotId:
+    """Least representative (q, min(p, p^-1 mod q)); a dedup key for knots.
+
+    The table indexes a row under both Schubert pairs instead
+    (`table._pairs`), so no serving route needs this key.
+    """
+    if k.q == 1:
+        return k
+    return KnotId(k.q, min(k.p, pow(k.p, -1, k.q)))
 
 
 def seed_expansion(x: ExtendedRational) -> Expansion:

@@ -5,6 +5,12 @@ number and a shortest expansion (odd type except for the eight starred
 knots, whose unique shortest expansion is even type).  verify_table
 recomputes everything from scratch, so the table doubles as a large
 end-to-end regression suite.
+
+Knot identity is Schubert's rule, stated once in `_pairs`: the loader
+indexes each row under its two pairs (q, p) and (q, p^-1 mod q), so
+`resolve` finds a knot by its own pair in one dict lookup, and
+verify_table's distinctness check fills the same two pairs in table
+order.
 """
 
 from __future__ import annotations
@@ -20,7 +26,6 @@ from .core import (
     KnotId,
     _set_field,
     _Value,
-    canonical_form,
     eval_expansion,
     knot_from_fraction,
     parse_fraction,
@@ -86,19 +91,22 @@ class TableReport:
 
 
 class _Table(_Value):
-    __slots__ = ("records", "by_name", "by_canonical", "max_q")
+    __slots__ = ("records", "by_name", "by_pair")
 
-    def __init__(
-        self,
-        records: list[KnotRecord],
-        by_name: dict[str, KnotRecord],
-        by_canonical: dict[KnotId, KnotRecord],
-        max_q: int,
-    ):
+    def __init__(self, records: list[KnotRecord], by_name: dict[str, KnotRecord], by_pair: dict[tuple[int, int], KnotRecord]):
         _set_field(self, "records", records)
         _set_field(self, "by_name", by_name)
-        _set_field(self, "by_canonical", by_canonical)
-        _set_field(self, "max_q", max_q)
+        _set_field(self, "by_pair", by_pair)
+
+
+def _pairs(q: int, p: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The two Schubert pairs (q, p) and (q, p^-1 mod q) of the knot S(q, p), for q > 1.
+
+    Schubert (Knoten mit zwei Bruecken, Math. Z. 65, 1956): S(q, p) and
+    S(q, p') are one knot iff p' = p or p^-1 mod q, so a knot is in the
+    table iff its pair is one of a row's two pairs.
+    """
+    return (q, p), (q, pow(p, -1, q))
 
 
 def _read_rows() -> list[tuple[int, list[str]]]:
@@ -114,10 +122,10 @@ def _read_rows() -> list[tuple[int, list[str]]]:
 
 @cache
 def _table() -> _Table:
-    """The records with their indexes by name and by canonical form, loaded once."""
+    """The records with their indexes by name and by both Schubert pairs, loaded once."""
     records = []
     by_name = {}
-    by_canonical = {}
+    by_pair = {}
     for row, fields in _read_rows():
         if len(fields) != 6:
             raise TableDataError(f"expected 6 fields, got {len(fields)}", row)
@@ -137,10 +145,11 @@ def _table() -> _Table:
         records.append(rec)
         by_name[name] = rec
         # first row wins, as a scan in table order would; verify_table reports duplicates
-        by_canonical.setdefault(canonical_form(KnotId(q, p)), rec)
+        for pair in _pairs(q, p):
+            by_pair.setdefault(pair, rec)
     if len(records) != 362:
         raise TableDataError(f"expected 362 records, found {len(records)}", 0)
-    return _Table(records, by_name, by_canonical, max(rec.fraction.denominator for rec in records))
+    return _Table(records, by_name, by_pair)
 
 
 def load_table() -> list[KnotRecord]:
@@ -152,7 +161,7 @@ def verify_table() -> TableReport:
     """Recompute every record's invariants and cross-check the table."""
     records = load_table()
     report = TableReport(total=len(records))
-    canon = {}
+    seen = {}
     for rec in records:
         k = knot_from_fraction(rec.fraction)
 
@@ -172,10 +181,10 @@ def verify_table() -> TableReport:
         consistent = rec.starred == attains_bound == even_no_two == unique_even_shortest
         report.record("d_starred", consistent, rec.name, lambda: f"starred={rec.starred}, gamma=2g+1 is {attains_bound}, even expansion {invariants.even_expansion}")
 
-        key = canonical_form(k)
-        first = canon.get(key)
+        first = seen.get((k.q, k.p))
         report.record("e_distinct", first is None, rec.name, lambda: f"same knot as {first}")
-        canon.setdefault(key, rec.name)
+        for pair in _pairs(k.q, k.p):
+            seen.setdefault(pair, rec.name)
     return report
 
 
@@ -192,17 +201,15 @@ def resolve(text: str) -> tuple[KnotId, KnotRecord | None]:
     """The knot named by a table name or by fraction text, and its table record.
 
     The record is attached when the knot appears in the table (matching
-    up to knot equivalence, not just the printed fraction).  Computes no
-    invariant, and no inverse mod q when q is past every q in the table.
+    up to knot equivalence, not just the printed fraction): the table
+    indexes each row under both its Schubert pairs, so this is one dict
+    lookup.  Computes no invariant, and no inverse mod q for any q.
     """
     if "/" not in text:
         rec = find_record(text)
         return knot_from_fraction(rec.fraction), rec
     k = knot_from_fraction(parse_fraction(text))
-    table = _table()
-    if k.q > table.max_q:
-        return k, None
-    return k, table.by_canonical.get(canonical_form(k))
+    return k, _table().by_pair.get((k.q, k.p))
 
 
 def lookup(text: str) -> tuple[InvariantReport, KnotRecord | None]:

@@ -149,6 +149,23 @@ class TestNegativeOperands:
         code, out, _ = run(capsys, "depth", "-2/3")
         assert code == 0 and out == "1\n"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("depth", "\u0663/\u0667"),
+            ("eval", "[\u0663,\u0662]"),
+            ("depth", "3\u00b2/7"),
+            ("depth", "-\u0663/7"),  # '-' then a non-ASCII digit is a flag, not a negative operand
+        ],
+    )
+    def test_only_ascii_digits(self, capsys, argv):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "" and captured.err.startswith(("error: ", "usage: "))
+
     def test_options_still_parsed(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["depth", "-h"])

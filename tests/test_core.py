@@ -22,7 +22,6 @@ from twobridge import (
     parse_fraction,
 )
 from twobridge.core import (
-    canonical_form,
     division_expansion,
     partial_quotients,
 )
@@ -33,6 +32,7 @@ from twobridge.oracles import (
     INFINITY,
     AdditiveExpansion,
     alternating_sign_convert,
+    canonical_form,
     eval_additive,
     mirror,
     reverse_expansion,
@@ -414,6 +414,21 @@ class TestParsing:
     def test_fraction_error_positions(self, bad, position):
         with pytest.raises(ParseError) as exc:
             parse_fraction(bad)
+        assert exc.value.position == position and exc.value.text == bad
+
+    @pytest.mark.parametrize(
+        "parse,bad,message,position",
+        [
+            # digits are ASCII 0-9: other Unicode digits and superscripts are characters
+            (parse_fraction, "\u0663/\u0667", "unexpected character in fraction", 0),
+            (parse_expansion, "[\u0663,\u0662]", "expected integer coefficient", 1),
+            (parse_fraction, "3\u00b2/7", "unexpected character in fraction", 1),
+        ],
+    )
+    def test_only_ascii_digits(self, parse, bad, message, position):
+        with pytest.raises(ParseError) as exc:
+            parse(bad)
+        assert str(exc.value) == f"{message} (at position {position} in {bad!r})"
         assert exc.value.position == position and exc.value.text == bad
 
     @given(st.integers(-9, 9), coefficients)

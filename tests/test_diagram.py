@@ -171,6 +171,30 @@ class TestRectangleMove:
             assert eval_expansion(moved) == eval_expansion(e)
             assert rectangle_move(moved, pos) == e
 
+    def test_every_short_word(self):
+        # every expansion over {-4, -2, -1, 0, 2, 3, 5}^<=5 with r in {-2, 0, 3}, at each
+        # +-2: one rule covers a lone coefficient, the head, the tail and the interior
+        seen = set()
+        for n in range(1, 6):
+            for c in itertools.product((-4, -2, -1, 0, 2, 3, 5), repeat=n):
+                for r in (-2, 0, 3):
+                    e = Expansion(r, c)
+                    for j in (j for j, v in enumerate(c) if v in (2, -2)):
+                        moved = rectangle_move(e, j + 1)
+                        eps = c[j] // 2
+                        assert len(moved) == n
+                        assert eval_expansion(moved) == eval_expansion(e)
+                        assert rectangle_move(moved, j + 1) == e
+                        assert moved.coefficients[j] == -c[j]
+                        assert moved.integer_part == (r + eps if j == 0 else r)
+                        for i in range(n):
+                            if abs(i - j) == 1:
+                                assert moved.coefficients[i] == c[i] - eps
+                            elif i != j:
+                                assert moved.coefficients[i] == c[i]
+                        seen.add("lone" if n == 1 else "head" if j == 0 else "tail" if j == n - 1 else "interior")
+        assert seen == {"lone", "head", "tail", "interior"}
+
     def test_moves_preserve_shortestness(self):
         for x in fractions_up_to(60):
             e, _ = reduce_expansion(division_expansion(x))

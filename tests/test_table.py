@@ -1,3 +1,4 @@
+import builtins
 import hashlib
 from collections import Counter
 from functools import cache
@@ -112,7 +113,7 @@ class TestVerify:
             KnotRecord(**{**{f: getattr(rec, f) for f in fields}, **changed.get(rec.name, {})}) for rec in table.records
         ]
         records.append(KnotRecord("6_1'", parse_fraction("5/9"), 2, parse_expansion("[2,5]"), False))
-        corrupted = _Table(records, {rec.name: rec for rec in records}, table.by_canonical, table.max_q)
+        corrupted = _Table(records, {rec.name: rec for rec in records}, table.by_pair)
         monkeypatch.setattr(twobridge.table, "_table", lambda: corrupted)
         report = verify_table()
         assert not report.ok
@@ -232,22 +233,29 @@ class TestLookup:
                 _, found = lookup(text)
                 assert found is rec
 
-    def test_no_inverse_past_the_table(self, monkeypatch):
-        calls = Counter()
-        canonical = twobridge.table.canonical_form
-
-        def counting(k):
-            calls[k] += 1
-            return canonical(k)
-
-        monkeypatch.setattr(twobridge.table, "canonical_form", counting)
+    def test_no_inverse_for_any_q(self, monkeypatch):
+        # the table indexes both Schubert pairs of each row, so resolve is one lookup of
+        # the knot's own pair: no inverse mod q, past the table or inside it
         q = 10**30 + 1
-        assert resolve(f"2/{q}") == (KnotId(q, 2), None)
-        assert not calls
-        for rec in load_table():
-            p, q = rec.fraction.numerator, rec.fraction.denominator
-            assert resolve(f"{pow(p, -1, q)}/{q}")[1] is rec
-        assert sum(calls.values()) == 362
+        records = load_table()  # the loader takes the inverses once, before the count
+        texts = [f"2/{q}"]
+        for rec in records:
+            p, q_rec = rec.fraction.numerator, rec.fraction.denominator
+            texts.append(f"{pow(p, -1, q_rec)}/{q_rec}")
+        calls = 0
+        builtin_pow = builtins.pow
+
+        def counting(*args):
+            nonlocal calls
+            calls += 1
+            return builtin_pow(*args)
+
+        monkeypatch.setattr(builtins, "pow", counting)
+        found = [resolve(text) for text in texts]
+        monkeypatch.undo()
+        assert calls == 0
+        assert found[0] == (KnotId(q, 2), None)
+        assert all(rec is found_rec for rec, (_, found_rec) in zip(records, found[1:], strict=True))
 
     def test_errors(self):
         with pytest.raises(UnknownNameError):

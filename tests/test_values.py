@@ -81,7 +81,7 @@ VALUES = [
         True,
     ),
     # a list and dicts as fields: equal, but unhashable
-    (lambda: _Table([], {}, {}, 0), "_Table(records=[], by_name={}, by_canonical={}, max_q=0)", False),
+    (lambda: _Table([], {}, {}), "_Table(records=[], by_name={}, by_pair={})", False),
     (
         lambda: _Command(len, "expansion", None, "evaluate", flag_help="x"),
         "_Command(run=<built-in function len>, operand='expansion', flag=None, help='evaluate',"
