@@ -26,9 +26,8 @@ from .core import (
 )
 from .diagram import all_shortest_expansions, depth
 from .errors import DomainError, TwoBridgeError
-from .invariants import invariant_report
 from .reduction import format_trace, reduce_expansion
-from .table import find_record, resolve, verify_table
+from .table import find_record, lookup, resolve, verify_table
 
 # `typing` is for type checkers only: importing it costs the cold start.
 TYPE_CHECKING = False
@@ -80,8 +79,7 @@ def _cmd_shortest(fraction: str, every: bool) -> int:
 
 
 def _cmd_invariants(knot_text: str, as_json: bool) -> int:
-    knot, record = resolve(knot_text)
-    report = invariant_report(knot)
+    report, record = lookup(knot_text)
     # the even expansion has 2*genus coefficients, each with its "," or "]"
     _check_output_size(4 * report.genus, "invariants")
     if as_json:

@@ -13,9 +13,10 @@ fraction, to the same value as C.  A diagram is written C(t1,...,tk);
 a source whose interleaving has a zero region is refused, and the
 source `conway_diagram` picks never has one.
 
-Both the source and the verification read the coefficient that fires
-the crosscap rule from the memo `invariants.analyze`, which applied the
-rule once, when it missed; neither scans the reduced expansion for it.
+The source reads the coefficient that fires the crosscap rule from the
+memo `invariants.analyze`, which applied the rule once, when it missed,
+and the verification reads gamma from `invariants.crosscap`, which reads
+the same memo; neither scans the reduced expansion for it.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from __future__ import annotations
 from .core import Expansion, KnotId, _join_ints, _set_field, _Value
 from .diagram import rectangle_move
 from .errors import DomainError, InternalError
-from .invariants import analyze
+from .invariants import analyze, crosscap
 
 __all__ = [
     "ConwayDiagram",
@@ -74,7 +75,11 @@ def odd_shortest_expansion(k: KnotId) -> Expansion:
 
 
 def _interleave(c: tuple[int, ...]) -> list[int]:
-    """[c_1 - 1, -1, c_2, 1, c_3, -1, ...], ending c_k + 1 for odd length k >= 2."""
+    """[c_1 - 1, -1, c_2, 1, c_3, -1, ...], ending c_k + 1 for odd length k.
+
+    At k = 1 the -1 on the first region and the +1 on the last cancel:
+    the one region is c_1.
+    """
     n = len(c)
     out = ([0, -1, 0, 1] * ((n + 1) // 2))[: 2 * n - n % 2]
     out[::2] = c
@@ -88,7 +93,7 @@ def diagram_from_expansion(source: Expansion) -> ConwayDiagram:
     """Build the checkerboard diagram of a shortest odd-type expansion.
 
     The source must have nonzero coefficients, at most one of them +-1.
-    A single twist region suffices for length 1.  A source whose
+    Length 1 gives the single twist region c_1.  A source whose
     interleaved form has a zero region (first entry a_1 - 1 with a_1 = 1
     or, for odd length, final entry a_k + 1 with a_k = -1) is refused
     with `DomainError`, naming the region's position.
@@ -100,8 +105,6 @@ def diagram_from_expansion(source: Expansion) -> ConwayDiagram:
         raise DomainError(f"{source} has a zero coefficient")
     if c.count(1) + c.count(-1) > 1:
         raise DomainError(f"{source} has more than one unit coefficient")
-    if len(c) == 1:
-        return ConwayDiagram((c[0],), source)
     regions = _interleave(c)
     if 0 in regions:
         raise DomainError(f"the diagram of {source} has a zero twist region at position {regions.index(0) + 1}")
@@ -136,8 +139,7 @@ def verify_diagram(d: ConwayDiagram, k: KnotId) -> bool:
     integer part and p <-> p^-1 ambiguities are absorbed by knot
     equivalence).  Also checks that no region is zero and that the region
     count is 2*gamma - 1 for odd gamma and 2*gamma for even gamma, where
-    gamma is the crosscap number of k: the reduced length, plus 1 when
-    the rule did not fire, as the memo `analyze` keeps them.
+    gamma is `invariants.crosscap(k)`.
 
     The value is w/u, with (u, w) the first column of the product of the
     matrices [[b, -1], [1, 0]] over the regions b.  Each has determinant
@@ -157,8 +159,7 @@ def verify_diagram(d: ConwayDiagram, k: KnotId) -> bool:
     q = k.q
     if q == 1:
         return u == 1
-    _, reduced, fired = analyze(k.p, q)
-    gamma = len(reduced) + (fired is None)
+    gamma = crosscap(k)
     if len(regions) != (2 * gamma - 1 if gamma % 2 == 1 else 2 * gamma):
         return False
     w %= q

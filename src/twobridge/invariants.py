@@ -12,9 +12,10 @@ exists.
 fraction's partial quotients, its reduced expansion and the index of
 the coefficient that fires the rule (`_fired`), or None.  The rule is
 applied once, when the memo misses; `crosscap`,
-`boundary_classification`, `invariant_report`, `conway.verify_diagram`
-and `conway.odd_shortest_expansion` read its index, and `diagram.depth`
-and `diagram.all_shortest_expansions` the reduced expansion.  Only the
+`boundary_classification`, `invariant_report` and
+`conway.odd_shortest_expansion` read its index, `conway.verify_diagram`
+reads `crosscap`, and `diagram.depth` and
+`diagram.all_shortest_expansions` read the reduced expansion.  Only the
 report and the genus views read the even runs, which the memo does not
 keep.  `invariant_report` keeps no memo of its own.
 """
@@ -277,6 +278,5 @@ def invariant_report(k: KnotId) -> InvariantReport:
         return InvariantReport(k, 0, 0, Expansion(0, ()), (0, ()), Boundary.TRIVIAL)
     cf, reduced, fired = analyze(k.p, k.q)
     runs, length = _even_runs(k, cf)
-    if fired is None:
-        return InvariantReport(k, len(reduced) + 1, length // 2, reduced, runs, Boundary.COMPRESSIBLE)
-    return InvariantReport(k, len(reduced), length // 2, reduced, runs, Boundary.INCOMPRESSIBLE)
+    boundary = Boundary.COMPRESSIBLE if fired is None else Boundary.INCOMPRESSIBLE
+    return InvariantReport(k, len(reduced) + (fired is None), length // 2, reduced, runs, boundary)

@@ -28,7 +28,7 @@ from .core import (
 )
 from .conway import ConwayDiagram
 from .diagram import ShortestSet, rectangle_move
-from .errors import DomainError
+from .errors import DomainError, InternalError
 from .invariants import _fired, _no_two, _require_knot, invariant_report
 from .reduction import ReductionStep, ReductionTrace, Rule, apply_rule, reduce_expansion
 
@@ -371,7 +371,16 @@ def closure_by_rectangle_moves(x: ExtendedRational) -> frozenset[Expansion]:
 
 
 def _closure_from(start: Expansion) -> frozenset[Expansion]:
-    """Every expansion that rectangle moves reach from start, breadth first."""
+    """Every expansion that rectangle moves reach from start, a reduced T, breadth first.
+
+    A move keeps the value, and each member is T - A*x for a 0/1 vector
+    x, so the closure has at most 2^len(T) members.  A moved expansion of
+    another value, or a member past that count, raises `InternalError`
+    at once: a faulty `rectangle_move` gets a refusal, not an unbounded
+    search.
+    """
+    value = eval_expansion(start)
+    most = 2 ** len(start)
     seen = {start}
     frontier = deque([start])
     while frontier:
@@ -379,7 +388,11 @@ def _closure_from(start: Expansion) -> frozenset[Expansion]:
         for pos in rectangle_positions(e):
             neighbor = rectangle_move(e, pos)
             if neighbor not in seen:
+                if eval_expansion(neighbor) != value:
+                    raise InternalError(f"the rectangle move at {pos} of {e} gives {neighbor}, of another value")
                 seen.add(neighbor)
+                if len(seen) > most:
+                    raise InternalError(f"the rectangle moves from {start} reach more than {most} expansions")
                 frontier.append(neighbor)
     return frozenset(seen)
 

@@ -4,7 +4,8 @@ The rules remove a zero coefficient, a +-1 coefficient, or a run
 2e,3e,...,3e,2e of total length m >= 2 (e = +-1).  Each is written once,
 in its interior form, which edits the site's two neighbours: at the head
 -r stands left of the coefficients, since r + [b_1, ...] = -[-r, b_1, ...],
-and at the tail a dummy stands right, which no rule reads.  Each
+and at the tail a dummy stands right, which no rule reads.  The one-pass
+reducer keeps both in its list, so it has no head or tail form.  Each
 application preserves the exact value and strictly shortens the
 coefficient list, so iteration reaches a fixpoint whose length is the
 minimal expansion length of the value.
@@ -160,8 +161,8 @@ def apply_rule(e: Expansion, s: ReductionStep) -> Expansion:
     return Expansion(r, c[:lo] + new + c[hi:])
 
 
-def _blocks_from(c, j: int):
-    """Yield (start, length) of every block starting at index j or later, leftmost first."""
+def _first_block(c, j: int) -> tuple[int, int] | None:
+    """(start, length) of the leftmost block starting at index j or later; None if there is none."""
     n = len(c)
     while j < n:
         v = c[j]
@@ -173,9 +174,10 @@ def _blocks_from(c, j: int):
         while k < n and c[k] == three:
             k += 1
         if k < n and c[k] == v:
-            yield j, k - j + 1
+            return j, k - j + 1
         # c[j+1:k] are all 3s of one sign, so the next possible start is k.
         j = k
+    return None
 
 
 def _opening(c, end: int, two: int) -> int:
@@ -226,7 +228,7 @@ class _Sites:
         b = self.block_from
         if b < len(c) and (j := _opening(c, b, 2 if c[b] > 0 else -2)) >= 0:
             b = j
-        block = next(_blocks_from(c, b), None)
+        block = _first_block(c, b)
         if block is None:
             return None
         j, m = block
@@ -278,44 +280,38 @@ def reduce_expansion(e: Expansion) -> tuple[Expansion, ReductionTrace]:
     return final, ReductionTrace(e, tuple(moves), final)
 
 
-def _settle(c: list[int], todo: list[int]) -> int:
-    """Pop the values of todo onto c, its last value first; returns the change in the integer part.
+def _settle(c: list[int], todo: list[int]) -> None:
+    """Pop the values of todo onto c, its last value first.
 
-    todo ends empty.  c has no site of the three rules except at its
-    top: a top of 0 or +-1, or a +-2 that closes a block, waits for the
-    right neighbour that the interior form needs.  A push supplies it,
-    so that rule applies, and the pushed value, edited by the rule, is
-    pushed onto what is left; a block puts its body -3e,...,-3e back on
-    todo, to be pushed first.  The head forms apply where the site
-    starts at c[0].  A dummy pushed last applies the tail forms: each is
-    the interior form with a right neighbour that no rule reads.
+    c[0] is -r, the left neighbour of the first coefficient, since
+    r + [b_1, ...] = -[-r, b_1, ...]; it is never a site, whatever its
+    value.  todo ends empty.  Above c[0], c has no site of the three
+    rules except at its top: a top of 0 or +-1, or a +-2 that closes a
+    block, waits for the right neighbour that the interior form needs.
+    A push supplies it, so that rule applies, and the pushed value,
+    edited by the rule, is pushed onto what is left; a block puts its
+    body -3e,...,-3e back on todo, to be pushed first, and a zero merges
+    its two neighbours into the left one, which becomes the top.  A
+    dummy pushed last applies the tail forms: each is the interior form
+    with a right neighbour that no rule reads.
     """
-    dr = 0
     while todo:
         v = todo.pop()
-        while c and -3 < (t := c[-1]) < 3:
-            if t == 0:  # [..., a, 0, v] = [..., a + v]; [0, v, ...] = -v + [...]
+        while -3 < (t := c[-1]) < 3 and len(c) > 1:
+            if t == 0:  # [..., a, 0, v] = [..., a + v]
                 c.pop()
-                if not c:
-                    dr -= v
-                    break
-                v += c.pop()
-            elif t == 1 or t == -1:  # [..., a, e, v] = [..., a - e, v - e]; [e, v, ...] = e + [v - e, ...]
+                c[-1] += v
+                break
+            elif t == 1 or t == -1:  # [..., a, e, v] = [..., a - e, v - e]
                 c.pop()
+                c[-1] -= t
                 v -= t
-                if c:
-                    c[-1] -= t
-                else:
-                    dr += t
-            elif (j := _opening(c, len(c) - 1, t)) >= 0:  # t is 2e
+            elif (j := _opening(c, len(c) - 1, t)) > 0:  # t is 2e; at 0 the opening 2e is -r
                 # [..., a, 2e, 3e, ..., 3e, 2e, v] = [..., a - e, -3e, ..., -3e, v - e]
                 eps = t // 2
                 body = len(c) - j - 1
                 del c[j:]
-                if c:
-                    c[-1] -= eps
-                else:
-                    dr += eps
+                c[-1] -= eps
                 todo.append(v - eps)
                 todo += [-3 * eps] * body
                 break
@@ -324,7 +320,6 @@ def _settle(c: list[int], todo: list[int]) -> int:
                 break
         else:
             c.append(v)
-    return dr
 
 
 def reduced_from_quotients(cf: tuple[int, ...]) -> Expansion:
@@ -333,10 +328,11 @@ def reduced_from_quotients(cf: tuple[int, ...]) -> Expansion:
     One loop over the quotients forms the seed (`oracles.seed_expansion`):
     an odd-position a_i gives a_i, raised by 1 for each even-position
     neighbour of 1 or 2; an even-position a_i >= 3 gives -a_i, a 2 gives
-    2 and a 1 nothing.  One `_settle` call pushes the seed onto an empty
-    list, first coefficient first, applying the rules as the list grows,
-    and then a dummy as the last coefficient's right neighbour, whose
-    push applies the tail forms; the dummy is then dropped.  The seed is
+    2 and a 1 nothing.  The first coefficient goes straight onto -a_0,
+    and one `_settle` call pushes the rest of the seed, applying the rules
+    as the list grows, and then a dummy as the last coefficient's right
+    neighbour, whose push applies the tail forms.  The list then reads [-r, T..., dummy]:
+    r is -c[0], and c[1:-1] drops -r and the dummy together.  The seed is
     built first to last and reversed once: a loop over the quotients
     last first measured slower on perfbench's inputs, since it slices
     and reverses both quotient lists.
@@ -358,13 +354,12 @@ def reduced_from_quotients(cf: tuple[int, ...]) -> Expansion:
     # A dummy right neighbour for the last coefficient: each tail form is the interior
     # form with a right neighbour, and any integer serves, as the rules read only c.
     seed.append(0)
-    seed.reverse()  # `_settle` pops the first coefficient first
-    c: list[int] = []
-    r = cf[0] + _settle(c, seed)
-    if not c:  # the head form of a zero took the dummy: the value is 1/0
+    seed.reverse()  # popped from the end, so the first coefficient comes first
+    c = [-cf[0], seed.pop()]  # -r is no site, so the first coefficient needs no test
+    _settle(c, seed)
+    if len(c) == 1:  # a zero merged the dummy into -r: the value is 1/0
         raise InternalError("a lone [0] is the value 1/0, which no fraction reduces to")
-    c.pop()
-    return Expansion(r, tuple(c))
+    return Expansion(-c[0], tuple(c[1:-1]))
 
 
 def format_trace(trace: ReductionTrace) -> str:

@@ -213,6 +213,6 @@ def resolve(text: str) -> tuple[KnotId, KnotRecord | None]:
 
 
 def lookup(text: str) -> tuple[InvariantReport, KnotRecord | None]:
-    """The invariant report and table record of the knot that `resolve` finds."""
+    """The invariant report and table record of the knot that `resolve` finds; `twobridge invariants` prints them."""
     k, rec = resolve(text)
     return invariant_report(k), rec

@@ -91,6 +91,56 @@ class TestCommands:
         assert run(capsys, "invariants", " 99_99 ") == (2, "", "error: no knot named '99_99' in the table\n")
 
 
+# argv -> (exit code, stdout); stdout is empty on exit 2
+CLI_PINS = {
+    # the one memo of quotients, reduced expansion and the rule's verdict, by name
+    ("conway", "7_4"): (0, "C(3,-1,5,1,2)\nverified=true\n"),
+    ("invariants", "7_4", "--json"): (
+        0,
+        '{\n  "knot": "S(15,4)",\n  "fraction": "4/15",\n  "crosscap": 3,\n  "genus": 1,\n  "reduced": "[4,4]",\n'
+        '  "even_expansion": "[4,4]",\n  "odd_shortest_exists": false,\n  "boundary": "BoundaryCompressible",\n'
+        '  "table_name": "7_4",\n  "starred": true\n}\n',
+    ),
+    # the step editor's trimmed ends: a block at both ends, a unit at both ends, a zero at the tail
+    ("reduce", "[2,3,2]", "--trace"): (0, "RemoveBlock 1 1 3 | 1+[-3,-3]\n1+[-3,-3]\n"),
+    ("reduce", "2+[-1]"): (0, "1+[]\n"),
+    ("reduce", "[5,3,0]"): (0, "[5]\n"),
+    # the one-pass reducer's -r and dummy neighbours
+    ("invariants", "2/3"): (
+        0,
+        "knot=S(3,2)\nfraction=2/3\ncrosscap=1\ngenus=1\nreduced=1+[-3]\neven_expansion=[2,2]\n"
+        "odd_shortest_exists=True\nboundary=BoundaryIncompressible\n",
+    ),
+    # the reduced length of fractions that name no knot
+    ("depth", "2/4"): (0, "1\n"),
+    ("depth", "5/1"): (0, "0\n"),
+    ("depth", "--", "-7/2"): (0, "1\n"),
+    # the diagram bytes: an even crosscap, a negative region, the rule firing on a 2 (one rectangle move)
+    ("conway", "2/9"): (0, "C(4,-1,2,1)\nverified=true\n"),
+    ("conway", "8_3"): (0, "C(3,-1,-3,1,2)\nverified=true\n"),
+    ("conway", "11a_119"): (0, "C(1,-1,-4,1,-5,-1,-2,1)\nverified=true\n"),
+    # 6_1 is 2/9 in the table, found by the row's second Schubert pair
+    ("invariants", "5/9"): (
+        0,
+        "knot=S(9,5)\nfraction=5/9\ncrosscap=2\ngenus=1\nreduced=[2,5]\neven_expansion=1+[-2,4]\n"
+        "odd_shortest_exists=True\nboundary=BoundaryIncompressible\ntable_name=6_1\nstarred=false\n",
+    ),
+    # past the table's q, one dict lookup that finds nothing
+    ("invariants", f"2/{10**30 + 1}"): (
+        0,
+        f"knot=S({10**30 + 1},2)\nfraction=2/{10**30 + 1}\ncrosscap=2\ngenus=1\nreduced=[{5 * 10**29 + 1},2]\n"
+        f"even_expansion=[{5 * 10**29},-2]\nodd_shortest_exists=True\nboundary=BoundaryIncompressible\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", list(CLI_PINS), ids=" ".join)
+def test_pinned_command_output(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == CLI_PINS[argv]
+    assert bool(err) == (code == 2)
+
+
 class TestSharedParser:
     def test_calls_do_not_leak_options(self, capsys):
         code, out, _ = run(capsys, "reduce", "[5,2,2,5]", "--trace")

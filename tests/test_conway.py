@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-import twobridge.conway
+import twobridge.invariants
 from twobridge import (
     DomainError,
     Expansion,
@@ -28,7 +28,7 @@ from twobridge.conway import (
     format_diagram,
     odd_shortest_expansion,
 )
-from twobridge.oracles import AdditiveExpansion, eval_additive, same_knot, verify_diagram_by_value
+from twobridge.oracles import AdditiveExpansion, eval_additive, mirror, same_knot, verify_diagram_by_value
 
 
 def interleave_by_loop(c):
@@ -149,18 +149,22 @@ class TestConstruction:
 
     def test_interleave_matches_the_loop(self):
         rng = random.Random(19)
-        for n in range(2, 41):
+        for n in range(1, 41):
             for _ in range(20):
                 c = tuple(
                     rng.choice((-1, 1)) * rng.choice((rng.randint(1, 9), rng.getrandbits(70) + 1)) for _ in range(n)
                 )
-                assert _interleave(c) == interleave_by_loop(c), c
+                # at length 1 the loop's -1 and +1 cancel, leaving the one region c_1
+                assert _interleave(c) == (interleave_by_loop(c) if n > 1 else [c[0]]), c
 
     def test_rejects_bad_sources(self):
         with pytest.raises(DomainError):
             diagram_from_expansion(Expansion(0, ()))
         with pytest.raises(DomainError):
             diagram_from_expansion(Expansion(0, (1, 3, 1)))
+        # two units that give no zero region
+        with pytest.raises(DomainError, match="more than one unit"):
+            diagram_from_expansion(Expansion(0, (3, 1, 1, 3)))
         for zero in ((3, 0, 3), (4, 0), (0,)):
             with pytest.raises(DomainError):
                 diagram_from_expansion(Expansion(0, zero))
@@ -217,7 +221,7 @@ class TestVerification:
         v = eval_expansion(Expansion(0, regions))
         if not v.is_infinite and v.denominator % 2 == 1:
             named = knot_from_fraction(v)
-            knots[:0] = [named, a_wrong_knot(named)] if named.q > 1 else [named]
+            knots[:0] = [named, mirror(named), a_wrong_knot(named)] if named.q > 1 else [named]
         k = data.draw(st.sampled_from(knots))
         d = ConwayDiagram(regions)
         assert verify_diagram(d, k) == verify_diagram_by_value(d, k)
@@ -230,6 +234,8 @@ class TestVerification:
                 k = KnotId(q, p)
                 d = conway_diagram(k)
                 assert verify_diagram(d, k) and verify_diagram_by_value(d, k)
+                # the mirror S(q, -p) is k itself iff k is amphichiral, as 4_1 = S(5,2) is
+                assert verify_diagram(d, mirror(k)) == (p * p % q == q - 1), k
                 t = d.twist_regions
                 for i in range(len(t)):
                     for step in (1, -1):
@@ -237,9 +243,9 @@ class TestVerification:
                         assert verify_diagram(moved, k) == verify_diagram_by_value(moved, k), (moved, k)
 
     def test_count_check_is_apart_from_the_serving_rule(self, monkeypatch):
-        # with the rule's verdict flipped in the memo that verify reads, its gamma
-        # is off by one, and verify rejects the diagrams the oracle accepts
-        serving = twobridge.conway.analyze
+        # with the rule's verdict flipped in the memo that verify's crosscap reads,
+        # its gamma is off by one, and verify rejects the diagrams the oracle accepts
+        serving = twobridge.invariants.analyze
 
         def flipped(p, q):
             cf, reduced, fired = serving(p, q)
@@ -247,7 +253,7 @@ class TestVerification:
 
         knots = [KnotId(3, 1), KnotId(15, 4), KnotId(9, 2), KnotId(55, 21)]
         diagrams = [conway_diagram(k) for k in knots]
-        monkeypatch.setattr(twobridge.conway, "analyze", flipped)
+        monkeypatch.setattr(twobridge.invariants, "analyze", flipped)
         for d, k in zip(diagrams, knots):
             assert verify_diagram_by_value(d, k) and not verify_diagram(d, k)
 

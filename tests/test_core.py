@@ -22,6 +22,7 @@ from twobridge import (
     parse_fraction,
 )
 from twobridge.core import (
+    _parse_int,
     division_expansion,
     partial_quotients,
 )
@@ -343,6 +344,21 @@ class TestParsing:
         try:
             assert parse_expansion(f"-{text_sevens}+[{text_sparse},-{text_sevens}]") == Expansion(-sevens, (sparse, -sevens))
             assert parse_fraction(f"-{text_sparse}/{text_sevens}") == ExtendedRational(-sparse, sevens)
+        finally:
+            sys.set_int_max_str_digits(saved)
+
+    @pytest.mark.parametrize("digits", [641, 1282])
+    def test_decimals_just_past_the_smallest_limit(self, digits):
+        # 640 digits is the least limit the interpreter accepts; 641 digits, and 1,282
+        # (two halves of 641), are the shortest decimals that int() then refuses
+        sevens, sparse = 7 * (10**digits - 1) // 9, 10 ** (digits - 1) + 3
+        text_sevens, text_sparse = "7" * digits, "1" + "0" * (digits - 2) + "3"
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            assert _parse_int(text_sevens) == sevens
+            assert _parse_int(text_sparse) == sparse
+            assert _parse_int("-" + text_sevens) == -sevens
         finally:
             sys.set_int_max_str_digits(saved)
 

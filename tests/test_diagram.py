@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import twobridge.oracles
 from twobridge import (
     DomainError,
     Expansion,
@@ -22,7 +23,7 @@ from twobridge import (
 )
 from twobridge.core import division_expansion
 from twobridge.diagram import rectangle_move
-from twobridge.errors import PatternMatchError
+from twobridge.errors import InternalError, PatternMatchError
 from twobridge.oracles import (
     INFINITY,
     AdditiveExpansion,
@@ -223,6 +224,27 @@ class TestShortestSets:
                     if eval_expansion(e) == target:
                         found.add(e)
         assert found == set(all_shortest_expansions(target).expansions)
+
+    @pytest.mark.parametrize(
+        "faulty,why",
+        [
+            # one more coefficient: the value moves
+            (lambda e, pos: Expansion(e.integer_part, e.coefficients + (2,)), "of another value"),
+            # [..., a] = [..., a + 1, 1]: the value stays, and each member has one more coefficient
+            (
+                lambda e, pos: Expansion(e.integer_part, e.coefficients[:-1] + (e.coefficients[-1] + 1, 1)),
+                "more than 16 expansions",
+            ),
+        ],
+        ids=["another_value", "unbounded"],
+    )
+    def test_a_faulty_rectangle_move_is_refused_in_bounded_time(self, monkeypatch, faulty, why):
+        # T = [3,2,4,2] for 12/29, so a sound closure has at most 2^4 members
+        monkeypatch.setattr(twobridge.oracles, "rectangle_move", faulty)
+        started = time.perf_counter()
+        with pytest.raises(InternalError, match=why):
+            closure_by_rectangle_moves(ExtendedRational(12, 29))
+        assert time.perf_counter() - started < 5
 
     def test_members_are_shortest_and_closed(self):
         for x in [ExtendedRational(2, 5), ExtendedRational(12, 29), ExtendedRational(29, 70), ExtendedRational(5, 8)]:

@@ -263,6 +263,16 @@ def assert_matches_the_seed_fixpoint(x):
     assert eval_expansion(reduced) == x
 
 
+def assert_pushes_reach_a_fixpoint(e):
+    """Pushing e's coefficients and a dummy onto [-r] leaves [-r', T..., dummy]: T shortest, same value."""
+    c = [-e.integer_part]
+    _settle(c, [0, *reversed(e.coefficients)])
+    pushed = Expansion(-c[0], tuple(c[1:-1]))
+    assert eval_expansion(pushed) == eval_expansion(e), e
+    assert not applicable_steps(pushed), e
+    assert len(pushed) == len(reduce_expansion(e)[0]), e
+
+
 def value_of_quotients(a0, quotients):
     if quotients and quotients[-1] == 1:
         quotients = quotients[:-1] + [2]  # the last quotient of a regular continued fraction is >= 2
@@ -304,32 +314,35 @@ class TestReducedFromQuotients:
     def test_pushing_any_expansion_reaches_a_fixpoint(self, e):
         # the seeds never make a 0; any expansion exercises every rule form at the top
         assume(not eval_expansion(e).is_infinite)
-        c, r = [], e.integer_part
+        c = [-e.integer_part]
         for v in e.coefficients:
-            r += _settle(c, [v])
+            _settle(c, [v])
         # one call on the whole expansion, last coefficient first, does the same pushes
-        whole, todo = [], list(reversed(e.coefficients))
-        assert _settle(whole, todo) == r - e.integer_part
+        whole, todo = [-e.integer_part], list(reversed(e.coefficients))
+        assert _settle(whole, todo) is None
         assert whole == c and todo == []
-        # a dummy right neighbour applies the tail forms; then it is dropped
-        r += _settle(c, [0])
-        c.pop()
-        pushed = Expansion(r, tuple(c))
-        assert eval_expansion(pushed) == eval_expansion(e)
-        assert not applicable_steps(pushed)
-        assert len(pushed) == len(reduce_expansion(e)[0])
+        assert_pushes_reach_a_fixpoint(e)
+
+    def test_pushing_every_short_word_onto_minus_two(self):
+        # at r = -2 the bottom -r is a 2: a top 2 with only 3s down to it is no block
+        for n in range(6):
+            for coefficients in product(range(-3, 4), repeat=n):
+                e = Expansion(-2, coefficients)
+                if not eval_expansion(e).is_infinite:
+                    assert_pushes_reach_a_fixpoint(e)
 
     def test_quotients_of_one_over_zero_are_refused(self):
-        # (0; 0) is the continued fraction of 1/0: the dummy's push leaves nothing to drop
+        # (0; 0) is the continued fraction of 1/0: the dummy's push leaves only -r
         with pytest.raises(InternalError):
             reduced_from_quotients((0, 0))
 
     def test_the_dummy_push_empties_the_list_exactly_at_one_over_zero(self):
+        # the list empties down to -r, here 0, which is no site
         for n in range(7):
             for coefficients in product(range(-3, 4), repeat=n):
-                c = []
+                c = [0]
                 _settle(c, [0, *reversed(coefficients)])
-                assert (not c) == eval_expansion(Expansion(0, coefficients)).is_infinite, coefficients
+                assert (len(c) == 1) == eval_expansion(Expansion(0, coefficients)).is_infinite, coefficients
 
     def test_rejects_a_zero_denominator(self):
         with pytest.raises(DomainError):
