@@ -57,8 +57,9 @@ def _cmd_reduce(expansion: str, trace_steps: bool) -> int:
     if trace_steps and trace.moves:
         # each line ends in the expansion that its move left, of L coefficients: at least 2*L + 1 characters
         _check_output_size(sum(2 * n + 1 for n in trace.lengths()), "reduce --trace")
-        print(format_trace(trace))
-    print(format_expansion(reduced))
+        print(f"{format_trace(trace)}\n{format_expansion(reduced)}")
+    else:
+        print(format_expansion(reduced))
     return 0
 
 
@@ -91,11 +92,10 @@ def _cmd_invariants(knot_text: str, as_json: bool) -> int:
             payload["starred"] = record.starred
         print(json.dumps(payload, indent=2))
     else:
-        for line in report.to_lines():
-            print(line)
+        lines = report.to_lines()
         if record is not None:
-            print(f"table_name={record.name}")
-            print(f"starred={str(record.starred).lower()}")
+            lines += [f"table_name={record.name}", f"starred={str(record.starred).lower()}"]
+        print("\n".join(lines))
     return 0
 
 
@@ -103,15 +103,13 @@ def _cmd_conway(knot_text: str, _flagged: bool) -> int:
     knot, _ = resolve(knot_text)
     diagram = conway_diagram(knot)
     ok = verify_diagram(diagram, knot)
-    print(format_diagram(diagram))
-    print(f"verified={str(ok).lower()}")
+    print(f"{format_diagram(diagram)}\nverified={str(ok).lower()}")
     return 0 if ok else 1
 
 
 def _cmd_table_verify(_operand: None, _flagged: bool) -> int:
     report = verify_table()
-    for line in report.lines():
-        print(line)
+    print("\n".join(report.lines()))
     return 0 if report.ok else 1
 
 

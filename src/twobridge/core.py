@@ -385,8 +385,12 @@ def _join_ints(values: Sequence[int]) -> str:
         return ",".join(map(_format_int, values))
 
 
+def _expansion_text(r: int, joined: str) -> str:
+    """The text of r + [...], whose coefficients `joined` gives as text joined by commas."""
+    if r == 0:
+        return f"[{joined}]"
+    return f"{_format_int(r)}+[{joined}]"
+
+
 def format_expansion(e: Expansion) -> str:
-    body = "[" + _join_ints(e.coefficients) + "]"
-    if e.integer_part == 0:
-        return body
-    return f"{_format_int(e.integer_part)}+{body}"
+    return _expansion_text(e.integer_part, _join_ints(e.coefficients))

@@ -29,11 +29,11 @@ from itertools import chain, islice
 from .core import (
     Expansion,
     KnotId,
+    _expansion_text,
     _format_int,
     _set_field,
     _Value,
     eval_expansion,
-    fraction_of,
     format_expansion,
     knot_from_fraction,
     partial_quotients,
@@ -104,13 +104,15 @@ class InvariantReport(_Value):
         return _spell(*self.even_runs)
 
     def to_dict(self) -> dict:
+        """The report as text and plain values; the fraction and the even expansion are written from their fields."""
+        k = self.knot
         return {
-            "knot": str(self.knot),
-            "fraction": str(fraction_of(self.knot)),
+            "knot": str(k),
+            "fraction": f"{_format_int(k.p)}/{_format_int(k.q)}",  # p/q is in lowest terms, q > 0
             "crosscap": self.crosscap,
             "genus": self.genus,
             "reduced": format_expansion(self.reduced),
-            "even_expansion": format_expansion(self.even_expansion),
+            "even_expansion": _format_runs(*self.even_runs),
             "odd_shortest_exists": self.odd_shortest_exists,
             "boundary": self.boundary.value,
         }
@@ -180,6 +182,11 @@ def _spell(r: int, runs) -> Expansion:
     for c, m in runs:
         coeffs += [c] * m
     return Expansion(r, tuple(coeffs))
+
+
+def _format_runs(r: int, runs) -> str:
+    """`format_expansion` of `_spell(r, runs)`, with each run's coefficient formatted once."""
+    return _expansion_text(r, "".join((_format_int(c) + ",") * m for c, m in runs)[:-1])
 
 
 def even_expansion(k: KnotId) -> Expansion:

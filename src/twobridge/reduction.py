@@ -31,6 +31,7 @@ __all__ = [
     "ReductionStep",
     "ReductionTrace",
     "apply_rule",
+    "is_reduced",
     "reduce_expansion",
     "reduced_from_quotients",
     "format_trace",
@@ -248,6 +249,15 @@ class _Sites:
         self.zero_from = min(self.zero_from, lo)
         self.unit_from = min(self.unit_from, lo)
         self.block_from = min(self.block_from, lo)
+
+
+def is_reduced(c) -> bool:
+    """Whether no rule applies to the coefficients c, a tuple or a list, which are left unchanged.
+
+    Every rule strictly shortens the list, so this is the same test as
+    "reduction preserves the length", without the reduction.
+    """
+    return _Sites(list(c)).next_step() is None
 
 
 def reduce_expansion(e: Expansion) -> tuple[Expansion, ReductionTrace]:

@@ -16,7 +16,6 @@ order.
 from __future__ import annotations
 
 import os
-from collections.abc import Callable
 from functools import cache
 from math import gcd
 
@@ -32,7 +31,7 @@ from .core import (
 )
 from .errors import TableDataError, UnknownNameError
 from .invariants import InvariantReport, _fired, _no_two, invariant_report
-from .reduction import reduce_expansion
+from .reduction import is_reduced, reduce_expansion
 
 __all__ = ["KnotRecord", "TableReport", "load_table", "verify_table", "resolve", "lookup", "find_record"]
 
@@ -54,7 +53,12 @@ class KnotRecord(_Value):
 
 
 class TableReport:
-    """Outcome of the five table checks, with one failure entry per offense."""
+    """Outcome of the five table checks, with one failure entry per offense.
+
+    Every check runs once on every row, so its passes are the rows less
+    its failures: `passed` counts them from `failures`, and a passing
+    check leaves nothing behind.
+    """
 
     CHECKS = {
         "a_eval": "expansion evaluates to p/q",
@@ -66,24 +70,22 @@ class TableReport:
 
     def __init__(self, total: int = 0):
         self.total = total
-        self.passed: dict[str, int] = {}
         self.failures: list[tuple[str, str, str]] = []
 
     @property
     def ok(self) -> bool:
         return not self.failures
 
-    def record(self, check: str, ok: bool, name: str, detail: Callable[[], str]):
-        """Count a pass, or list a failure with the text detail() formats, which a pass never calls."""
-        if ok:
-            self.passed[check] = self.passed.get(check, 0) + 1
-        else:
-            self.failures.append((name, check, detail()))
+    @property
+    def passed(self) -> dict[str, int]:
+        passed = dict.fromkeys(self.CHECKS, self.total)
+        for _, check, _ in self.failures:
+            passed[check] -= 1
+        return passed
 
     def lines(self) -> list[str]:
-        out = []
-        for check, description in self.CHECKS.items():
-            out.append(f"{check} ({description}): {self.passed.get(check, 0)}/{self.total}")
+        passed = self.passed
+        out = [f"{check} ({description}): {passed[check]}/{self.total}" for check, description in self.CHECKS.items()]
         for name, check, detail in self.failures:
             out.append(f"FAIL {name} {check}: {detail}")
         out.append("OK" if self.ok else f"FAILED ({len(self.failures)} failures)")
@@ -158,31 +160,43 @@ def load_table() -> list[KnotRecord]:
 
 
 def verify_table() -> TableReport:
-    """Recompute every record's invariants and cross-check the table."""
+    """Recompute every record's invariants and cross-check the table.
+
+    All five checks run on every row.  A pass is not recorded, since
+    `TableReport.passed` counts it from the failures; a failing check
+    appends its row, its name and a detail, whose text, and for
+    b_shortest the reduction it quotes, is built only then.
+    """
     records = load_table()
     report = TableReport(total=len(records))
+    fail = report.failures.append
     seen = {}
     for rec in records:
         k = knot_from_fraction(rec.fraction)
 
         value = eval_expansion(rec.expansion)
-        report.record("a_eval", value == rec.fraction, rec.name, lambda: f"{rec.expansion} evaluates to {value}, table says {rec.fraction}")
+        if value != rec.fraction:
+            fail((rec.name, "a_eval", f"{rec.expansion} evaluates to {value}, table says {rec.fraction}"))
 
-        reduced, _ = reduce_expansion(rec.expansion)
-        report.record("b_shortest", len(reduced) == len(rec.expansion), rec.name, lambda: f"{rec.expansion} reduces to {reduced}")
+        if not is_reduced(rec.expansion.coefficients):
+            fail((rec.name, "b_shortest", f"{rec.expansion} reduces to {reduce_expansion(rec.expansion)[0]}"))
 
         invariants = invariant_report(k)
         gamma = invariants.crosscap
-        report.record("c_gamma", gamma == rec.gamma, rec.name, lambda: f"computed crosscap {gamma}, table says {rec.gamma}")
+        if gamma != rec.gamma:
+            fail((rec.name, "c_gamma", f"computed crosscap {gamma}, table says {rec.gamma}"))
 
         attains_bound = gamma == 2 * invariants.genus + 1
         even_no_two = _no_two(invariants.even_runs)
         unique_even_shortest = _fired(rec.expansion.coefficients) is None
         consistent = rec.starred == attains_bound == even_no_two == unique_even_shortest
-        report.record("d_starred", consistent, rec.name, lambda: f"starred={rec.starred}, gamma=2g+1 is {attains_bound}, even expansion {invariants.even_expansion}")
+        if not consistent:
+            detail = f"starred={rec.starred}, gamma=2g+1 is {attains_bound}, even expansion {invariants.even_expansion}"
+            fail((rec.name, "d_starred", detail))
 
         first = seen.get((k.q, k.p))
-        report.record("e_distinct", first is None, rec.name, lambda: f"same knot as {first}")
+        if first is not None:
+            fail((rec.name, "e_distinct", f"same knot as {first}"))
         for pair in _pairs(k.q, k.p):
             seen.setdefault(pair, rec.name)
     return report

@@ -1,0 +1,72 @@
+"""Write tests/cli_golden.json: the exact output of the table commands.
+
+    PYTHONPATH=src python tests/make_cli_golden.py
+
+Each entry is one in-process `twobridge.cli.main` call: its argv, joined
+as a shell would quote it (`shlex.join`), maps to its exit code, stdout
+and stderr, in the shape of tests/shortest_pins.json.  The calls are
+`invariants <name>`, `invariants <name> --json`, `invariants <p^-1/q>`,
+`conway <name>` and `table lookup <name>` on every table row, `table
+verify`, and every argv pinned in `test_cli.CLI_PINS`.
+`test_cli.TestGolden` replays them.  Rewrite the file only when a change
+to the output is meant, and say why in CHANGES.md.
+"""
+
+from __future__ import annotations
+
+import io
+import json
+import shlex
+import sys
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+GOLDEN = HERE / "cli_golden.json"
+
+
+def golden_argvs() -> list[tuple[str, ...]]:
+    """Every argv the golden file holds, in its order."""
+    sys.path.insert(0, str(HERE))
+    from test_cli import CLI_PINS
+
+    from twobridge import load_table
+
+    argvs = []
+    for rec in load_table():
+        p, q = rec.fraction.numerator, rec.fraction.denominator
+        argvs += [
+            ("invariants", rec.name),
+            ("invariants", rec.name, "--json"),
+            ("invariants", f"{pow(p, -1, q)}/{q}"),
+            ("conway", rec.name),
+            ("table", "lookup", rec.name),
+        ]
+    argvs.append(("table", "verify"))
+    argvs += list(CLI_PINS)
+    return argvs
+
+
+def run_main(argv) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of one CLI call, run in this process."""
+    from twobridge.cli import main
+
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:  # usage errors and help
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def main() -> None:
+    calls = {shlex.join(argv): run_main(argv) for argv in golden_argvs()}
+    # one call a line, so that a changed output is a one-line diff
+    lines = [f"{json.dumps(key)}: {json.dumps(result)}" for key, result in calls.items()]
+    GOLDEN.write_text("{\n" + ",\n".join(lines) + "\n}\n", encoding="ascii")
+    print(f"wrote {len(calls)} calls to {GOLDEN}")
+
+
+if __name__ == "__main__":
+    main()

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 import time
@@ -13,6 +14,7 @@ import twobridge.cli
 from twobridge.cli import main
 from twobridge.core import Expansion, KnotId, eval_expansion
 from twobridge.invariants import genus
+from twobridge.table import load_table
 
 # stdout of `shortest` and `shortest --all` as the breadth-first closure printed it,
 # on [5,(2,5)*4] and on fractions whose reduced expansion has an interacting run
@@ -139,6 +141,25 @@ def test_pinned_command_output(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert (code, out) == CLI_PINS[argv]
     assert bool(err) == (code == 2)
+
+
+class TestGolden:
+    """The table commands' bytes, written by tests/make_cli_golden.py before the output code last changed."""
+
+    # shlex.join(argv) -> [exit code, stdout, stderr]
+    CALLS = json.loads((Path(__file__).parent / "cli_golden.json").read_text(encoding="ascii"))
+
+    def test_calls_cover_the_table_and_the_pins(self):
+        argvs = {tuple(shlex.split(key)) for key in self.CALLS}
+        names = {rec.name for rec in load_table()}
+        for command in (("invariants",), ("conway",), ("table", "lookup")):
+            assert {argv[-1] for argv in argvs if argv[:-1] == command} >= names
+        assert {argv[1] for argv in argvs if argv[0] == "invariants" and argv[2:] == ("--json",)} == names
+        assert ("table", "verify") in argvs and set(CLI_PINS) <= argvs
+
+    def test_every_call_gives_the_same_bytes(self, capsys):
+        for key, expected in self.CALLS.items():
+            assert list(run(capsys, *shlex.split(key))) == expected, key
 
 
 class TestSharedParser:

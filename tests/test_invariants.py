@@ -33,6 +33,7 @@ from twobridge import (
 from twobridge.conway import conway_diagram, verify_diagram
 from twobridge.core import (
     division_expansion,
+    format_expansion,
     fraction_of,
     partial_quotients,
 )
@@ -350,6 +351,38 @@ class TestReport:
         assert parse_expansion(payload["reduced"]) == Expansion(0, ((q + 1) // 2, 2))
 
 
+class TestReportText:
+    """`to_dict` writes the fraction and the even expansion from the report's fields, as the spelled values print."""
+
+    @staticmethod
+    def assert_text_of(k):
+        report = invariant_report(k)
+        payload = report.to_dict()
+        assert payload["fraction"] == str(fraction_of(k))
+        assert payload["even_expansion"] == format_expansion(report.even_expansion)
+
+    def test_every_knot_with_odd_q_up_to_151(self):
+        for k in odd_knots_up_to(151):
+            self.assert_text_of(k)
+
+    def test_torus_knots_and_their_mirrors(self):
+        for q in range(3, 402, 2):
+            self.assert_text_of(KnotId(q, 1))
+            self.assert_text_of(KnotId(q, q - 1))
+
+    def test_unknot(self):
+        self.assert_text_of(KnotId(1, 0))
+        assert invariant_report(KnotId(1, 0)).to_dict()["fraction"] == "0/1"
+
+    def test_knot_past_the_default_limit(self):
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            self.assert_text_of(KnotId(7 * (10**5000 - 1) // 9, 2))
+        finally:
+            sys.set_int_max_str_digits(saved)
+
+
 class TestModuleCaches:
     def test_the_only_module_level_caches(self):
         # a new module-level cache is shared state; it comes with a benchmark that shows it pays
@@ -400,6 +433,13 @@ class TestEuclidMemo:
         # the report reads the runs once and spells no even expansion
         assert counted == {"partial_quotients": 1, "reduced_from_quotients": 1, "_fired": 1, "_even_runs": 1}
         assert analyze.cache_info().misses == 1
+
+    def test_report_text_spells_no_even_expansion(self, counted):
+        report = invariant_report(KnotId(55, 21))
+        assert "even_expansion=1+[-2,-2,2,2,-2,-2]" in report.to_lines()
+        assert counted["_spell"] == 0
+        assert format_expansion(report.even_expansion) == "1+[-2,-2,2,2,-2,-2]"
+        assert counted["_spell"] == 1
 
     def test_crosscap_boundary_diagram_read_no_even_runs(self, counted, monkeypatch):
         # the split, one rectangle move and T itself: past the miss's one `_fired`

@@ -27,6 +27,7 @@ from twobridge.reduction import (
     _settle,
     apply_rule,
     format_trace,
+    is_reduced,
     reduced_from_quotients,
 )
 
@@ -190,6 +191,32 @@ class TestReduce:
         assert format_trace(trace) == "RemoveBlock 2 1 2 | [4,-3,4]"
         _, trace = reduce_expansion(parse_expansion("[7,0,2]"))
         assert format_trace(trace) == "RemoveZero 2 0 0 | [9]"
+
+
+class TestIsReduced:
+    """`is_reduced`, the table's shortest check, against the reduction whose length it stands for."""
+
+    @pytest.mark.parametrize(
+        "c,expected",
+        [
+            ((), True),
+            ((0,), True),  # the value 1/0: a lone 0 is no site
+            ((5, 3, 1), False),
+            ((2, 2), False),
+            ((2, 3, 3, 2), False),
+            ((-2, -3, -2), False),
+            ((3, 2, 3), True),
+        ],
+    )
+    def test_named_cases(self, c, expected):
+        assert is_reduced(c) is expected
+        assert (len(reduce_expansion(Expansion(0, c))[0]) == len(c)) is expected
+        coefficients = list(c)
+        assert is_reduced(coefficients) is expected and coefficients == list(c)
+
+    @given(st.builds(Expansion, st.integers(-3, 3), st.lists(st.integers(-4, 4), max_size=12).map(tuple)))
+    def test_same_as_reduction_preserving_length(self, e):
+        assert is_reduced(e.coefficients) == (len(reduce_expansion(e)[0]) == len(e))
 
 
 def assert_matches_scanning(e):
