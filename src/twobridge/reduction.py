@@ -162,25 +162,6 @@ def apply_rule(e: Expansion, s: ReductionStep) -> Expansion:
     return Expansion(r, c[:lo] + new + c[hi:])
 
 
-def _first_block(c, j: int) -> tuple[int, int] | None:
-    """(start, length) of the leftmost block starting at index j or later; None if there is none."""
-    n = len(c)
-    while j < n:
-        v = c[j]
-        if v != 2 and v != -2:
-            j += 1
-            continue
-        three = 3 if v > 0 else -3
-        k = j + 1
-        while k < n and c[k] == three:
-            k += 1
-        if k < n and c[k] == v:
-            return j, k - j + 1
-        # c[j+1:k] are all 3s of one sign, so the next possible start is k.
-        j = k
-    return None
-
-
 def _opening(c, end: int, two: int) -> int:
     """Index j of a `two` (+-2) with c[j+1:end] all 3e, e the sign of `two`; else -1.
 
@@ -194,14 +175,29 @@ def _opening(c, end: int, two: int) -> int:
     return j if j >= 0 and c[j] == two else -1
 
 
+def _first_block(c, end: int) -> tuple[int, int] | None:
+    """(start, length) of the leftmost block ending at index end or later; None if there is none.
+
+    Each +-2 from c[end] on is asked where a block ending there opens.
+    The first hit is the leftmost block: a block's inside is all 3e, so
+    no block starts inside another, and blocks end in the order they
+    start.  Each 3e run is passed once, by the entry after it.
+    """
+    for k in range(end, len(c)):
+        v = c[k]
+        if (v == 2 or v == -2) and (j := _opening(c, k, v)) >= 0:
+            return j, k - j + 1
+    return None
+
+
 class _Sites:
     """Leftmost-first site search over a coefficient list edited in place.
 
     Keeps the counts of -1, 0 and 1 in c, and one index per rule left of
     which the rule has no site: no 0 left of zero_from, no +-1 left of
-    unit_from, and no block starting left of block_from that does not
-    cover it.  An edit at c[lo:...] lowers each index to at most lo, since
-    every site it creates reaches into the edited slice.
+    unit_from, and no block ending left of block_from.  An edit at
+    c[lo:...] lowers each index to at most lo, since every site it
+    creates reaches into the edited slice.
     """
 
     def __init__(self, c):
@@ -224,12 +220,7 @@ class _Sites:
                     pass
             self.unit_from = i
             return ReductionStep(Rule.REMOVE_UNIT, i + 1, epsilon=c[i])
-        # A block starting left of b covers c[b], a 2e or 3e, so it opens at the 2e before the
-        # 3e run that ends there.  If c[b] is neither, none does, and a start found costs a rescan.
-        b = self.block_from
-        if b < len(c) and (j := _opening(c, b, 2 if c[b] > 0 else -2)) >= 0:
-            b = j
-        block = _first_block(c, b)
+        block = _first_block(c, self.block_from)
         if block is None:
             return None
         j, m = block

@@ -65,7 +65,7 @@ class TableReport:
         "b_shortest": "expansion is shortest (reduction preserves length)",
         "c_gamma": "computed crosscap equals the table's",
         "d_starred": "starred exactly when crosscap = 2*genus + 1 (even type, no +-2)",
-        "e_distinct": "all canonical forms distinct",
+        "e_distinct": "no two rows name the same knot",
     }
 
     def __init__(self, total: int = 0):
@@ -95,7 +95,7 @@ class TableReport:
 class _Table(_Value):
     __slots__ = ("records", "by_name", "by_pair")
 
-    def __init__(self, records: list[KnotRecord], by_name: dict[str, KnotRecord], by_pair: dict[tuple[int, int], KnotRecord]):
+    def __init__(self, records: tuple[KnotRecord, ...], by_name: dict[str, KnotRecord], by_pair: dict[tuple[int, int], KnotRecord]):
         _set_field(self, "records", records)
         _set_field(self, "by_name", by_name)
         _set_field(self, "by_pair", by_pair)
@@ -151,11 +151,14 @@ def _table() -> _Table:
             by_pair.setdefault(pair, rec)
     if len(records) != 362:
         raise TableDataError(f"expected 362 records, found {len(records)}", 0)
-    return _Table(records, by_name, by_pair)
+    return _Table(tuple(records), by_name, by_pair)
 
 
-def load_table() -> list[KnotRecord]:
-    """All 362 records, validated structurally (names unique, q odd, gcd 1)."""
+def load_table() -> tuple[KnotRecord, ...]:
+    """All 362 records, validated structurally (names unique, q odd, gcd 1).
+
+    A tuple, as every call hands out the one loaded record set.
+    """
     return _table().records
 
 

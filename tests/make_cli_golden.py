@@ -1,4 +1,4 @@
-"""Write tests/cli_golden.json: the exact output of the table commands.
+"""Write tests/cli_golden.json: the exact output of the table commands and the error cases.
 
     PYTHONPATH=src python tests/make_cli_golden.py
 
@@ -6,8 +6,12 @@ Each entry is one in-process `twobridge.cli.main` call: its argv, joined
 as a shell would quote it (`shlex.join`), maps to its exit code, stdout
 and stderr, in the shape of tests/shortest_pins.json.  The calls are
 `invariants <name>`, `invariants <name> --json`, `invariants <p^-1/q>`,
-`conway <name>` and `table lookup <name>` on every table row, `table
-verify`, and every argv pinned in `test_cli.CLI_PINS`.
+`conway <name>`, `table lookup <name>`, `shortest <p/q>`, `shortest
+<p/q> --all` and `reduce '<division expansion of p/q>' --trace` on
+every table row, `table verify`, every argv pinned in
+`test_cli.CLI_PINS`, and `ERRORS`: refusals that quote a parse
+position, whitespace, a non-ASCII digit or an unknown name, and usage
+errors.
 `test_cli.TestGolden` replays them.  Rewrite the file only when a change
 to the output is meant, and say why in CHANGES.md.
 """
@@ -24,6 +28,24 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 GOLDEN = HERE / "cli_golden.json"
 
+# each exits 2 with one diagnostic on stderr; argparse-style usage errors raise SystemExit
+ERRORS = [
+    ("eval", "[3,2"),
+    ("eval", "[3 2]"),
+    ("reduce", "[3,,2]"),
+    ("invariants", "  x/3"),
+    ("depth", "\u0663/\u0667"),
+    ("eval", "[\u0663,\u0662]"),
+    ("depth", "3\u00b2/7"),
+    ("table", "lookup", "99_99"),
+    ("invariants", "99_99"),
+    ("no-such-command",),
+    ("depth", "2/3", "2/5"),
+    ("table", "verify", "extra"),
+    ("depth", "-x", "2/3"),
+    ("reduce", "--trace", "--", "[3,2]", "--trace"),
+]
+
 
 def golden_argvs() -> list[tuple[str, ...]]:
     """Every argv the golden file holds, in its order."""
@@ -31,6 +53,7 @@ def golden_argvs() -> list[tuple[str, ...]]:
     from test_cli import CLI_PINS
 
     from twobridge import load_table
+    from twobridge.core import division_expansion, format_expansion
 
     argvs = []
     for rec in load_table():
@@ -41,9 +64,13 @@ def golden_argvs() -> list[tuple[str, ...]]:
             ("invariants", f"{pow(p, -1, q)}/{q}"),
             ("conway", rec.name),
             ("table", "lookup", rec.name),
+            ("shortest", f"{p}/{q}"),
+            ("shortest", f"{p}/{q}", "--all"),
+            ("reduce", format_expansion(division_expansion(rec.fraction)), "--trace"),
         ]
     argvs.append(("table", "verify"))
     argvs += list(CLI_PINS)
+    argvs += ERRORS
     return argvs
 
 

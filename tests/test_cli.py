@@ -12,9 +12,11 @@ import pytest
 import twobridge
 import twobridge.cli
 from twobridge.cli import main
-from twobridge.core import Expansion, KnotId, eval_expansion
+from twobridge.core import Expansion, KnotId, division_expansion, eval_expansion, format_expansion
 from twobridge.invariants import genus
 from twobridge.table import load_table
+
+from make_cli_golden import ERRORS, run_main
 
 # stdout of `shortest` and `shortest --all` as the breadth-first closure printed it,
 # on [5,(2,5)*4] and on fractions whose reduced expansion has an interacting run
@@ -144,22 +146,29 @@ def test_pinned_command_output(capsys, argv):
 
 
 class TestGolden:
-    """The table commands' bytes, written by tests/make_cli_golden.py before the output code last changed."""
+    """The CLI's bytes, written by tests/make_cli_golden.py before the output or the reducer last changed."""
 
     # shlex.join(argv) -> [exit code, stdout, stderr]
     CALLS = json.loads((Path(__file__).parent / "cli_golden.json").read_text(encoding="ascii"))
 
     def test_calls_cover_the_table_and_the_pins(self):
         argvs = {tuple(shlex.split(key)) for key in self.CALLS}
-        names = {rec.name for rec in load_table()}
+        records = load_table()
+        names = {rec.name for rec in records}
         for command in (("invariants",), ("conway",), ("table", "lookup")):
             assert {argv[-1] for argv in argvs if argv[:-1] == command} >= names
         assert {argv[1] for argv in argvs if argv[0] == "invariants" and argv[2:] == ("--json",)} == names
-        assert ("table", "verify") in argvs and set(CLI_PINS) <= argvs
+        fractions = {f"{rec.fraction.numerator}/{rec.fraction.denominator}" for rec in records}
+        assert {argv[1] for argv in argvs if argv[0] == "shortest" and len(argv) == 2} == fractions
+        assert {argv[1] for argv in argvs if argv[0] == "shortest" and argv[2:] == ("--all",)} == fractions
+        seeds = {format_expansion(division_expansion(rec.fraction)) for rec in records}
+        assert {argv[1] for argv in argvs if argv[0] == "reduce" and argv[2:] == ("--trace",)} >= seeds
+        assert ("table", "verify") in argvs and set(CLI_PINS) <= argvs and set(ERRORS) <= argvs
+        assert all(self.CALLS[shlex.join(argv)][:2] == [2, ""] for argv in ERRORS)
 
-    def test_every_call_gives_the_same_bytes(self, capsys):
+    def test_every_call_gives_the_same_bytes(self):
         for key, expected in self.CALLS.items():
-            assert list(run(capsys, *shlex.split(key))) == expected, key
+            assert list(run_main(shlex.split(key))) == expected, key
 
 
 class TestSharedParser:

@@ -249,6 +249,13 @@ class TestAgainstScanning:
                 if gcd(p, q) == 1:
                     assert_matches_scanning(division_expansion(ExtendedRational(p, q)))
 
+    def test_every_short_word_where_blocks_are_dense(self):
+        # blocks that share an end, blocks of both signs side by side, and 3e runs that no 2e opens
+        for n in range(7):
+            for word in product((-3, -2, 2, 3, 4), repeat=n):
+                for r in (-2, 0):
+                    assert_matches_scanning(Expansion(r, word))
+
     @pytest.mark.parametrize(
         "coefficients",
         [
@@ -257,8 +264,11 @@ class TestAgainstScanning:
             [1, -1] * 300,
             [3] * 300 + [2] * 300,
             [2] + [3] * 300 + [4] + [2] * 300,
+            [5] + [3] * 300 + [2] + [4, 2, 3, 2] * 50,
+            [2, 3, -2, -3] * 150,
+            [5] + ([3] * 50 + [2]) * 6,
         ],
-        ids=["2", "2,3", "1,-1", "3..2..", "2,3..,4,2.."],
+        ids=["2", "2,3", "1,-1", "3..2..", "2,3..,4,2..", "5,3..,2,(4,2,3,2)..", "(2,3,-2,-3)..", "5,(3..,2).."],
     )
     def test_long_runs(self, coefficients):
         assert_matches_scanning(Expansion(0, tuple(coefficients)))

@@ -42,6 +42,15 @@ class TestLoad:
     def test_starred_set(self):
         assert {r.name for r in load_table() if r.starred} == STARRED
 
+    def test_records_cannot_be_emptied(self):
+        # every call hands out the loaded records; a cleared list once made verify_table read 0/0 and OK
+        records = load_table()
+        with pytest.raises(AttributeError):
+            records.clear()
+        assert load_table() is records and len(records) == 362
+        report = verify_table()
+        assert report.ok and report.total == 362 and set(report.passed.values()) == {362}
+
     def test_data_checksum(self):
         data = resources.files("twobridge").joinpath("data/table.tsv").read_bytes()
         assert hashlib.sha256(data).hexdigest() == EXPECTED_SHA256
@@ -122,7 +131,7 @@ class TestVerify:
             "b_shortest (expansion is shortest (reduction preserves length)): 362/363",
             "c_gamma (computed crosscap equals the table's): 362/363",
             "d_starred (starred exactly when crosscap = 2*genus + 1 (even type, no +-2)): 362/363",
-            "e_distinct (all canonical forms distinct): 362/363",
+            "e_distinct (no two rows name the same knot): 362/363",
             "FAIL 3_1 c_gamma: computed crosscap 1, table says 2",
             "FAIL 4_1 a_eval: [5,2] evaluates to 2/9, table says 2/5",
             "FAIL 6_1 b_shortest: [5,3,1] reduces to [5,2]",
