@@ -25,7 +25,6 @@ __all__ = [
     "KnotId",
     "eval_expansion",
     "division_expansion",
-    "partial_quotients",
     "knot_from_fraction",
     "fraction_of",
     "parse_fraction",
@@ -173,9 +172,10 @@ def division_expansion(x: ExtendedRational) -> Expansion:
     Splits off floor(p/q) as the integer part, then applies ceiling
     quotients to q over the remainder p mod q, which yields coefficients
     that are all >= 2.  Its length is about the sum of the partial
-    quotients, so no serving code runs it: the pipeline reduces in one pass over the partial quotients
-    (`reduction.reduced_from_quotients`), and the tests hold that result
-    to the fixpoint this expansion reduces to.
+    quotients, so no serving code runs it: the pipeline reduces in its
+    Euclid loop over the partial quotients (`reduction.reduce_fraction`),
+    and the tests hold that result to the fixpoint this expansion reduces
+    to.
     """
     if x.is_infinite:
         raise DomainError("cannot expand 1/0")
@@ -189,27 +189,6 @@ def division_expansion(x: ExtendedRational) -> Expansion:
         coeffs.append(q)
         a, b = b, q * b - a
     return Expansion(r, tuple(coeffs))
-
-
-def partial_quotients(p: int, q: int) -> tuple[int, ...]:
-    """Regular continued fraction (a_0, a_1, ..., a_n) of p/q, by one Euclid pass.
-
-    p/q = a_0 + 1/(a_1 + 1/(... + 1/a_n)) with a_0 = floor(p/q), every
-    later quotient >= 1 and the last one >= 2 when n >= 1.
-
-    This is the only big-integer pass on the serving path.  The pipeline
-    calls it through `invariants.analyze`, whose one-slot memo keeps the
-    last fraction's quotients beside its reduced expansion and the
-    coefficient that fires the crosscap rule.
-    """
-    if q <= 0:
-        raise DomainError(f"partial quotients need a positive denominator, got {_format_int(p)}/{_format_int(q)}")
-    out = []
-    while q:
-        a, r = divmod(p, q)
-        out.append(a)
-        p, q = q, r
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -36,10 +36,9 @@ from .core import (
     eval_expansion,
     format_expansion,
     knot_from_fraction,
-    partial_quotients,
 )
 from .errors import DomainError, InternalError
-from .reduction import reduced_from_quotients
+from .reduction import reduce_fraction
 
 __all__ = [
     "Boundary",
@@ -118,7 +117,9 @@ class InvariantReport(_Value):
         }
 
     def to_lines(self) -> list[str]:
-        return [f"{key}={value}" for key, value in self.to_dict().items()]
+        """The report as key=value lines; a boolean reads true or false, as in the JSON form."""
+        items = self.to_dict().items()
+        return [f"{key}={str(value).lower() if value is True or value is False else value}" for key, value in items]
 
 
 def _require_knot(k: KnotId):
@@ -222,15 +223,15 @@ def _fired(c: tuple[int, ...]) -> int | None:
 def analyze(p: int, q: int) -> tuple[tuple[int, ...], Expansion, int | None]:
     """The partial quotients of p/q, its reduced expansion and the index `_fired` reads off it.
 
-    One Euclid pass, one reduction and one application of the rule.  The
+    One Euclid loop, which reduces the seed as the quotients come
+    (`reduction.reduce_fraction`), and one application of the rule.  The
     last fraction's triple is kept in a one-slot memo, so the invariant
     report, the Conway diagram and its verification, `depth` and the
     shortest expansions of one fraction share a single pass of each.
     The values are immutable, so callers on several threads may share
     them.  `analyze.__wrapped__` is the unmemoized call.
     """
-    cf = partial_quotients(p, q)
-    reduced = reduced_from_quotients(cf)
+    cf, reduced = reduce_fraction(p, q)
     return cf, reduced, _fired(reduced.coefficients)
 
 

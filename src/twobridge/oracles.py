@@ -18,13 +18,13 @@ from .core import (
     Expansion,
     ExtendedRational,
     KnotId,
+    _format_int,
     _set_field,
     _Value,
     division_expansion,
     eval_expansion,
     fraction_of,
     knot_from_fraction,
-    partial_quotients,
 )
 from .conway import ConwayDiagram
 from .diagram import ShortestSet, rectangle_move
@@ -41,6 +41,7 @@ __all__ = [
     "mirror",
     "same_knot",
     "canonical_form",
+    "partial_quotients",
     "seed_expansion",
     "farey_parents",
     "depth_by_parents",
@@ -135,6 +136,25 @@ def canonical_form(k: KnotId) -> KnotId:
     return KnotId(k.q, min(k.p, pow(k.p, -1, k.q)))
 
 
+def partial_quotients(p: int, q: int) -> tuple[int, ...]:
+    """Regular continued fraction (a_0, a_1, ..., a_n) of p/q, by one Euclid pass.
+
+    p/q = a_0 + 1/(a_1 + 1/(... + 1/a_n)) with a_0 = floor(p/q), every
+    later quotient >= 1 and the last one >= 2 when n >= 1.
+
+    The plain Euclid loop, the reference for the quotients that
+    `reduction.reduce_fraction` divides out while it forms the seed.
+    """
+    if q <= 0:
+        raise DomainError(f"partial quotients need a positive denominator, got {_format_int(p)}/{_format_int(q)}")
+    out = []
+    while q:
+        a, r = divmod(p, q)
+        out.append(a)
+        p, q = q, r
+    return tuple(out)
+
+
 def seed_expansion(x: ExtendedRational) -> Expansion:
     """The alternating-sign expansion of x with its -1s removed and its -2s flipped.
 
@@ -147,8 +167,8 @@ def seed_expansion(x: ExtendedRational) -> Expansion:
     exactly to x and has at most n coefficients, where the division
     expansion has about a_1 + ... + a_n.
 
-    The reference for `reduction.reduced_from_quotients`, which forms
-    the same coefficients inside its pass: that result must equal
+    The reference for `reduction.reduce_fraction`, which forms the same
+    coefficients inside its Euclid loop: its expansion must equal
     `reduce_expansion(seed_expansion(x))`.
     """
     if x.is_infinite:

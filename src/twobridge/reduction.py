@@ -11,10 +11,11 @@ coefficient list, so iteration reaches a fixpoint whose length is the
 minimal expansion length of the value.
 
 `reduce_expansion` drives any expansion to its fixpoint leftmost site
-first and records each step; `reduced_from_quotients` reaches the
-fixpoint of a fraction's seed in one pass over its partial quotients and
-records nothing.  `invariants.analyze`, the package's one memo per
-fraction, calls `reduced_from_quotients` once per fraction.
+first and records each step; `reduce_fraction` reaches the fixpoint of
+a fraction's seed in one Euclid loop, which forms the seed as the
+partial quotients come, and records nothing.  `invariants.analyze`, the
+package's one memo per fraction, calls `reduce_fraction` once per
+fraction.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from enum import Enum
 from functools import cached_property
 
 from .core import Expansion, _format_int, _set_field, _Value, format_expansion
-from .errors import InternalError, PatternMatchError
+from .errors import DomainError, InternalError, PatternMatchError
 
 __all__ = [
     "Rule",
@@ -33,7 +34,7 @@ __all__ = [
     "apply_rule",
     "is_reduced",
     "reduce_expansion",
-    "reduced_from_quotients",
+    "reduce_fraction",
     "format_trace",
 ]
 
@@ -257,7 +258,7 @@ def reduce_expansion(e: Expansion) -> tuple[Expansion, ReductionTrace]:
     For an expansion the user gives, whose leftmost-first trace is the
     answer (`twobridge reduce --trace`, the table's shortest check, the
     oracles).  The pipeline derives a knot's reduced expansion with
-    `reduced_from_quotients`, which keeps no trace.
+    `reduce_fraction`, which keeps no trace.
 
     The fixpoint length is the minimal length over all expansions of all
     fractions equivalent to the value; the empty list (integer values)
@@ -323,44 +324,58 @@ def _settle(c: list[int], todo: list[int]) -> None:
             c.append(v)
 
 
-def reduced_from_quotients(cf: tuple[int, ...]) -> Expansion:
-    """The reduced expansion of a fraction, from its partial quotients cf = (a_0, a_1, ..., a_n).
+def reduce_fraction(p: int, q: int) -> tuple[tuple[int, ...], Expansion]:
+    """The partial quotients (a_0, a_1, ..., a_n) of p/q and its reduced expansion, from one Euclid loop.
 
-    One loop over the quotients forms the seed (`oracles.seed_expansion`):
-    an odd-position a_i gives a_i, raised by 1 for each even-position
-    neighbour of 1 or 2; an even-position a_i >= 3 gives -a_i, a 2 gives
-    2 and a 1 nothing.  The first coefficient goes straight onto -a_0,
-    and one `_settle` call pushes the rest of the seed, applying the rules
-    as the list grows, and then a dummy as the last coefficient's right
-    neighbour, whose push applies the tail forms.  The list then reads [-r, T..., dummy]:
+    p/q = a_0 + 1/(a_1 + 1/(... + 1/a_n)) with a_0 = floor(p/q), every
+    later quotient >= 1 and the last one >= 2 when n >= 1.  Each turn of
+    the loop divides out an odd-position quotient a and the even-position
+    quotient b after it, and forms their seed coefficients
+    (`oracles.seed_expansion`) as they come: a, raised by 1 after an
+    even-position 1 or 2 and by 1 before one, then -b for b >= 3, 2 for
+    b = 2 and nothing for b = 1.  The loop stops at a zero remainder.
+    The first coefficient goes straight onto -a_0, and one `_settle` call
+    pushes the rest of the seed, applying the rules as the list grows,
+    and then a dummy as the last coefficient's right neighbour, whose
+    push applies the tail forms.  The list then reads [-r, T..., dummy]:
     r is -c[0], and c[1:-1] drops -r and the dummy together.  The seed is
-    built first to last and reversed once: a loop over the quotients
-    last first measured slower on perfbench's inputs, since it slices
-    and reverses both quotient lists.
+    built first to last and reversed once.
 
-    The result equals the fixpoint that `reduce_expansion` reaches from
-    the seed, the one shortest expansion with no -2 (held to it in the
+    This is the only big-integer pass on the serving path; the pipeline
+    calls it through `invariants.analyze`, the package's one memo per
+    fraction.  The quotients equal `oracles.partial_quotients(p, q)` and
+    the expansion the fixpoint that `reduce_expansion` reaches from the
+    seed, the one shortest expansion with no -2 (held to both in the
     tests), without building the steps or the trace.
     """
-    odd, even = cf[1::2], cf[2::2]
+    if q <= 0:
+        raise DomainError(f"partial quotients need a positive denominator, got {_format_int(p)}/{_format_int(q)}")
+    a0, y = divmod(p, q)
+    x = q  # Euclid's pair is (x, y), with y the remainder
+    cf = [a0]
     seed = []
     bump = 0  # true after an even-position 1 or 2, which raises the next odd-position term by 1
-    for a, b in zip(odd, even):
+    while y:
+        a, x = divmod(x, y)
+        cf.append(a)
+        if not x:
+            seed.append(a + bump)
+            break
+        b, y = divmod(y, x)
+        cf.append(b)
         seed.append(a + bump if b > 2 else a + bump + 1)  # an even-position 1 or 2 raises its left neighbour too
         if b != 1:
             seed.append(-b if b > 2 else 2)
         bump = b < 3
-    if len(odd) > len(even):
-        seed.append(odd[-1] + bump)
     # A dummy right neighbour for the last coefficient: each tail form is the interior
     # form with a right neighbour, and any integer serves, as the rules read only c.
     seed.append(0)
     seed.reverse()  # popped from the end, so the first coefficient comes first
-    c = [-cf[0], seed.pop()]  # -r is no site, so the first coefficient needs no test
+    c = [-a0, seed.pop()]  # -r is no site, so the first coefficient needs no test
     _settle(c, seed)
     if len(c) == 1:  # a zero merged the dummy into -r: the value is 1/0
         raise InternalError("a lone [0] is the value 1/0, which no fraction reduces to")
-    return Expansion(-c[0], tuple(c[1:-1]))
+    return tuple(cf), Expansion(-c[0], tuple(c[1:-1]))
 
 
 def format_trace(trace: ReductionTrace) -> str:

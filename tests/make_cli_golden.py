@@ -1,4 +1,4 @@
-"""Write tests/cli_golden.json: the exact output of the table commands and the error cases.
+"""Write tests/cli_golden.json and tests/cli_sweep.json: the exact output of the CLI.
 
     PYTHONPATH=src python tests/make_cli_golden.py
 
@@ -12,21 +12,33 @@ every table row, `table verify`, every argv pinned in
 `test_cli.CLI_PINS`, and `ERRORS`: refusals that quote a parse
 position, whitespace, a non-ASCII digit or an unknown name, and usage
 errors.
-`test_cli.TestGolden` replays them.  Rewrite the file only when a change
-to the output is meant, and say why in CHANGES.md.
+
+tests/cli_sweep.json holds one sha256 digest per command of `SWEEP`:
+the command on every p/q in lowest terms with 1 <= q < 60 and -q <= p <
+2q, which reaches negative p, p > q, integers and even q (refused by
+every command but `depth` and `shortest`).  Each call adds the JSON
+text of [argv, exit code, stdout, stderr] and a newline to its
+command's digest, in call order.
+
+`test_cli.TestGolden` replays both.  Rewrite the files only when a
+change to the output is meant, and say why in CHANGES.md.
 """
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import shlex
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from math import gcd
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
 GOLDEN = HERE / "cli_golden.json"
+SWEEP_FILE = HERE / "cli_sweep.json"
+SWEEP = ("depth", "shortest", "invariants", "conway")
 
 # each exits 2 with one diagnostic on stderr; argparse-style usage errors raise SystemExit
 ERRORS = [
@@ -87,12 +99,28 @@ def run_main(argv) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
+def sweep_digest(command: str) -> tuple[int, str]:
+    """The number of calls of `command` in the q < 60 sweep and the hex sha256 of their results."""
+    digest = hashlib.sha256()
+    calls = 0
+    for q in range(1, 60):
+        for p in range(-q, 2 * q):
+            if gcd(p, q) == 1:
+                argv = [command, f"{p}/{q}"]
+                digest.update(json.dumps([argv, *run_main(argv)]).encode("ascii") + b"\n")
+                calls += 1
+    return calls, digest.hexdigest()
+
+
 def main() -> None:
     calls = {shlex.join(argv): run_main(argv) for argv in golden_argvs()}
     # one call a line, so that a changed output is a one-line diff
     lines = [f"{json.dumps(key)}: {json.dumps(result)}" for key, result in calls.items()]
     GOLDEN.write_text("{\n" + ",\n".join(lines) + "\n}\n", encoding="ascii")
     print(f"wrote {len(calls)} calls to {GOLDEN}")
+    digests = {command: sweep_digest(command) for command in SWEEP}
+    SWEEP_FILE.write_text(json.dumps(digests, indent=1) + "\n", encoding="ascii")
+    print(f"wrote the digests of {sum(n for n, _ in digests.values())} calls to {SWEEP_FILE}")
 
 
 if __name__ == "__main__":

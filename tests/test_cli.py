@@ -16,7 +16,7 @@ from twobridge.core import Expansion, KnotId, division_expansion, eval_expansion
 from twobridge.invariants import genus
 from twobridge.table import load_table
 
-from make_cli_golden import ERRORS, run_main
+from make_cli_golden import ERRORS, SWEEP, SWEEP_FILE, run_main, sweep_digest
 
 # stdout of `shortest` and `shortest --all` as the breadth-first closure printed it,
 # on [5,(2,5)*4] and on fractions whose reduced expansion has an interacting run
@@ -113,7 +113,7 @@ CLI_PINS = {
     ("invariants", "2/3"): (
         0,
         "knot=S(3,2)\nfraction=2/3\ncrosscap=1\ngenus=1\nreduced=1+[-3]\neven_expansion=[2,2]\n"
-        "odd_shortest_exists=True\nboundary=BoundaryIncompressible\n",
+        "odd_shortest_exists=true\nboundary=BoundaryIncompressible\n",
     ),
     # the reduced length of fractions that name no knot
     ("depth", "2/4"): (0, "1\n"),
@@ -127,13 +127,13 @@ CLI_PINS = {
     ("invariants", "5/9"): (
         0,
         "knot=S(9,5)\nfraction=5/9\ncrosscap=2\ngenus=1\nreduced=[2,5]\neven_expansion=1+[-2,4]\n"
-        "odd_shortest_exists=True\nboundary=BoundaryIncompressible\ntable_name=6_1\nstarred=false\n",
+        "odd_shortest_exists=true\nboundary=BoundaryIncompressible\ntable_name=6_1\nstarred=false\n",
     ),
     # past the table's q, one dict lookup that finds nothing
     ("invariants", f"2/{10**30 + 1}"): (
         0,
         f"knot=S({10**30 + 1},2)\nfraction=2/{10**30 + 1}\ncrosscap=2\ngenus=1\nreduced=[{5 * 10**29 + 1},2]\n"
-        f"even_expansion=[{5 * 10**29},-2]\nodd_shortest_exists=True\nboundary=BoundaryIncompressible\n",
+        f"even_expansion=[{5 * 10**29},-2]\nodd_shortest_exists=true\nboundary=BoundaryIncompressible\n",
     ),
 }
 
@@ -169,6 +169,12 @@ class TestGolden:
     def test_every_call_gives_the_same_bytes(self):
         for key, expected in self.CALLS.items():
             assert list(run_main(shlex.split(key))) == expected, key
+
+    @pytest.mark.parametrize("command", SWEEP)
+    def test_the_sweep_below_q_60_gives_the_same_bytes(self, command):
+        # past the table rows: a_0 != 0, p > q, integers and even q
+        expected = json.loads(SWEEP_FILE.read_text(encoding="ascii"))[command]
+        assert list(sweep_digest(command)) == expected
 
 
 class TestSharedParser:
@@ -483,7 +489,7 @@ def test_entry_point_under_the_smallest_limit():
         ("reduce", f"[{q},2,2,{q}]", "--trace"): f"RemoveBlock 2 1 2 | [{low},-3,{low}]\n[{low},-3,{low}]\n",
         ("invariants", f"2/{q}"): (
             f"knot=S({q},2)\nfraction=2/{q}\ncrosscap=2\ngenus=1\nreduced=[{high[:-1]}9,2]\n"
-            f"even_expansion=[{high},-2]\nodd_shortest_exists=True\nboundary=BoundaryIncompressible\n"
+            f"even_expansion=[{high},-2]\nodd_shortest_exists=true\nboundary=BoundaryIncompressible\n"
         ),
         ("conway", f"2/{q}"): f"C({high},-1,2,1)\nverified=true\n",
     }

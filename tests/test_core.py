@@ -24,7 +24,6 @@ from twobridge import (
 from twobridge.core import (
     _parse_int,
     division_expansion,
-    partial_quotients,
 )
 from twobridge.diagram import rectangle_move
 from twobridge.errors import PatternMatchError
@@ -36,11 +35,12 @@ from twobridge.oracles import (
     canonical_form,
     eval_additive,
     mirror,
+    partial_quotients,
     reverse_expansion,
     same_knot,
     seed_expansion,
 )
-from twobridge.reduction import ReductionStep, Rule, apply_rule
+from twobridge.reduction import ReductionStep, Rule, apply_rule, reduce_fraction
 
 coefficients = st.lists(
     st.integers(-9, 9).filter(lambda b: b != 0), min_size=0, max_size=10
@@ -385,6 +385,7 @@ class TestParsing:
             lambda: family_k_mn(10**5000, 0),
             lambda: rectangle_move(Expansion(0, (2,)), 10**5000),
             lambda: apply_rule(Expansion(0, (0,)), ReductionStep(Rule.REMOVE_ZERO, 10**5000)),
+            lambda: reduce_fraction(10**5000, 0),
         ],
     )
     def test_errors_on_numbers_past_the_default_limit(self, call):

@@ -35,7 +35,6 @@ from twobridge.core import (
     division_expansion,
     format_expansion,
     fraction_of,
-    partial_quotients,
 )
 from twobridge.diagram import all_shortest_expansions, depth
 from twobridge.invariants import (
@@ -53,6 +52,7 @@ from twobridge.oracles import (
     gamma_equals_2g_plus_1,
     mirror,
     odd_type_among_shortest,
+    partial_quotients,
 )
 
 
@@ -338,6 +338,8 @@ class TestReport:
         assert "crosscap=2" in lines
         assert "boundary=BoundaryIncompressible" in lines
         assert "knot=S(9,2)" in lines
+        assert "odd_shortest_exists=true" in lines  # spelled as in the JSON form
+        assert "odd_shortest_exists=false" in invariant_report(KnotId(15, 4)).to_lines()
 
     def test_to_dict_of_a_knot_past_the_default_limit(self):
         q, digits = 7 * (10**5000 - 1) // 9, "7" * 5000
@@ -395,11 +397,11 @@ class TestModuleCaches:
 
 
 class TestEuclidMemo:
-    """One Euclid pass, one reduction and one rule scan per fraction: every view reads the memo `analyze`."""
+    """One Euclid loop, which also reduces, and one rule scan per fraction: every view reads the memo `analyze`."""
 
     @pytest.fixture(autouse=True)
     def counted(self, monkeypatch):
-        """Counts of Euclid passes, reductions, rule scans, even-run readings and spellings, from a cold memo."""
+        """Counts of Euclid loops, rule scans, even-run readings and spellings, from a cold memo."""
         counts = Counter()
 
         def counting(module, name):
@@ -411,8 +413,7 @@ class TestEuclidMemo:
 
             monkeypatch.setattr(module, name, wrapper)
 
-        counting(twobridge.invariants, "partial_quotients")
-        counting(twobridge.invariants, "reduced_from_quotients")
+        counting(twobridge.invariants, "reduce_fraction")
         counting(twobridge.invariants, "_fired")
         counting(twobridge.invariants, "_even_runs")
         counting(twobridge.invariants, "_spell")
@@ -431,7 +432,7 @@ class TestEuclidMemo:
         shortest = all_shortest_expansions(x)
         assert shortest.reduced == report.reduced and len(shortest.least()) == 4
         # the report reads the runs once and spells no even expansion
-        assert counted == {"partial_quotients": 1, "reduced_from_quotients": 1, "_fired": 1, "_even_runs": 1}
+        assert counted == {"reduce_fraction": 1, "_fired": 1, "_even_runs": 1}
         assert analyze.cache_info().misses == 1
 
     def test_report_text_spells_no_even_expansion(self, counted):
@@ -462,14 +463,14 @@ class TestEuclidMemo:
             assert verify_diagram(conway_diagram(k), k)
             assert crosscap(k) == gamma
             assert boundary_classification(k) == boundary
-            assert counted == {"partial_quotients": 1, "reduced_from_quotients": 1, "_fired": 1}
+            assert counted == {"reduce_fraction": 1, "_fired": 1}
 
     def test_torus_knot_of_3_to_the_40(self, counted):
         k = KnotId(3**40, 1)
         assert crosscap(k) == 1
         assert genus(k) == (3**40 - 1) // 2
         assert depth(fraction_of(k)) == 1
-        assert counted["partial_quotients"] == counted["reduced_from_quotients"] == 1
+        assert counted["reduce_fraction"] == 1
 
     def test_knot_of_2000_random_quotients(self, counted):
         rng = random.Random(2000)
@@ -482,14 +483,14 @@ class TestEuclidMemo:
         assert verify_diagram(conway_diagram(k), k)
         assert depth(fraction_of(k)) == len(report.reduced) == depth_by_mediant_walk(x)
         assert genus(k) == report.genus
-        assert counted["partial_quotients"] == counted["reduced_from_quotients"] == 1
+        assert counted["reduce_fraction"] == 1
 
     def test_one_slot(self, counted):
         a, b = KnotId(9, 2), KnotId(15, 4)
         for k in (a, a, b, b, a):
             invariant_report(k)
             crosscap(k)
-        assert counted["partial_quotients"] == counted["reduced_from_quotients"] == 3
+        assert counted["reduce_fraction"] == 3
         # the rule is applied once per miss and never on a hit
         assert counted["_fired"] == analyze.cache_info().misses == 3
         assert analyze.cache_info().hits == 7

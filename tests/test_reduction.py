@@ -8,8 +8,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from twobridge import Expansion, ExtendedRational, eval_expansion, parse_expansion, reduce_expansion
-from twobridge.core import division_expansion, format_expansion, partial_quotients
-from twobridge.errors import DomainError, InternalError, PatternMatchError
+from twobridge.core import division_expansion, format_expansion
+from twobridge.errors import DomainError, PatternMatchError
 from twobridge.invariants import analyze
 from twobridge.oracles import (
     AdditiveExpansion,
@@ -17,6 +17,7 @@ from twobridge.oracles import (
     check_trace,
     depth_by_mediant_walk,
     eval_additive,
+    partial_quotients,
     reduce_by_scanning,
     reduce_with_strategy,
     seed_expansion,
@@ -28,7 +29,7 @@ from twobridge.reduction import (
     apply_rule,
     format_trace,
     is_reduced,
-    reduced_from_quotients,
+    reduce_fraction,
 )
 
 expansions = st.builds(
@@ -288,13 +289,16 @@ class TestSeedAgainstDivision:
         seed = seed_expansion(x)
         assert eval_expansion(seed) == x
         assert len(seed) <= len(quotients)
-        assert reduce_expansion(seed)[0] == reduce_expansion(division_expansion(x))[0]
+        reduced = reduce_expansion(division_expansion(x))[0]
+        assert reduce_expansion(seed)[0] == reduced
+        assert reduce_fraction(x.numerator, x.denominator)[1] == reduced
 
 
 def assert_matches_the_seed_fixpoint(x):
-    """The reduced expansion of x is the seed's leftmost-first fixpoint: shortest, no -2, value x."""
-    reduced = reduced_from_quotients(partial_quotients(x.numerator, x.denominator))
-    assert reduced == reduce_expansion(seed_expansion(x))[0]
+    """The one loop gives x's quotients and the seed's leftmost-first fixpoint: shortest, no -2, value x."""
+    p, q = x.numerator, x.denominator
+    cf, reduced = reduce_fraction(p, q)
+    assert (cf, reduced) == (partial_quotients(p, q), reduce_expansion(seed_expansion(x))[0])
     assert -2 not in reduced.coefficients
     assert len(reduced) == depth_by_mediant_walk(x)
     assert eval_expansion(reduced) == x
@@ -325,12 +329,11 @@ class TestReducedFromQuotients:
     )
     def test_examples(self, fraction, reduced):
         p, q = map(int, fraction.split("/"))
-        cf = partial_quotients(p, q)
-        assert format_expansion(reduced_from_quotients(cf)) == reduced
-        assert analyze.__wrapped__(p, q)[:2] == (cf, reduced_from_quotients(cf))
+        assert format_expansion(reduce_fraction(p, q)[1]) == reduced
+        assert analyze.__wrapped__(p, q)[:2] == reduce_fraction(p, q)
 
-    def test_every_fraction_up_to_150(self):
-        for q in range(1, 151):
+    def test_every_fraction_below_200(self):
+        for q in range(1, 200):
             for p in range(-2 * q, 3 * q):
                 if gcd(p, q) == 1:
                     assert_matches_the_seed_fixpoint(ExtendedRational(p, q))
@@ -346,6 +349,23 @@ class TestReducedFromQuotients:
     @given(st.integers(-3, 3), st.lists(st.integers(1, 3) | st.integers(4, 10**12), max_size=40))
     def test_large_quotients(self, a0, quotients):
         assert_matches_the_seed_fixpoint(value_of_quotients(a0, quotients))
+
+    @given(
+        st.integers(-3, 3),
+        st.lists(st.sampled_from((1, 2, 3, 4, 7)), max_size=29),
+        st.sampled_from((2, 3, 4, 7)),
+    )
+    def test_quotient_lists(self, a0, quotients, last):
+        # each turn of the loop reads an odd- and an even-position quotient; lists of
+        # either parity, and 1s, 2s and 3s on both sides of a 2, meet every branch
+        x = eval_additive(AdditiveExpansion(a0, (*quotients, last)))
+        assert reduce_fraction(x.numerator, x.denominator)[0] == (a0, *quotients, last)
+        assert_matches_the_seed_fixpoint(x)
+
+    def test_fractions_of_5000_digits(self):
+        # the loop formats no number, so it runs under any int-string limit
+        for p in [2, 10**5000 + 3, -(10**5000 + 3)]:
+            assert_matches_the_seed_fixpoint(ExtendedRational(p, 7 * (10**5000 - 1) // 9))
 
     @given(expansions)
     def test_pushing_any_expansion_reaches_a_fixpoint(self, e):
@@ -369,9 +389,14 @@ class TestReducedFromQuotients:
                     assert_pushes_reach_a_fixpoint(e)
 
     def test_quotients_of_one_over_zero_are_refused(self):
-        # (0; 0) is the continued fraction of 1/0: the dummy's push leaves only -r
-        with pytest.raises(InternalError):
-            reduced_from_quotients((0, 0))
+        # the loop runs only for q > 0, so no fraction reaches 1/0, where the dummy's push
+        # would leave only -r; the refusal reads as the reference's, whatever the digits
+        for p, q in [(1, 0), (0, 0), (3, -7), (10**5000, 0)]:
+            with pytest.raises(DomainError) as refused:
+                reduce_fraction(p, q)
+            with pytest.raises(DomainError) as reference:
+                partial_quotients(p, q)
+            assert str(refused.value) == str(reference.value)
 
     def test_the_dummy_push_empties_the_list_exactly_at_one_over_zero(self):
         # the list empties down to -r, here 0, which is no site
@@ -396,8 +421,7 @@ class TestReducedFromQuotients:
             "one_to_four": [rng.randint(1, 4) for _ in range(20000)],
         }[kind]
         x = value_of_quotients(0, quotients)
-        cf = partial_quotients(x.numerator, x.denominator)  # time the pass over the quotients, not the Euclid pass
         started = time.perf_counter()
-        reduced = reduced_from_quotients(cf)
+        cf, reduced = reduce_fraction(x.numerator, x.denominator)  # the Euclid loop and the reduction
         assert time.perf_counter() - started < 0.5
-        assert reduced == reduce_expansion(seed_expansion(x))[0]
+        assert (cf, reduced) == (partial_quotients(x.numerator, x.denominator), reduce_expansion(seed_expansion(x))[0])
