@@ -78,7 +78,7 @@ class _Value:
         return hash(self._values(self))
 
     def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        fields = ", ".join(f"{name}={_field_repr(getattr(self, name))}" for name in self._fields)
         return f"{self.__class__.__qualname__}({fields})"
 
     def __reduce__(self):
@@ -274,6 +274,14 @@ def parse_fraction(text: str) -> ExtendedRational:
     if den == 0 and (num, den) != (1, 0):
         raise ParseError("zero denominator (only the literal 1/0 is allowed)", text, lead + m.start(2))
     return ExtendedRational(num, den)
+
+
+def _field_repr(v) -> str:
+    """repr(v), with every int, also inside tuples, in full whatever the int-string limit."""
+    if type(v) is tuple:
+        items = [_field_repr(x) for x in v]
+        return f"({items[0]},)" if len(items) == 1 else f"({', '.join(items)})"
+    return _format_int(v) if type(v) is int else repr(v)
 
 
 def _format_int(n: int) -> str:

@@ -168,7 +168,7 @@ def _even_runs(k: KnotId, cf: tuple[int, ...]) -> tuple[tuple[int, tuple[tuple[i
             continue
         twos = next(quotients, None)
         if twos is None:
-            raise InternalError(f"the continued fraction of {k.q}/{abs(tail)} ends in an odd quotient")
+            raise InternalError(f"the continued fraction of {_format_int(k.q)}/{_format_int(abs(tail))} ends in an odd quotient")
         runs.append((s * (a + 1), 1))
         if twos > 1:
             runs.append((2 * s, twos - 1))

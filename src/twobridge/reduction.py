@@ -1,14 +1,16 @@
 """Three-rule rewrite system that shortens subtractive continued fractions.
 
 The rules remove a zero coefficient, a +-1 coefficient, or a run
-2e,3e,...,3e,2e of total length m >= 2 (e = +-1).  Each is written once,
-in its interior form, which edits the site's two neighbours: at the head
--r stands left of the coefficients, since r + [b_1, ...] = -[-r, b_1, ...],
-and at the tail a dummy stands right, which no rule reads.  The one-pass
-reducer keeps both in its list, so it has no head or tail form.  Each
-application preserves the exact value and strictly shortens the
-coefficient list, so iteration reaches a fixpoint whose length is the
-minimal expansion length of the value.
+2e,3e,...,3e,2e of total length m >= 2 (e = +-1).  `_splice` writes
+each once, in its interior form, which edits the site's two neighbours:
+at the head -r stands left of the coefficients, since
+r + [b_1, ...] = -[-r, b_1, ...], and at the tail a dummy stands right,
+which no rule reads.  The one-pass reducer keeps both in its list, so it
+has no head or tail form either, and it writes only the two forms that a
+seed meets: the +1 unit and the block 2,3,...,3,2.  Each application
+preserves the exact value and strictly shortens the coefficient list, so
+iteration reaches a fixpoint whose length is the minimal expansion
+length of the value.
 
 `reduce_expansion` drives any expansion to its fixpoint leftmost site
 first and records each step; `reduce_fraction` reaches the fixpoint of
@@ -283,39 +285,60 @@ def reduce_expansion(e: Expansion) -> tuple[Expansion, ReductionTrace]:
 
 
 def _settle(c: list[int], todo: list[int]) -> None:
-    """Pop the values of todo onto c, its last value first.
+    """Pop the values of todo onto c, its last value first, applying the two rule forms that a seed meets.
 
     c[0] is -r, the left neighbour of the first coefficient, since
     r + [b_1, ...] = -[-r, b_1, ...]; it is never a site, whatever its
-    value.  todo ends empty.  Above c[0], c has no site of the three
-    rules except at its top: a top of 0 or +-1, or a +-2 that closes a
-    block, waits for the right neighbour that the interior form needs.
-    A push supplies it, so that rule applies, and the pushed value,
-    edited by the rule, is pushed onto what is left; a block puts its
-    body -3e,...,-3e back on todo, to be pushed first, and a zero merges
-    its two neighbours into the left one, which becomes the top.  A
-    dummy pushed last applies the tail forms: each is the interior form
-    with a right neighbour that no rule reads.
+    value.  todo ends empty.  A top of 1, or a 2 that closes a block
+    2,3,...,3,2, waits for the right neighbour v that the interior form
+    needs, and a push supplies it:
+
+    - [..., a, 1, v] = [..., a - 1, v - 1]: v - 1 is pushed onto a - 1;
+    - [..., a, 2, 3, ..., 3, 2, v] = [..., a - 1, -3, ..., -3, v - 1]:
+      the body and then v - 1 go back on todo.
+
+    A 2 whose opening 2 would be c[0] closes no block.  `reduce_fraction`
+    pushes a seed and then a dummy, and before each push of the seed's
+    line this holds: above c[0] the list has no 0, -1 or -2, a 1 only on
+    top and there on c[0] or a value <= -3, and no block ends below the
+    top.  Each push keeps it:
+
+    - the values pushed are the seed's a >= 1, 2 and -b <= -3, a block's
+      body of -3s, and v - 1 for a v that met a rule;
+    - a push of a value <= -3 ends by appending a value <= -3, since the
+      rules only lower it;
+    - a positive value is lowered once at most: after a unit the top is
+      a - 1 with a what the 1 stood on, so c[0] or <= -4, and after a
+      block v - 1 follows the body, whose pushes end on a value <= -3;
+    - so a 1 is pushed only onto c[0] or a value <= -3, and never onto a
+      site: a seed 1 (a = 1 between even quotients >= 3) follows -b',
+      and a v - 1 = 1 lands as just said;
+    - a lowered top a - 1 is none of 0, -1, -2 and 1: under a 1, a is
+      c[0] or <= -3, and under an opening 2, a is not 1, which stands
+      only on top, nor 2, as 2, 2 would be a block ending below the top;
+    - every value enters on top and the next push meets it there, so no
+      block ends below the top.
+
+    The dummy is pushed last, and its line applies the tail forms, as no
+    rule reads its right neighbour.  A top of 0, -1 or -2 would break the
+    argument, and raises rather than giving a wrong expansion.
     """
     while todo:
         v = todo.pop()
         while -3 < (t := c[-1]) < 3 and len(c) > 1:
-            if t == 0:  # [..., a, 0, v] = [..., a + v]
+            if t == 1:  # [..., a, 1, v] = [..., a - 1, v - 1]
                 c.pop()
-                c[-1] += v
-                break
-            elif t == 1 or t == -1:  # [..., a, e, v] = [..., a - e, v - e]
-                c.pop()
-                c[-1] -= t
-                v -= t
-            elif (j := _opening(c, len(c) - 1, t)) > 0:  # t is 2e; at 0 the opening 2e is -r
-                # [..., a, 2e, 3e, ..., 3e, 2e, v] = [..., a - e, -3e, ..., -3e, v - e]
-                eps = t // 2
+                c[-1] -= 1
+                v -= 1
+            elif t != 2:
+                raise InternalError("a push met a top of 0, -1 or -2 above -r, which no seed leaves")
+            elif (j := _opening(c, len(c) - 1, 2)) > 0:  # at 0 the opening 2 is -r
+                # [..., a, 2, 3, ..., 3, 2, v] = [..., a - 1, -3, ..., -3, v - 1]
                 body = len(c) - j - 1
                 del c[j:]
-                c[-1] -= eps
-                todo.append(v - eps)
-                todo += [-3 * eps] * body
+                c[-1] -= 1
+                todo.append(v - 1)
+                todo += [-3] * body
                 break
             else:
                 c.append(v)
@@ -335,11 +358,13 @@ def reduce_fraction(p: int, q: int) -> tuple[tuple[int, ...], Expansion]:
     even-position 1 or 2 and by 1 before one, then -b for b >= 3, 2 for
     b = 2 and nothing for b = 1.  The loop stops at a zero remainder.
     The first coefficient goes straight onto -a_0, and one `_settle` call
-    pushes the rest of the seed, applying the rules as the list grows,
-    and then a dummy as the last coefficient's right neighbour, whose
-    push applies the tail forms.  The list then reads [-r, T..., dummy]:
-    r is -c[0], and c[1:-1] drops -r and the dummy together.  The seed is
-    built first to last and reversed once.
+    pushes the rest of the seed, applying the +1 unit and the 2,3,...,3,2
+    block, the only forms a seed meets, as the list grows, and then a
+    dummy as the last coefficient's right neighbour, whose push applies
+    the tail forms.  Every push ends by appending a value, so the list
+    then reads [-r, T..., dummy]: r is -c[0], and c[1:-1] drops -r and
+    the dummy together.  The seed is built first to last and reversed
+    once.
 
     This is the only big-integer pass on the serving path; the pipeline
     calls it through `invariants.analyze`, the package's one memo per
@@ -373,8 +398,6 @@ def reduce_fraction(p: int, q: int) -> tuple[tuple[int, ...], Expansion]:
     seed.reverse()  # popped from the end, so the first coefficient comes first
     c = [-a0, seed.pop()]  # -r is no site, so the first coefficient needs no test
     _settle(c, seed)
-    if len(c) == 1:  # a zero merged the dummy into -r: the value is 1/0
-        raise InternalError("a lone [0] is the value 1/0, which no fraction reduces to")
     return tuple(cf), Expansion(-c[0], tuple(c[1:-1]))
 
 

@@ -194,8 +194,8 @@ def verify_table() -> TableReport:
         unique_even_shortest = _fired(rec.expansion.coefficients) is None
         consistent = rec.starred == attains_bound == even_no_two == unique_even_shortest
         if not consistent:
-            detail = f"starred={rec.starred}, gamma=2g+1 is {attains_bound}, even expansion {invariants.even_expansion}"
-            fail((rec.name, "d_starred", detail))
+            truth = f"starred={str(rec.starred).lower()}, gamma=2g+1 is {str(attains_bound).lower()}"
+            fail((rec.name, "d_starred", f"{truth}, even expansion {invariants.even_expansion}"))
 
         first = seen.get((k.q, k.p))
         if first is not None:

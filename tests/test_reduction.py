@@ -4,12 +4,12 @@ from itertools import product
 from math import gcd
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twobridge import Expansion, ExtendedRational, eval_expansion, parse_expansion, reduce_expansion
 from twobridge.core import division_expansion, format_expansion
-from twobridge.errors import DomainError, PatternMatchError
+from twobridge.errors import DomainError, InternalError, PatternMatchError
 from twobridge.invariants import analyze
 from twobridge.oracles import (
     AdditiveExpansion,
@@ -101,6 +101,11 @@ class TestApplyRule:
     def test_pattern_mismatch(self, text, s):
         with pytest.raises(PatternMatchError):
             apply_rule(parse_expansion(text), s)
+
+    def test_unknown_rule(self):
+        # a rule's name is no rule
+        with pytest.raises(PatternMatchError, match="^unknown rule 'RemoveZero'$"):
+            apply_rule(parse_expansion("[3,0,2]"), step("RemoveZero", 2))
 
 
 def first_move(text):
@@ -304,16 +309,6 @@ def assert_matches_the_seed_fixpoint(x):
     assert eval_expansion(reduced) == x
 
 
-def assert_pushes_reach_a_fixpoint(e):
-    """Pushing e's coefficients and a dummy onto [-r] leaves [-r', T..., dummy]: T shortest, same value."""
-    c = [-e.integer_part]
-    _settle(c, [0, *reversed(e.coefficients)])
-    pushed = Expansion(-c[0], tuple(c[1:-1]))
-    assert eval_expansion(pushed) == eval_expansion(e), e
-    assert not applicable_steps(pushed), e
-    assert len(pushed) == len(reduce_expansion(e)[0]), e
-
-
 def value_of_quotients(a0, quotients):
     if quotients and quotients[-1] == 1:
         quotients = quotients[:-1] + [2]  # the last quotient of a regular continued fraction is >= 2
@@ -367,44 +362,46 @@ class TestReducedFromQuotients:
         for p in [2, 10**5000 + 3, -(10**5000 + 3)]:
             assert_matches_the_seed_fixpoint(ExtendedRational(p, 7 * (10**5000 - 1) // 9))
 
-    @given(expansions)
-    def test_pushing_any_expansion_reaches_a_fixpoint(self, e):
-        # the seeds never make a 0; any expansion exercises every rule form at the top
-        assume(not eval_expansion(e).is_infinite)
-        c = [-e.integer_part]
-        for v in e.coefficients:
+    def test_every_short_quotient_list(self):
+        # every list over 1..5 of length <= 6 with a last quotient >= 2, under a_0 = -2..2:
+        # 78,125 fractions; at a_0 = -2 the bottom -r is a 2, which opens no block
+        lists = [()]
+        for n in range(1, 7):
+            lists += [(*head, last) for head in product(range(1, 6), repeat=n - 1) for last in range(2, 6)]
+        for a0 in range(-2, 3):
+            for quotients in lists:
+                x = eval_additive(AdditiveExpansion(a0, quotients))
+                reduced = reduce_fraction(x.numerator, x.denominator)[1]
+                assert reduced == reduce_expansion(seed_expansion(x))[0], (a0, quotients)
+
+    @given(st.integers(-3, 3), st.lists(st.integers(1, 5), max_size=30))
+    def test_pushing_a_seed_one_value_at_a_time(self, a0, quotients):
+        # a block puts its body back on todo, so one call per value does the same pushes
+        x = value_of_quotients(a0, quotients)
+        seed = seed_expansion(x)
+        c = [-seed.integer_part]
+        for v in (*seed.coefficients, 0):
             _settle(c, [v])
-        # one call on the whole expansion, last coefficient first, does the same pushes
-        whole, todo = [-e.integer_part], list(reversed(e.coefficients))
+        whole, todo = [-seed.integer_part], [0, *reversed(seed.coefficients)]
         assert _settle(whole, todo) is None
         assert whole == c and todo == []
-        assert_pushes_reach_a_fixpoint(e)
+        assert Expansion(-c[0], tuple(c[1:-1])) == reduce_fraction(x.numerator, x.denominator)[1]
 
-    def test_pushing_every_short_word_onto_minus_two(self):
-        # at r = -2 the bottom -r is a 2: a top 2 with only 3s down to it is no block
-        for n in range(6):
-            for coefficients in product(range(-3, 4), repeat=n):
-                e = Expansion(-2, coefficients)
-                if not eval_expansion(e).is_infinite:
-                    assert_pushes_reach_a_fixpoint(e)
+    @pytest.mark.parametrize("top", [0, -1, -2])
+    def test_a_top_that_no_seed_leaves_is_refused(self, top):
+        # the pushes apply only the +1 unit and the 2,3,...,3,2 block, which a seed alone meets
+        with pytest.raises(InternalError):
+            _settle([0, 5], [4, top])
 
     def test_quotients_of_one_over_zero_are_refused(self):
-        # the loop runs only for q > 0, so no fraction reaches 1/0, where the dummy's push
-        # would leave only -r; the refusal reads as the reference's, whatever the digits
+        # 1/0 and a non-positive denominator have no partial quotients, so the loop runs
+        # only for q > 0; the refusal reads as the reference's, whatever the digits
         for p, q in [(1, 0), (0, 0), (3, -7), (10**5000, 0)]:
             with pytest.raises(DomainError) as refused:
                 reduce_fraction(p, q)
             with pytest.raises(DomainError) as reference:
                 partial_quotients(p, q)
             assert str(refused.value) == str(reference.value)
-
-    def test_the_dummy_push_empties_the_list_exactly_at_one_over_zero(self):
-        # the list empties down to -r, here 0, which is no site
-        for n in range(7):
-            for coefficients in product(range(-3, 4), repeat=n):
-                c = [0]
-                _settle(c, [0, *reversed(coefficients)])
-                assert (len(c) == 1) == eval_expansion(Expansion(0, coefficients)).is_infinite, coefficients
 
     def test_rejects_a_zero_denominator(self):
         with pytest.raises(DomainError):

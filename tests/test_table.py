@@ -27,6 +27,7 @@ from twobridge import (
     parse_fraction,
     verify_table,
 )
+from twobridge.errors import TableDataError
 from twobridge.table import KnotRecord, _Table, resolve
 
 EXPECTED_SHA256 = "431762012ab15346eb125390ad32fc5ffa683a9673909fd2df3dc621581881a7"
@@ -83,6 +84,53 @@ class TestLoad:
             assert eval_expansion(rec.expansion) == rec.fraction
 
 
+def _real_rows():
+    with open(twobridge.table._DATA, encoding="ascii") as f:
+        return f.read().splitlines()
+
+
+class TestLoadRefusals:
+    """Each structural refusal of the loader, on a copy of the table with one row changed.
+
+    Lines 1 and 2 are comments; line 3 is 3_1 and line 4 is 4_1.
+    """
+
+    @pytest.fixture
+    def load(self, tmp_path, monkeypatch):
+        def load(lines):
+            path = tmp_path / "table.tsv"
+            path.write_text("\n".join(lines) + "\n", encoding="ascii")
+            monkeypatch.setattr(twobridge.table, "_DATA", str(path))
+            twobridge.table._table.cache_clear()
+            with pytest.raises(TableDataError) as refused:
+                load_table()
+            return refused.value
+
+        yield load
+        twobridge.table._table.cache_clear()  # later tests load the real table again
+
+    @pytest.mark.parametrize(
+        "row,line,message",
+        [
+            (3, "3_1\t1\t3\t1\t3", "expected 6 fields, got 5"),
+            (3, "3_1\t1\tx\t1\t3\t0", "bad integer field: invalid literal for int() with base 10: 'x'"),
+            (3, "3_1\t1\t3\t1\t3\t2", "bad star flag '2'"),
+            (4, "3_1\t2\t5\t2\t3,2\t0", "duplicate name 3_1"),
+            (3, "3_1\t2\t4\t1\t3\t0", "bad fraction 2/4"),
+        ],
+        ids=["field count", "bad integer", "star flag", "duplicate name", "bad fraction"],
+    )
+    def test_a_bad_row(self, load, row, line, message):
+        lines = _real_rows()
+        lines[row - 1] = line
+        refused = load(lines)
+        assert str(refused) == f"table row {row}: {message}" and refused.row == row
+
+    def test_a_missing_row(self, load):
+        refused = load(_real_rows()[:-1])
+        assert str(refused) == "table row 0: expected 362 records, found 361" and refused.row == 0
+
+
 class TestVerify:
     def test_all_checks_pass(self):
         report = verify_table()
@@ -135,7 +183,7 @@ class TestVerify:
             "FAIL 3_1 c_gamma: computed crosscap 1, table says 2",
             "FAIL 4_1 a_eval: [5,2] evaluates to 2/9, table says 2/5",
             "FAIL 6_1 b_shortest: [5,3,1] reduces to [5,2]",
-            "FAIL 7_4 d_starred: starred=False, gamma=2g+1 is True, even expansion [4,4]",
+            "FAIL 7_4 d_starred: starred=false, gamma=2g+1 is true, even expansion [4,4]",
             "FAIL 6_1' e_distinct: same knot as 6_1",
             "FAILED (5 failures)",
         ]

@@ -6,6 +6,7 @@ text that the package printed before that base replaced generated classes.
 
 import copy
 import pickle
+import sys
 
 import pytest
 
@@ -117,3 +118,19 @@ def test_equal_fields_of_different_types_differ():
     assert KnotId(3, 1) != ExtendedRational(3, 1)
     assert Expansion(0, (2, 3)) != AdditiveExpansion(0, (2, 3))
     assert ExtendedRational(3, 1) != (3, 1)
+
+
+@pytest.mark.parametrize("limit", [4300, 640])
+def test_repr_writes_every_digit_past_the_int_string_limit(limit):
+    # 5,000 digits, past the default limit of 4,300; ints inside tuples are written the same way
+    n = 7 * (10**5000 - 1) // 9
+    sevens = "7" * 5000
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        assert repr(Expansion(0, (n,))) == f"Expansion(integer_part=0, coefficients=({sevens},))"
+        assert repr(Expansion(-n, (2, n))) == f"Expansion(integer_part=-{sevens}, coefficients=(2, {sevens}))"
+        surface = f"PlumbingSurface(bands=({sevens},), first_betti={sevens}, orientable=True)"
+        assert repr(PlumbingSurface((n,), n, True)) == surface
+    finally:
+        sys.set_int_max_str_digits(saved)
