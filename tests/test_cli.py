@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import random
 import shlex
 import subprocess
 import sys
@@ -12,11 +13,20 @@ import pytest
 import twobridge
 import twobridge.cli
 from twobridge.cli import main
-from twobridge.core import Expansion, KnotId, division_expansion, eval_expansion, format_expansion
+from twobridge.core import (
+    Expansion,
+    ExtendedRational,
+    KnotId,
+    division_expansion,
+    eval_expansion,
+    format_expansion,
+    format_fraction,
+)
 from twobridge.invariants import genus
 from twobridge.table import load_table
 
 from make_cli_golden import ERRORS, SWEEP, SWEEP_FILE, run_main, sweep_digest
+from worst_operands import largest_convergent
 
 # stdout of `shortest` and `shortest --all` as the breadth-first closure printed it,
 # on [5,(2,5)*4] and on fractions whose reduced expansion has an interacting run
@@ -367,6 +377,42 @@ class TestOutputBound:
         started = time.perf_counter()
         assert self.refused(*run(capsys, "shortest", str(x), "--all"))
         assert time.perf_counter() - started < 1
+
+
+class TestQuarterOfTheLongestOperand:
+    # One argv string holds at most 131,071 characters, so a fraction operand has at
+    # most about 217,000 bits (tests/worst_operands.py runs every command there, each
+    # in a child process).  These operands are a quarter of that; the bounds are
+    # about 5 times the time measured on two shared cores.
+
+    @pytest.mark.parametrize("kind", ["ones_and_twos", "fibonacci"])
+    def test_every_fraction_command_in_bounded_time(self, capsys, kind):
+        rng = random.Random(54000)
+        next_quotient = {"ones_and_twos": lambda: rng.randint(1, 2), "fibonacci": lambda: 1}[kind]
+        fraction = format_fraction(ExtendedRational(*largest_convergent(next_quotient, 2**54000)))
+        assert 32000 < len(fraction) < 32768
+        started = time.perf_counter()
+        results = {
+            argv: run(capsys, *argv, fraction)
+            for argv in [("depth",), ("invariants",), ("conway",), ("shortest",), ("shortest", "--all")]
+        }
+        assert time.perf_counter() - started < 15
+        code, out, err = results.pop(("shortest", "--all"))
+        assert code == 2 and out == "" and "shortest --all would print more than" in err
+        assert all(code == 0 and err == "" for code, _, err in results.values())
+        # the shortest expansion has depth-many coefficients and evaluates to the operand
+        least = results[("shortest",)][1].strip()
+        assert least.count(",") + 1 == int(results[("depth",)][1])
+        assert run(capsys, "eval", least) == (0, fraction + "\n", "")
+
+    @pytest.mark.parametrize("word", [(2,), (1, 3), (2, 3)])
+    def test_eval_and_reduce_in_bounded_time(self, capsys, word):
+        expansion = "[" + ",".join(map(str, word * (16384 // len(word)))) + "]"
+        started = time.perf_counter()
+        evaluated, reduced = run(capsys, "eval", expansion), run(capsys, "reduce", expansion)
+        assert time.perf_counter() - started < 3
+        assert evaluated[0] == reduced[0] == 0 and evaluated[2] == reduced[2] == ""
+        assert run(capsys, "eval", reduced[1].strip()) == evaluated
 
 
 COMMANDS = ["eval", "reduce", "depth", "shortest", "invariants", "conway", "table verify", "table lookup"]
