@@ -21,7 +21,7 @@ the same memo; neither scans the reduced expansion for it.
 
 from __future__ import annotations
 
-from .core import Expansion, KnotId, _join_ints, _set_field, _Value
+from .core import Expansion, KnotId, _continuant, _join_ints, _set_field, _Value
 from .diagram import rectangle_move
 from .errors import DomainError, InternalError
 from .invariants import analyze, crosscap
@@ -141,21 +141,14 @@ def verify_diagram(d: ConwayDiagram, k: KnotId) -> bool:
     count is 2*gamma - 1 for odd gamma and 2*gamma for even gamma, where
     gamma is `invariants.crosscap(k)`.
 
-    The value is w/u, with (u, w) the first column of the product of the
-    matrices [[b, -1], [1, 0]] over the regions b.  Each has determinant
-    1, so the product does too, and u and w are coprime: w/u is in lowest
-    terms as it stands, and needs no gcd.  With the sign on w, it names
-    S(q, p) iff u = q and w mod q is p or p^-1; p^-1 is tested as
-    w * p = 1 mod q, which needs no inverse.
+    The value is w/u, with (u, w) from `core._continuant`: in lowest
+    terms, with u >= 0.  It names S(q, p) iff u = q and w mod q is p or
+    p^-1; p^-1 is tested as w * p = 1 mod q, which needs no inverse.
     """
     regions = d.twist_regions
     if not regions or 0 in regions:
         return False
-    u, w = 1, 0
-    for b in reversed(regions):
-        u, w = b * u - w, u
-    if u < 0:
-        u, w = -u, -w
+    u, w = _continuant(regions)
     q = k.q
     if q == 1:
         return u == 1

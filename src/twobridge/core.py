@@ -152,17 +152,28 @@ class Expansion(_Value):
         return format_expansion(self)
 
 
+def _continuant(coefficients: Sequence[int]) -> tuple[int, int]:
+    """(u, w) with u >= 0 and [b_1,...,b_n] = w/u, in lowest terms as it stands.
+
+    (u, w) is the first column of the product of the integer matrices
+    [[b_i, -1], [1, 0]], the image of the column of 1/0, so no rational
+    division is performed and division by zero cannot occur.  Each matrix
+    has determinant 1, so u and w are coprime and w/u needs no gcd.  The
+    sign is moved onto w.
+    """
+    u, w = 1, 0  # column vector for the projective point u/w, starting at 1/0
+    for b in reversed(coefficients):
+        u, w = b * u - w, u
+    return (-u, -w) if u < 0 else (u, w)
+
+
 def eval_expansion(e: Expansion) -> ExtendedRational:
     """Exact projective value of a subtractive continued fraction.
 
-    The tail [b_1,...,b_n] is the Moebius image of infinity under the
-    product of the integer matrices [[b_i, -1], [1, 0]], so no rational
-    division is performed and division by zero cannot occur.
+    The tail is w/u with (u, w) from `_continuant`, and r + w/u is
+    (r*u + w)/u.
     """
-    u, w = 1, 0  # column vector for the projective point u/w, starting at 1/0
-    for b in reversed(e.coefficients):
-        u, w = b * u - w, u
-    # r + 1/(u/w) = (r*u + w)/u
+    u, w = _continuant(e.coefficients)
     return ExtendedRational(e.integer_part * u + w, u)
 
 
@@ -289,7 +300,8 @@ def _format_int(n: int) -> str:
 
     The mirror of `_parse_int`: str where the limit allows it, else the
     number is split by a power of ten and the halves joined as text, the
-    low half padded with zeros.
+    low half padded with zeros.  `format_fraction` and `_join_ints` call
+    it with no fast path of their own, since it tries str first.
     """
     try:
         return str(n)
@@ -303,10 +315,8 @@ def _format_int(n: int) -> str:
 
 
 def format_fraction(x: ExtendedRational) -> str:
-    try:
-        return f"{x.numerator}/{x.denominator}"
-    except ValueError:  # past the int-string limit; the f-string is much the faster path
-        return f"{_format_int(x.numerator)}/{_format_int(x.denominator)}"
+    """The text p/q of a fraction, whatever the int-string limit (`_format_int`)."""
+    return f"{_format_int(x.numerator)}/{_format_int(x.denominator)}"
 
 
 _INT_RE = re.compile(r"\s*(-?[0-9]+)\s*")  # one integer token (ASCII digits) and the whitespace around it
@@ -365,11 +375,8 @@ def parse_expansion(text: str) -> Expansion:
 
 
 def _join_ints(values: Sequence[int]) -> str:
-    """The values as text joined by commas, whatever the int-string limit."""
-    try:
-        return ",".join(map(str, values))
-    except ValueError:  # a value past the limit; str is much the faster path
-        return ",".join(map(_format_int, values))
+    """The values as text joined by commas, whatever the int-string limit (`_format_int`)."""
+    return ",".join(map(_format_int, values))
 
 
 def _expansion_text(r: int, joined: str) -> str:

@@ -455,20 +455,24 @@ def gamma_equals_2g_plus_1(k: KnotId) -> bool:
 def verify_diagram_by_value(d: ConwayDiagram, k: KnotId) -> bool:
     """Value route to `conway.verify_diagram`: evaluate, name the knot, compare, count.
 
-    The regions are evaluated as an expansion into a fraction in lowest
-    terms, which must be finite, non-integral and of odd denominator
-    (the unknot asks for an integer), and the knot it names must equal
-    k under `same_knot`.  The region count, 2*gamma - 1 for odd gamma
-    and 2*gamma for even gamma, is checked against a crosscap number
-    found apart from the serving rule: the Farey depth n
-    (`depth_by_mediant_walk`), plus 1 unless the rectangle-move closure
-    has an odd-type member (`odd_type_among_shortest`).  The value is
-    checked first, so only a diagram of k pays for the closure.
+    The regions [b_1, b_2, b_3, ...] are evaluated by the additive
+    recurrence, as 1/(b_1 + 1/(-b_2 + 1/(b_3 + ...))) (`eval_additive`,
+    the identity behind `alternating_sign_convert`), so neither
+    `eval_expansion` nor the continuant it shares with `verify_diagram`
+    runs here.  The value, a fraction in lowest terms, must be finite,
+    non-integral and of odd denominator (the unknot asks for an
+    integer), and the knot it names must equal k under `same_knot`.
+    The region count, 2*gamma - 1 for odd gamma and 2*gamma for even
+    gamma, is checked against a crosscap number found apart from the
+    serving rule: the Farey depth n (`depth_by_mediant_walk`), plus 1
+    unless the rectangle-move closure has an odd-type member
+    (`odd_type_among_shortest`).  The value is checked first, so only a
+    diagram of k pays for the closure.
     """
     regions = d.twist_regions
     if not regions or 0 in regions:
         return False
-    value = eval_expansion(Expansion(0, regions))
+    value = eval_additive(AdditiveExpansion(0, [-b if i & 1 else b for i, b in enumerate(regions)]))
     if k.q == 1:
         return value.is_integer
     if value.is_infinite or value.is_integer or value.denominator % 2 == 0:

@@ -499,6 +499,14 @@ class TestDispatcher:
         code, out, err = run(capsys, "depth", "-")
         assert code == 2 and not out and err.startswith("error:")
 
+    def test_entry_reads_sys_argv_and_exits_with_the_status(self, capsys, monkeypatch):
+        # the console script's target, run in process
+        monkeypatch.setattr(sys, "argv", ["twobridge", "depth", "2/5"])
+        with pytest.raises(SystemExit) as exc:
+            twobridge.cli.entry()
+        assert exc.value.code == 0
+        assert capsys.readouterr() == ("2\n", "")
+
 def test_cli_import_leaves_oracles_unloaded():
     # The cold start: the command table is the only parser, the values need no
     # class generator, json waits for --json and the table is read as a file.

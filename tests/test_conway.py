@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import twobridge.conway
 import twobridge.invariants
 from twobridge import (
     DomainError,
@@ -28,6 +29,7 @@ from twobridge.conway import (
     format_diagram,
     odd_shortest_expansion,
 )
+from twobridge.errors import InternalError
 from twobridge.oracles import AdditiveExpansion, eval_additive, mirror, same_knot, verify_diagram_by_value
 
 
@@ -71,6 +73,12 @@ class TestOddShortest:
     def test_unknot(self):
         with pytest.raises(DomainError):
             odd_shortest_expansion(KnotId(1, 0))
+
+    def test_lone_two_is_refused(self, monkeypatch):
+        # a memo that answered [2], fired at its 2, leaves no neighbour for the rectangle move
+        monkeypatch.setattr(twobridge.conway, "analyze", lambda p, q: ((0, 2), Expansion(0, (2,)), 0))
+        with pytest.raises(InternalError, match=r"\[2\] is r \+ 1/2"):
+            odd_shortest_expansion(KnotId(5, 2))
 
 
 class TestConstruction:

@@ -37,6 +37,7 @@ from twobridge.core import (
     fraction_of,
 )
 from twobridge.diagram import all_shortest_expansions, depth
+from twobridge.errors import InternalError
 from twobridge.invariants import (
     _even_runs,
     _fired,
@@ -180,6 +181,12 @@ class TestEvenRunsFromTheSeedPass:
 
     def test_unknot(self):
         assert _even_runs(KnotId(1, 0), (0,)) == ((0, ()), 0)
+
+    def test_odd_last_quotient_is_refused(self):
+        # 2/5 = [0; 2, 2]; the list (0, 3) stands for no knot, and its odd last
+        # quotient leaves no next quotient to pair it with
+        with pytest.raises(InternalError, match="ends in an odd quotient"):
+            _even_runs(KnotId(5, 2), (0, 3))
 
 
 class TestGenusAndCrosscap:

@@ -223,6 +223,8 @@ class TestIsReduced:
     @given(st.builds(Expansion, st.integers(-3, 3), st.lists(st.integers(-4, 4), max_size=12).map(tuple)))
     def test_same_as_reduction_preserving_length(self, e):
         assert is_reduced(e.coefficients) == (len(reduce_expansion(e)[0]) == len(e))
+        # and the oracle's own site scan, apart from the reducer's `_Sites`
+        assert is_reduced(e.coefficients) == (not applicable_steps(e))
 
 
 def assert_matches_scanning(e):
