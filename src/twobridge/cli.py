@@ -2,7 +2,9 @@
 
 Each command is one entry of `_COMMANDS`: its handler, at most one operand
 and at most one boolean flag.  `main` reads argv against that table with
-one loop, and the help texts are written from it.
+one loop, and the help texts are written from it.  A handler does no I/O:
+it returns its exit code and its text, and `main` prints the text, so a
+command's result is written in one place.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or parse errors and
 output refused for passing `_MAX_OUTPUT` characters.
@@ -47,93 +49,81 @@ def _check_output_size(at_least: int, command: str) -> None:
         raise DomainError(f"{command} would print more than {_MAX_OUTPUT} characters")
 
 
-def _cmd_eval(expansion: str, _flagged: bool) -> int:
-    print(format_fraction(eval_expansion(parse_expansion(expansion))))
-    return 0
+def _cmd_eval(expansion: str, _flagged: bool) -> tuple[int, str]:
+    return 0, format_fraction(eval_expansion(parse_expansion(expansion)))
 
 
-def _cmd_reduce(expansion: str, trace_steps: bool) -> int:
+def _cmd_reduce(expansion: str, trace_steps: bool) -> tuple[int, str]:
     reduced, trace = reduce_expansion(parse_expansion(expansion))
     if trace_steps and trace.moves:
         # each line ends in the expansion that its move left, of L coefficients: at least 2*L + 1 characters
         _check_output_size(sum(2 * n + 1 for n in trace.lengths()), "reduce --trace")
-        print(f"{format_trace(trace)}\n{format_expansion(reduced)}")
-    else:
-        print(format_expansion(reduced))
-    return 0
+        return 0, f"{format_trace(trace)}\n{format_expansion(reduced)}"
+    return 0, format_expansion(reduced)
 
 
-def _cmd_depth(fraction: str, _flagged: bool) -> int:
-    print(depth(parse_fraction(fraction)))
-    return 0
+def _cmd_depth(fraction: str, _flagged: bool) -> tuple[int, str]:
+    return 0, str(depth(parse_fraction(fraction)))
 
 
-def _cmd_shortest(fraction: str, every: bool) -> int:
+def _cmd_shortest(fraction: str, every: bool) -> tuple[int, str]:
     shortest = all_shortest_expansions(parse_fraction(fraction))
     if every:
         # every member has len(T) coefficients, each with its "," or "]", after a "["
         _check_output_size(shortest.size * (2 * len(shortest.reduced) + 1), "shortest --all")
-        print("\n".join(shortest.sorted_text()))
-    else:
-        print(format_expansion(shortest.least()))
-    return 0
+        return 0, "\n".join(shortest.sorted_text())
+    return 0, format_expansion(shortest.least())
 
 
-def _cmd_invariants(knot_text: str, as_json: bool) -> int:
+def _cmd_invariants(knot_text: str, as_json: bool) -> tuple[int, str]:
     report, record = lookup(knot_text)
     # the even expansion has 2*genus coefficients, each with its "," or "]"
     _check_output_size(4 * report.genus, "invariants")
+    fields = report.to_dict()
+    if record is not None:
+        fields["table_name"] = record.name
+        fields["starred"] = record.starred
     if as_json:
         import json  # only here: the other commands do not pay its import
 
-        payload = report.to_dict()
-        if record is not None:
-            payload["table_name"] = record.name
-            payload["starred"] = record.starred
-        print(json.dumps(payload, indent=2))
-    else:
-        lines = report.to_lines()
-        if record is not None:
-            lines += [f"table_name={record.name}", f"starred={str(record.starred).lower()}"]
-        print("\n".join(lines))
-    return 0
+        return 0, json.dumps(fields, indent=2)
+    # a boolean reads true or false, as in the JSON form
+    return 0, "\n".join(f"{k}={str(v).lower() if v is True or v is False else v}" for k, v in fields.items())
 
 
-def _cmd_conway(knot_text: str, _flagged: bool) -> int:
+def _cmd_conway(knot_text: str, _flagged: bool) -> tuple[int, str]:
     knot, _ = resolve(knot_text)
     diagram = conway_diagram(knot)
     ok = verify_diagram(diagram, knot)
-    print(f"{format_diagram(diagram)}\nverified={str(ok).lower()}")
-    return 0 if ok else 1
+    return (0 if ok else 1), f"{format_diagram(diagram)}\nverified={str(ok).lower()}"
 
 
-def _cmd_table_verify(_operand: None, _flagged: bool) -> int:
+def _cmd_table_verify(_operand: None, _flagged: bool) -> tuple[int, str]:
     report = verify_table()
-    print("\n".join(report.lines()))
-    return 0 if report.ok else 1
+    return (0 if report.ok else 1), "\n".join(report.lines())
 
 
-def _cmd_table_lookup(name: str, _flagged: bool) -> int:
+def _cmd_table_lookup(name: str, _flagged: bool) -> tuple[int, str]:
     rec = find_record(name)
-    print(
+    return 0, (
         f"name={rec.name} fraction={format_fraction(rec.fraction)} gamma={rec.gamma}"
         f" expansion={format_expansion(rec.expansion)} starred={str(rec.starred).lower()}"
     )
-    return 0
 
 
 class _Command(_Value):
     """One command: its handler, its operand and its flag (None when it has none), and their help.
 
     `run(operand, flagged)` gets the operand's text (None for a command
-    without one) and whether the flag was given.
+    without one) and whether the flag was given, and returns the exit
+    code and the text to print; it writes nothing itself.
     """
 
     __slots__ = ("run", "operand", "flag", "help", "operand_help", "flag_help")
 
     def __init__(
         self,
-        run: Callable[[str | None, bool], int],
+        run: Callable[[str | None, bool], tuple[int, str]],
         operand: str | None,
         flag: str | None,
         help: str,
@@ -183,13 +173,13 @@ _COMMANDS = {
 _HELP_FLAGS = ("-h", "--help")
 
 
-def _listing(table: dict, prefix: str = "") -> Iterator[tuple[str, str]]:
-    """(name, help) of every command in `table`, its words after `prefix`."""
+def _listing(table: dict, prefix: str = "") -> Iterator[tuple[str, _Command]]:
+    """(name, command) of every command in `table`, its words after `prefix`."""
     for word, entry in table.items():
         if isinstance(entry, dict):
             yield from _listing(entry, f"{prefix}{word} ")
         else:
-            yield prefix + word, entry.help
+            yield prefix + word, entry
 
 
 def _group_usage(prog: str) -> str:
@@ -197,7 +187,7 @@ def _group_usage(prog: str) -> str:
 
 
 def _group_help(prog: str, table: dict) -> str:
-    rows = list(_listing(table))
+    rows = [(name, command.help) for name, command in _listing(table)]
     width = max(len(name) for name, _ in rows)
     lines = [_group_usage(prog), ""]
     if table is _COMMANDS:
@@ -284,15 +274,21 @@ def _read_arguments(prog: str, command: _Command, tokens: list[str]) -> tuple[st
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run one command; usage errors and help leave by `SystemExit`, with code 2 and 0."""
+    """Run one command, print the text its handler returns and return its exit code.
+
+    A refused operand prints its error to stderr and returns 2; usage
+    errors and help leave by `SystemExit`, with code 2 and 0.
+    """
     argv = sys.argv[1:] if argv is None else list(argv)
     prog, command, rest = _find_command(argv)
     operand, flagged = _read_arguments(prog, command, rest)
     try:
-        return command.run(operand, flagged)
+        code, text = command.run(operand, flagged)
     except TwoBridgeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    print(text)
+    return code
 
 
 def entry() -> None:

@@ -26,7 +26,6 @@ __all__ = [
     "eval_expansion",
     "division_expansion",
     "knot_from_fraction",
-    "fraction_of",
     "parse_fraction",
     "format_fraction",
     "parse_expansion",
@@ -240,11 +239,6 @@ def knot_from_fraction(x: ExtendedRational) -> KnotId:
     if x.denominator == 1:
         return KnotId(1, 0)
     return KnotId(x.denominator, x.numerator % x.denominator)
-
-
-def fraction_of(k: KnotId) -> ExtendedRational:
-    """The normalized fraction p/q of a knot."""
-    return ExtendedRational(k.p, k.q)
 
 
 # ---------------------------------------------------------------------------

@@ -116,11 +116,6 @@ class InvariantReport(_Value):
             "boundary": self.boundary.value,
         }
 
-    def to_lines(self) -> list[str]:
-        """The report as key=value lines; a boolean reads true or false, as in the JSON form."""
-        items = self.to_dict().items()
-        return [f"{key}={str(value).lower() if value is True or value is False else value}" for key, value in items]
-
 
 def _require_knot(k: KnotId):
     # KnotId construction already guarantees q odd and coprime.

@@ -3,8 +3,8 @@
 Tests and verification runs compare the serving code against these.  No
 serving module imports this one, so `import twobridge.cli` never loads it.
 The reference-only values and conversions that no serving route needs
-(ordinary continued fractions, reversal, the mirror image, 1/0 as a
-constant) live here too.
+(ordinary continued fractions, reversal, the mirror image, a knot's
+fraction p/q, 1/0 as a constant) live here too.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from .core import (
     _Value,
     division_expansion,
     eval_expansion,
-    fraction_of,
     knot_from_fraction,
 )
 from .conway import ConwayDiagram
@@ -38,6 +37,7 @@ __all__ = [
     "eval_additive",
     "alternating_sign_convert",
     "reverse_expansion",
+    "fraction_of",
     "mirror",
     "same_knot",
     "canonical_form",
@@ -107,6 +107,11 @@ def reverse_expansion(e: Expansion) -> Expansion:
     if v.is_infinite or not 0 < v.numerator < v.denominator:
         raise DomainError(f"reversal requires a value strictly between 0 and 1, got {v}")
     return Expansion(0, tuple(reversed(e.coefficients)))
+
+
+def fraction_of(k: KnotId) -> ExtendedRational:
+    """The normalized fraction p/q of a knot."""
+    return ExtendedRational(k.p, k.q)
 
 
 def mirror(k: KnotId) -> KnotId:

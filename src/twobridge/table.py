@@ -6,11 +6,12 @@ knots, whose unique shortest expansion is even type).  verify_table
 recomputes everything from scratch, so the table doubles as a large
 end-to-end regression suite.
 
-Knot identity is Schubert's rule, stated once in `_pairs`: the loader
-indexes each row under its two pairs (q, p) and (q, p^-1 mod q), so
-`resolve` finds a knot by its own pair in one dict lookup, and
+Knot identity is Schubert's rule.  Here it is stated in `_pairs`: the
+loader indexes each row under its two pairs (q, p) and (q, p^-1 mod q),
+so `resolve` finds a knot by its own pair in one dict lookup, and
 verify_table's distinctness check fills the same two pairs in table
-order.
+order.  `conway.verify_diagram` states it too, as w = p or w*p = 1
+(mod q), so that it needs no inverse.
 """
 
 from __future__ import annotations

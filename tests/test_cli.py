@@ -12,6 +12,7 @@ import pytest
 
 import twobridge
 import twobridge.cli
+import twobridge.table
 from twobridge.cli import main
 from twobridge.core import (
     Expansion,
@@ -26,6 +27,7 @@ from twobridge.invariants import genus
 from twobridge.table import load_table
 
 from make_cli_golden import ERRORS, SWEEP, SWEEP_FILE, run_main, sweep_digest
+from test_table import CORRUPTED_TABLE_LINES, corrupted_table
 from worst_operands import largest_convergent
 
 # stdout of `shortest` and `shortest --all` as the breadth-first closure printed it,
@@ -507,6 +509,37 @@ class TestDispatcher:
         assert exc.value.code == 0
         assert capsys.readouterr() == ("2\n", "")
 
+
+class TestHandlers:
+    """A handler returns its exit code and its text and writes nothing; `main` prints the text."""
+
+    OPERANDS = {
+        "eval": "[3,2]",
+        "reduce": "[5,2,2,5]",
+        "depth": "2/5",
+        "shortest": "2/5",
+        "invariants": "7_4",
+        "conway": "7_4",
+        "table verify": None,
+        "table lookup": "7_4",
+    }
+
+    def test_every_handler_returns_its_text_and_main_prints_it(self, capsys):
+        seen = set()
+        for name, command in twobridge.cli._listing(twobridge.cli._COMMANDS):
+            operand = self.OPERANDS[name]
+            seen.add(name)
+            for flagged in (False, True) if command.flag else (False,):
+                result = command.run(operand, flagged)
+                assert capsys.readouterr() == ("", ""), name
+                assert type(result) is tuple and len(result) == 2, name
+                code, text = result
+                assert type(code) is int and type(text) is str, name
+                argv = name.split() + ([operand] if operand else []) + ([command.flag] if flagged else [])
+                assert run(capsys, *argv) == (code, text + "\n", ""), name
+        assert seen == set(self.OPERANDS) == set(COMMANDS)
+
+
 def test_cli_import_leaves_oracles_unloaded():
     # The cold start: the command table is the only parser, the values need no
     # class generator, json waits for --json and the table is read as a file.
@@ -574,6 +607,16 @@ class TestExitCodes:
     def test_unknown_name_is_2(self, capsys):
         code, _, err = run(capsys, "table", "lookup", "99_99")
         assert code == 2 and "99_99" in err
+
+    def test_failed_table_check_is_1(self, capsys, monkeypatch):
+        corrupted = corrupted_table()
+        monkeypatch.setattr(twobridge.table, "_table", lambda: corrupted)
+        code, out, err = run(capsys, "table", "verify")
+        assert (code, out.splitlines(), err) == (1, CORRUPTED_TABLE_LINES, "")
+
+    def test_failed_diagram_check_is_1(self, capsys, monkeypatch):
+        monkeypatch.setattr(twobridge.cli, "verify_diagram", lambda diagram, knot: False)
+        assert run(capsys, "conway", "7_4") == (1, "C(3,-1,5,1,2)\nverified=false\n", "")
 
     def test_usage_error_is_2(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -11,6 +11,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import twobridge
+import twobridge.cli
 import twobridge.invariants
 import twobridge.reduction
 import twobridge.table
@@ -31,11 +32,7 @@ from twobridge import (
     reduce_expansion,
 )
 from twobridge.conway import conway_diagram, verify_diagram
-from twobridge.core import (
-    division_expansion,
-    format_expansion,
-    fraction_of,
-)
+from twobridge.core import division_expansion, format_expansion
 from twobridge.diagram import all_shortest_expansions, depth
 from twobridge.errors import InternalError
 from twobridge.invariants import (
@@ -50,6 +47,7 @@ from twobridge.oracles import (
     alexander_genus,
     depth_by_mediant_walk,
     eval_additive,
+    fraction_of,
     gamma_equals_2g_plus_1,
     mirror,
     odd_type_among_shortest,
@@ -339,14 +337,15 @@ class TestReport:
             assert r.crosscap <= 2 * r.genus + 1
             assert (r.boundary == Boundary.INCOMPRESSIBLE) == r.odd_shortest_exists
 
-    def test_to_lines(self):
-        r = invariant_report(KnotId(9, 2))
-        lines = r.to_lines()
+    def test_key_value_lines(self, capsys):
+        assert twobridge.cli.main(["invariants", "2/9"]) == 0
+        lines = capsys.readouterr().out.splitlines()
         assert "crosscap=2" in lines
         assert "boundary=BoundaryIncompressible" in lines
         assert "knot=S(9,2)" in lines
         assert "odd_shortest_exists=true" in lines  # spelled as in the JSON form
-        assert "odd_shortest_exists=false" in invariant_report(KnotId(15, 4)).to_lines()
+        assert twobridge.cli.main(["invariants", "4/15"]) == 0
+        assert "odd_shortest_exists=false" in capsys.readouterr().out.splitlines()
 
     def test_to_dict_of_a_knot_past_the_default_limit(self):
         q, digits = 7 * (10**5000 - 1) // 9, "7" * 5000
@@ -442,10 +441,11 @@ class TestEuclidMemo:
         assert counted == {"reduce_fraction": 1, "_fired": 1, "_even_runs": 1}
         assert analyze.cache_info().misses == 1
 
-    def test_report_text_spells_no_even_expansion(self, counted):
-        report = invariant_report(KnotId(55, 21))
-        assert "even_expansion=1+[-2,-2,2,2,-2,-2]" in report.to_lines()
+    def test_report_text_spells_no_even_expansion(self, counted, capsys):
+        assert twobridge.cli.main(["invariants", "21/55"]) == 0
+        assert "even_expansion=1+[-2,-2,2,2,-2,-2]" in capsys.readouterr().out.splitlines()
         assert counted["_spell"] == 0
+        report = invariant_report(KnotId(55, 21))
         assert format_expansion(report.even_expansion) == "1+[-2,-2,2,2,-2,-2]"
         assert counted["_spell"] == 1
 

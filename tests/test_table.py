@@ -158,35 +158,44 @@ class TestVerify:
         assert len(calls) == 362 and set(calls.values()) == {1}
 
     def test_each_corruption_is_one_fail_line(self, monkeypatch):
-        table = twobridge.table._table()
-        changed = {
-            "3_1": {"gamma": 2},
-            "4_1": {"expansion": parse_expansion("[5,2]")},  # the expansion of 6_1
-            "6_1": {"expansion": parse_expansion("[5,3,1]")},  # right value, not shortest
-            "7_4": {"starred": False},
-        }
-        fields = ("name", "fraction", "gamma", "expansion", "starred")
-        records = [
-            KnotRecord(**{**{f: getattr(rec, f) for f in fields}, **changed.get(rec.name, {})}) for rec in table.records
-        ]
-        records.append(KnotRecord("6_1'", parse_fraction("5/9"), 2, parse_expansion("[2,5]"), False))
-        corrupted = _Table(records, {rec.name: rec for rec in records}, table.by_pair)
+        corrupted = corrupted_table()
         monkeypatch.setattr(twobridge.table, "_table", lambda: corrupted)
         report = verify_table()
         assert not report.ok
-        assert report.lines() == [
-            "a_eval (expansion evaluates to p/q): 362/363",
-            "b_shortest (expansion is shortest (reduction preserves length)): 362/363",
-            "c_gamma (computed crosscap equals the table's): 362/363",
-            "d_starred (starred exactly when crosscap = 2*genus + 1 (even type, no +-2)): 362/363",
-            "e_distinct (no two rows name the same knot): 362/363",
-            "FAIL 3_1 c_gamma: computed crosscap 1, table says 2",
-            "FAIL 4_1 a_eval: [5,2] evaluates to 2/9, table says 2/5",
-            "FAIL 6_1 b_shortest: [5,3,1] reduces to [5,2]",
-            "FAIL 7_4 d_starred: starred=false, gamma=2g+1 is true, even expansion [4,4]",
-            "FAIL 6_1' e_distinct: same knot as 6_1",
-            "FAILED (5 failures)",
-        ]
+        assert report.lines() == CORRUPTED_TABLE_LINES
+
+
+def corrupted_table():
+    """The table with four rows changed and a fifth row that repeats 6_1: each breaks one check."""
+    table = twobridge.table._table()
+    changed = {
+        "3_1": {"gamma": 2},
+        "4_1": {"expansion": parse_expansion("[5,2]")},  # the expansion of 6_1
+        "6_1": {"expansion": parse_expansion("[5,3,1]")},  # right value, not shortest
+        "7_4": {"starred": False},
+    }
+    fields = ("name", "fraction", "gamma", "expansion", "starred")
+    records = [
+        KnotRecord(**{**{f: getattr(rec, f) for f in fields}, **changed.get(rec.name, {})}) for rec in table.records
+    ]
+    records.append(KnotRecord("6_1'", parse_fraction("5/9"), 2, parse_expansion("[2,5]"), False))
+    return _Table(records, {rec.name: rec for rec in records}, table.by_pair)
+
+
+# the report of `verify_table` on `corrupted_table()`: one FAIL line per corruption
+CORRUPTED_TABLE_LINES = [
+    "a_eval (expansion evaluates to p/q): 362/363",
+    "b_shortest (expansion is shortest (reduction preserves length)): 362/363",
+    "c_gamma (computed crosscap equals the table's): 362/363",
+    "d_starred (starred exactly when crosscap = 2*genus + 1 (even type, no +-2)): 362/363",
+    "e_distinct (no two rows name the same knot): 362/363",
+    "FAIL 3_1 c_gamma: computed crosscap 1, table says 2",
+    "FAIL 4_1 a_eval: [5,2] evaluates to 2/9, table says 2/5",
+    "FAIL 6_1 b_shortest: [5,3,1] reduces to [5,2]",
+    "FAIL 7_4 d_starred: starred=false, gamma=2g+1 is true, even expansion [4,4]",
+    "FAIL 6_1' e_distinct: same knot as 6_1",
+    "FAILED (5 failures)",
+]
 
 
 def compositions(total):
