@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import sys
 from collections.abc import Callable, Iterator
+from itertools import accumulate
 
 from .conway import conway_diagram, format_diagram, verify_diagram
 from .core import (
@@ -56,8 +57,9 @@ def _cmd_eval(expansion: str, _flagged: bool) -> tuple[int, str]:
 def _cmd_reduce(expansion: str, trace_steps: bool) -> tuple[int, str]:
     reduced, trace = reduce_expansion(parse_expansion(expansion))
     if trace_steps and trace.moves:
-        # each line ends in the expansion that its move left, of L coefficients: at least 2*L + 1 characters
-        _check_output_size(sum(2 * n + 1 for n in trace.lengths()), "reduce --trace")
+        # each line ends in the expansion that its move left; stop at the first line past the bound
+        for printed in accumulate(trace.min_text_lengths()):
+            _check_output_size(printed, "reduce --trace")
         return 0, f"{format_trace(trace)}\n{format_expansion(reduced)}"
     return 0, format_expansion(reduced)
 
@@ -69,8 +71,7 @@ def _cmd_depth(fraction: str, _flagged: bool) -> tuple[int, str]:
 def _cmd_shortest(fraction: str, every: bool) -> tuple[int, str]:
     shortest = all_shortest_expansions(parse_fraction(fraction))
     if every:
-        # every member has len(T) coefficients, each with its "," or "]", after a "["
-        _check_output_size(shortest.size * (2 * len(shortest.reduced) + 1), "shortest --all")
+        _check_output_size(shortest.size * shortest.min_text_length(), "shortest --all")
         return 0, "\n".join(shortest.sorted_text())
     return 0, format_expansion(shortest.least())
 

@@ -39,10 +39,10 @@ _set_field = object.__setattr__
 class _Value:
     """Base of the package's immutable values.
 
-    A subclass lists its fields, in order, in `__slots__`, or in
-    `_FIELDS` when a `cached_property` needs an instance `__dict__`.  Its
-    `__init__` normalizes the arguments and stores each field with
-    `_set_field`.  The base gives it:
+    A subclass lists its fields, in order, in `__slots__`, so an
+    instance holds its fields and nothing else: no instance `__dict__`,
+    and no cache.  Its `__init__` normalizes the arguments and stores
+    each field with `_set_field`.  The base gives it:
 
     - equality: same type and equal fields; a hash of the fields;
     - the repr `KnotId(q=15, p=4)`;
@@ -63,8 +63,7 @@ class _Value:
 
     def __init_subclass__(cls):
         super().__init_subclass__()
-        own = vars(cls)
-        cls._fields = own["__slots__"] if "__slots__" in own else own["_FIELDS"]
+        cls._fields = vars(cls)["__slots__"]
         # an attrgetter is no descriptor, so `self._values(self)` gives the field values
         cls._values = attrgetter(*cls._fields)
 
@@ -306,6 +305,17 @@ def _format_int(n: int) -> str:
     half = n.bit_length() * 3 // 20  # about half the decimal digits, since log10(2) > 0.3
     high, low = divmod(n, 10**half)
     return _format_int(high) + _format_int(low).zfill(half)
+
+
+def _min_digits(n: int) -> int:
+    """A lower bound on the decimal digits of n, sign not counted, read off its bit length.
+
+    An n of b >= 1 bits has |n| >= 2**(b - 1), so at least
+    1 + floor((b - 1) * log10(2)) digits, and 1233/4096 < log10(2).  0
+    has one.  The output bounds of the CLI count digits with it, since
+    formatting a number to count them costs as much as printing it.
+    """
+    return 1 + (n.bit_length() - 1) * 1233 // 4096 if n else 1
 
 
 def format_fraction(x: ExtendedRational) -> str:

@@ -19,9 +19,8 @@ that the breadth-first closure under rectangle moves walks.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from functools import cached_property
 
-from .core import Expansion, ExtendedRational, _format_int, _set_field, _Value
+from .core import Expansion, ExtendedRational, _format_int, _min_digits, _set_field, _Value
 from .errors import DomainError, PatternMatchError
 from .invariants import analyze
 
@@ -97,16 +96,16 @@ class ShortestSet(_Value):
     another and every member has as many, so text order is token order,
     and each state keeps its edges in the order of their tokens.
 
-    A copy or a pickle holds the one field only, as the base makes it: the
-    cached automaton nests as deep as T is long, too deep for pickle.
+    The set holds T only: `size`, `least()`, `sorted_text()` and
+    `expansions` each build the automaton, in O(len T), when they are
+    called.
     """
 
-    _FIELDS = ("reduced",)
+    __slots__ = ("reduced",)
 
     def __init__(self, reduced: Expansion):
         _set_field(self, "reduced", reduced)
 
-    @cached_property
     def _automaton(self) -> tuple[int, list]:
         """The number of members and the pruned automaton's first node.
 
@@ -114,7 +113,8 @@ class ShortestSet(_Value):
         r + x_1; layer j + 1 leaves the states before position j by edges
         labelled c_j.  A node is the list of its live edges in token order,
         each (label, token, next node); the last layer leads to the empty
-        node.
+        node.  The backward pass pops each forward layer as it reads it,
+        so a layer is freed once its pruned nodes are built.
         """
         t = self.reduced.coefficients
         moves = [(0, 1) if 2 <= v <= 4 else (0,) for v in t] + [(0,)]
@@ -137,9 +137,9 @@ class ShortestSet(_Value):
             states = after
         below = dict.fromkeys(states, (1, []))
         ends = ["+["] + [","] * (len(t) - 1) + ["]"]
-        for layer, end in zip(reversed(layers), reversed(ends)):
+        for end in reversed(ends):
             above = {}
-            for s, edges in layer:
+            for s, edges in layers.pop():
                 size, node = 0, []
                 for c, to in edges:
                     if to in below:
@@ -156,7 +156,20 @@ class ShortestSet(_Value):
 
     @property
     def size(self) -> int:
-        return self._automaton[0]
+        return self._automaton()[0]
+
+    def min_text_length(self) -> int:
+        """A lower bound on the text of every member, read off T alone.
+
+        A member T - A x moves each coefficient of T by at most 6 and the
+        integer part by at most 1, so each prints at most one digit fewer
+        than in T.  With d the digits of a part of T (signs not counted,
+        digits by `_min_digits`), the prefix "r+[" prints at least d - 1
+        digits of r and its "[", and each coefficient at least
+        max(d - 1, 1) digits and its "," or "]".
+        """
+        t = self.reduced
+        return _min_digits(t.integer_part) + sum(max(_min_digits(c), 2) for c in t.coefficients)
 
     def _paths(self, field: int) -> Iterator[list]:
         """Field 0 (labels) or 1 (tokens) of the edges along each path, in token order.
@@ -165,7 +178,7 @@ class ShortestSet(_Value):
         path must be read before the next is asked for.
         """
         path, forks = [], []  # forks: (path length, later edge) at each fork passed
-        node = self._automaton[1]
+        node = self._automaton()[1]
         while True:
             while node:
                 if len(node) == 2:
@@ -185,9 +198,9 @@ class ShortestSet(_Value):
     def _member(labels: list[int]) -> Expansion:
         return Expansion(labels[0], tuple(labels[1:]))
 
-    @cached_property
+    @property
     def expansions(self) -> frozenset[Expansion]:
-        """Every member, built on first use: the class may be exponentially large."""
+        """Every member, built when read: the class may be exponentially large."""
         return frozenset(map(self._member, self._paths(0)))
 
     def least(self) -> Expansion:

@@ -26,9 +26,8 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from enum import Enum
-from functools import cached_property
 
-from .core import Expansion, _format_int, _set_field, _Value, format_expansion
+from .core import Expansion, _format_int, _min_digits, _set_field, _Value, format_expansion
 from .errors import DomainError, InternalError, PatternMatchError
 
 __all__ = [
@@ -69,31 +68,40 @@ class ReductionStep(_Value):
 class ReductionTrace(_Value):
     """Replayable record of a reduction run: the start, each step, the fixpoint.
 
-    `steps` pairs each move with the expansion it produced.  It is rebuilt
-    from `moves` through `apply_rule` on first use, so a run whose trace
-    is never read keeps no intermediate expansions.
+    `steps` pairs each move with the expansion it produced.  It replays
+    `moves` through `apply_rule` each time it is read, so a run whose
+    trace is never read builds no intermediate expansions, and a trace
+    holds its three fields only.
     """
 
-    _FIELDS = ("initial", "moves", "final")
+    __slots__ = ("initial", "moves", "final")
 
     def __init__(self, initial: Expansion, moves: tuple[ReductionStep, ...], final: Expansion):
         _set_field(self, "initial", initial)
         _set_field(self, "moves", moves)
         _set_field(self, "final", final)
 
-    def lengths(self) -> Iterator[int]:
-        """The length of the expansion after each move, read off the rules without replaying them.
+    def min_text_lengths(self) -> Iterator[int]:
+        """A lower bound on the text of the expansion after each move, from a replay on one list.
 
-        A zero step turns a,0,b into a+b, or drops the 0 and its one
-        neighbour at an end: it removes two coefficients.  A unit or a block
-        step removes one.
+        The text r+[b_1,...,b_n] has "[", each coefficient's digits with
+        its "," or "]", and for r != 0 the digits of r and a "+"; signs
+        are not counted, and digits are counted by `_min_digits`.  The
+        moves are replayed through `_splice` on one list, and the sum of
+        the coefficients' digit bounds changes only where a move edits
+        it, so no expansion is built or formatted.  Each bound is yielded
+        as its move is replayed, so a caller can stop at once.
         """
-        n = len(self.initial)
+        c = list(self.initial.coefficients)
+        r = self.initial.integer_part
+        digits = sum(map(_min_digits, c))
         for step in self.moves:
-            n -= 2 if step.rule is Rule.REMOVE_ZERO else 1
-            yield n
+            lo, hi, new, r = _splice(c, r, step)
+            digits += sum(map(_min_digits, new)) - sum(map(_min_digits, c[lo:hi]))
+            c[lo:hi] = new
+            yield digits + len(c) + 1 + (_min_digits(r) + 1 if r else 0)
 
-    @cached_property
+    @property
     def steps(self) -> tuple[tuple[ReductionStep, Expansion], ...]:
         out = []
         current = self.initial

@@ -380,6 +380,31 @@ class TestOutputBound:
         assert self.refused(*run(capsys, "shortest", str(x), "--all"))
         assert time.perf_counter() - started < 1
 
+    # Operands whose output is long for its digits, not for its coefficient count: a
+    # bound that counts one digit per number lets each print more than 10**7 characters.
+    # Each text is built without str() of a big int, so the int-string limit plays no part.
+    TRACES_OF_MANY_DIGITS = {
+        # a 60,000-digit coefficient in each of about 2,000 trace lines
+        "long_coefficient": "[" + "9" * 60000 + ",2" * 2000 + "]",
+        # a 6,000-digit integer part in each of about 2,000 trace lines
+        "long_integer_part": "9" * 6000 + "+[" + ",".join(["2"] * 2000) + "]",
+        # [1 x 2,000, 10**3000, 1, 1, 5 - 10**3000], an integer: a bound read off the value misses it
+        "integer_value": "[" + "1," * 2000 + "1" + "0" * 3000 + ",1,1,-" + "9" * 2999 + "5]",
+    }
+
+    @pytest.mark.parametrize("kind", TRACES_OF_MANY_DIGITS)
+    def test_trace_of_many_digits_is_refused_at_once(self, capsys, kind):
+        started = time.perf_counter()
+        assert self.refused(*run(capsys, "reduce", self.TRACES_OF_MANY_DIGITS[kind], "--trace"))
+        assert time.perf_counter() - started < 1
+
+    def test_members_of_many_digits_are_refused_at_once(self, capsys):
+        # 10**3000 + [5,(2,5)*12]: 4,096 members, each with a 3,000-digit integer part
+        x = eval_expansion(Expansion(10**3000, (5,) + (2, 5) * 12))
+        started = time.perf_counter()
+        assert self.refused(*run(capsys, "shortest", format_fraction(x), "--all"))
+        assert time.perf_counter() - started < 1
+
 
 class TestQuarterOfTheLongestOperand:
     # One argv string holds at most 131,071 characters, so a fraction operand has at

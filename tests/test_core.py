@@ -22,6 +22,7 @@ from twobridge import (
     parse_fraction,
 )
 from twobridge.core import (
+    _min_digits,
     _parse_int,
     division_expansion,
 )
@@ -375,6 +376,14 @@ class TestParsing:
             assert str(parse_fraction(fraction)) == fraction
         finally:
             sys.set_int_max_str_digits(saved)
+
+    def test_digit_bound_next_to_powers_of_ten_and_of_two(self):
+        # at most the digits of n, sign not counted, and at most one fewer below 600 digits
+        for k in range(600):
+            for n in range(10**k - 3, 10**k + 4):
+                for m in (n, -n, 2**(2 * k) + n % 5 - 2, -(2**(2 * k)) - n % 5 + 2):
+                    digits = len(str(abs(m)))
+                    assert digits - 1 <= _min_digits(m) <= digits
 
     @pytest.mark.parametrize(
         "call",

@@ -22,7 +22,7 @@ from twobridge import (
     reduce_expansion,
 )
 from twobridge.core import division_expansion
-from twobridge.diagram import rectangle_move
+from twobridge.diagram import ShortestSet, rectangle_move
 from twobridge.errors import InternalError, PatternMatchError
 from twobridge.oracles import (
     INFINITY,
@@ -329,6 +329,27 @@ class TestShortestStructure:
             quotients[-1] = 2
         assert_matches_closure(eval_additive(AdditiveExpansion(a0, tuple(quotients))), full_list=True)
 
+    @given(
+        st.one_of(st.integers(-12, 12), st.builds(lambda k, d: 10**k + d, st.integers(1, 30), st.integers(-9, 9))),
+        st.lists(
+            st.one_of(
+                st.sampled_from([-4, -3, 2, 3, 4, 5, 6]),
+                st.builds(lambda k, d: 10**k + d, st.integers(1, 30), st.integers(-7, 7)),
+                st.builds(lambda k, d: -(10**k) + d, st.integers(1, 30), st.integers(-7, 7)),
+            ),
+            min_size=1,
+            max_size=10,
+        ),
+    )
+    def test_no_member_is_shorter_than_the_bound(self, r, coefficients):
+        # `shortest --all` refuses on size times this bound; coefficients next to a power
+        # of 10 lose a digit in a member, and so does an integer part next to one
+        x = eval_expansion(Expansion(r, tuple(coefficients)))
+        if x.is_infinite or x.is_integer:
+            return
+        s = all_shortest_expansions(x)
+        assert min(map(len, s.sorted_text())) >= s.min_text_length()
+
     def test_automaton_is_complete_on_every_short_word(self):
         # the edges at a position depend on T_j only through its letter in
         # {2, 3, 4, 5, >=6, -3, <=-4}; every reduced T of length 1-5 over
@@ -400,11 +421,14 @@ class TestShortestStructure:
         for copied in (pickle.loads(pickle.dumps(s)), copy.deepcopy(s)):
             assert copied == s and copied.least() == least
 
-    def test_expansions_are_built_on_first_use(self):
+    def test_expansions_are_built_on_first_use(self, monkeypatch):
+        # constructing a set builds no automaton and enumerates nothing; each read builds it
+        built = []
+        automaton = ShortestSet._automaton
+        monkeypatch.setattr(ShortestSet, "_automaton", lambda s: built.append(s) or automaton(s))
         s = all_shortest_expansions(ExtendedRational(2, 5))
-        assert "expansions" not in vars(s)
-        assert len(s.expansions) == 3
-        assert s.expansions is s.expansions
+        assert not built and not hasattr(s, "__dict__")
+        assert len(s.expansions) == 3 and built == [s]
 
 
 class TestOracleAgreement:

@@ -44,6 +44,14 @@ long_expansions = st.builds(
     st.lists(st.integers(-3, 3), min_size=0, max_size=400).map(tuple),
 )
 
+# coefficients and integer parts of many digits, among them powers of 10 and their neighbours
+wide_ints = st.one_of(
+    st.integers(-6, 6),
+    st.integers(-(10**40), 10**40),
+    st.builds(lambda k, d, sign: sign * (10**k + d), st.integers(1, 40), st.integers(-7, 7), st.sampled_from([1, -1])),
+)
+wide_expansions = st.builds(Expansion, wide_ints, st.lists(wide_ints, min_size=0, max_size=12).map(tuple))
+
 
 def step(rule, pos, eps=0, m=0):
     return ReductionStep(rule, pos, epsilon=eps, block_length=m)
@@ -171,9 +179,19 @@ class TestReduce:
 
     @given(long_expansions)
     def test_lengths_match_the_replay(self, e):
-        # `reduce --trace` bounds its output by these lengths before replaying anything
+        # `reduce --trace` bounds its output by these, one per move, each at least the
+        # 2*L + 1 characters of a step that leaves L coefficients of one digit
         _, trace = reduce_expansion(e)
-        assert list(trace.lengths()) == [len(expansion) for _, expansion in trace.steps]
+        bounds = list(trace.min_text_lengths())
+        assert len(bounds) == len(trace.moves)
+        assert all(b >= 2 * len(expansion) + 1 for b, (_, expansion) in zip(bounds, trace.steps))
+
+    @given(wide_expansions)
+    def test_text_bounds_never_exceed_the_text(self, e):
+        _, trace = reduce_expansion(e)
+        bounds = list(trace.min_text_lengths())
+        assert len(bounds) == len(trace.moves)
+        assert all(b <= len(format_expansion(expansion)) for b, (_, expansion) in zip(bounds, trace.steps))
 
     @given(expansions)
     def test_fixpoint_has_no_pattern(self, e):

@@ -26,13 +26,13 @@ def _record():
 
 def _trace():
     trace = reduce_expansion(Expansion(0, (2, 2, 2, 2)))[1]
-    assert len(trace.steps) == 3  # fills the cached property, which no comparison reads
+    assert len(trace.steps) == 3  # a replay of the moves: reading it leaves the trace its three fields
     return trace
 
 
 def _shortest_set():
     shortest = all_shortest_expansions(ExtendedRational(4, 15))
-    assert shortest.size == 1  # fills the cached automaton, which no comparison reads
+    assert shortest.size == 1  # builds the automaton and keeps none of it: the set holds T alone
     return shortest
 
 
@@ -96,6 +96,7 @@ VALUES = [
 def test_value_semantics(make, text, hashable):
     a, b = make(), make()
     assert a is not b and a == b and not a != b
+    assert not hasattr(a, "__dict__")  # a value holds its fields and nothing else
     if hashable:
         assert hash(a) == hash(b)
     else:

@@ -9,8 +9,14 @@ script builds the longest operand of each kind that fits:
   `invariants`, `conway`, `shortest` and `shortest --all`: from seeded
   quotients 1-2 (the most quotients per bit after all 1s), from seeded
   quotients 1-4, a Fibonacci ratio (every quotient 1) and (q-1)/q;
-- the expansions [2]*65534, [1,3]*32767 and [2,3]*32767, for `eval` and
-  `reduce`.
+- the expansions [2]*65534, [1,3]*32767 and [2,3]*32767, for `eval`,
+  `reduce` and `reduce --trace`;
+- operands whose output is long for its digits rather than for its
+  number of coefficients: for `reduce --trace`, a 120,000-digit
+  coefficient before 5,000 twos, a 100,000-digit integer part before
+  15,000 twos, and 20,000 ones before 10**45000, 1, 1, 5 - 10**45000 (an
+  integer); for `shortest --all`, 10**130000 + [5,(2,5)*16], whose 65,536
+  members each print the integer part.
 
 Each call runs as `python -m twobridge.cli` in a child process of its
 own, one at a time, under a timeout and an address-space cap
@@ -20,11 +26,11 @@ peak RSS comes from `os.wait4`, which reports that one child;
 
 One JSON row per call goes to stdout as the call ends.  The exit status
 is 1 when a call timed out, hit the cap or exited with a code other
-than the expected one: 2 for the calls in `REFUSED`, whose output would
-pass the CLI's bound, and 0 for every other call.  A run takes 90 to
-120 s on two shared cores.  pytest does not collect this script; tier-1
-runs every command on operands of a quarter of this size, in process
-(`tests/test_cli.py`).
+than the expected one: 2 for the calls in `REFUSED` and on the digit
+operands, whose output would pass the CLI's bound, and 0 for every
+other call.  A run takes 60 to 120 s on two shared cores.  pytest does
+not collect this script; tier-1 runs every command on operands of a
+quarter of this size, in process (`tests/test_cli.py`).
 """
 
 from __future__ import annotations
@@ -40,7 +46,7 @@ import tempfile
 import time
 from collections.abc import Callable
 
-from twobridge.core import ExtendedRational, format_fraction
+from twobridge.core import Expansion, ExtendedRational, eval_expansion, format_fraction
 
 TIMEOUT_S = 60
 MEMORY_CAP_BYTES = 1 << 30
@@ -48,12 +54,14 @@ DIGITS = 65535  # p/q with both below 10**DIGITS has at most 2 * DIGITS + 1 = 13
 SEED = 31
 
 FRACTION_COMMANDS = (("depth",), ("invariants",), ("conway",), ("shortest",), ("shortest", "--all"))
-EXPANSION_COMMANDS = (("eval",), ("reduce",))
+EXPANSION_COMMANDS = (("eval",), ("reduce",), ("reduce", "--trace"))
 # The calls refused with exit 2, as their output would pass the CLI's bound: every
-# `shortest --all` but that of (q-1)/q, whose set has one member, and `invariants`
-# of the torus knot (q-1)/q, whose even expansion has q - 1 coefficients.
+# `shortest --all` but that of (q-1)/q, whose set has one member, `invariants` of the
+# torus knot (q-1)/q, whose even expansion has q - 1 coefficients, and every
+# `reduce --trace`.  Every call on the digit operands is refused too.
 REFUSED = {(("shortest", "--all"), kind) for kind in ("quotients_1_2", "quotients_1_4", "fibonacci")}
 REFUSED.add((("invariants",), "q_minus_1_over_q"))
+REFUSED.update((("reduce", "--trace"), kind) for kind in ("twos", "ones_and_threes", "twos_and_threes"))
 
 
 def largest_convergent(next_quotient: Callable[[], int], bound: int) -> tuple[int, int]:
@@ -84,6 +92,25 @@ def fraction_operands() -> dict[str, str]:
 def expansion_operands() -> dict[str, str]:
     words = {"twos": ["2"] * 65534, "ones_and_threes": ["1", "3"] * 32767, "twos_and_threes": ["2", "3"] * 32767}
     return {kind: "[" + ",".join(w) + "]" for kind, w in words.items()}
+
+
+def digit_operands() -> dict[str, tuple[tuple[str, ...], str]]:
+    """(command, operand) of each call whose output is long for its digits, by kind.
+
+    The texts are built without str() of a big int, except the last
+    fraction's, which `format_fraction` writes whatever the limit.
+    """
+    operands = {
+        "long_coefficient": (("reduce", "--trace"), "[" + "9" * 120000 + ",2" * 5000 + "]"),
+        "long_integer_part": (("reduce", "--trace"), "9" * 100000 + "+[" + ",".join(["2"] * 15000) + "]"),
+        "integer_value": (("reduce", "--trace"), "[" + "1," * 20000 + "1" + "0" * 45000 + ",1,1,-" + "9" * 44999 + "5]"),
+        "many_members": (
+            ("shortest", "--all"),
+            format_fraction(eval_expansion(Expansion(10**130000, (5,) + (2, 5) * 16))),
+        ),
+    }
+    assert all(len(operand) <= 2 * DIGITS + 1 for _, operand in operands.values())
+    return operands
 
 
 def _cap_memory() -> None:
@@ -145,7 +172,9 @@ def calls():
             yield command, kind, operand, 2 if (command, kind) in REFUSED else 0
     for kind, operand in expansion_operands().items():
         for command in EXPANSION_COMMANDS:
-            yield command, kind, operand, 0
+            yield command, kind, operand, 2 if (command, kind) in REFUSED else 0
+    for kind, (command, operand) in digit_operands().items():
+        yield command, kind, operand, 2
 
 
 def main() -> int:
